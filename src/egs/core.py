@@ -199,6 +199,12 @@ class Structure:
                 for m in block.members:
                     index[(p, m)] = block
         self._infoset_index = index
+        self.info_sets: tuple[InfoSet, ...] = tuple(
+            s for p in self.players for s in self.partitions.get(p, ())
+        )
+        self._info_set_set = frozenset(
+            s for p, blocks in self.partitions.items() for s in blocks if s.owner == p
+        )
         self._z_cache: dict[History, frozenset[History]] = {}
 
     # -- basic queries -------------------------------------------------
@@ -231,13 +237,6 @@ class Structure:
         """H_i: non-terminal histories where the player is active."""
         return tuple(h for h in self.nonterminals if player in self._active[h])
 
-    @property
-    def info_sets(self) -> tuple[InfoSet, ...]:
-        out = []
-        for p in self.players:
-            out.extend(self.partitions.get(p, ()))
-        return tuple(out)
-
     def info_set_of(self, player: str, h: History) -> InfoSet:
         try:
             return self._infoset_index[(player, h)]
@@ -245,7 +244,7 @@ class Structure:
             raise EgsError(f"player {player} has no information set at {h.label()!r}")
 
     def has_info_set(self, s: InfoSet) -> bool:
-        return s in self.partitions.get(s.owner, ())
+        return s in self._info_set_set
 
     def require_info_set(self, s: InfoSet) -> None:
         if not self.has_info_set(s):

@@ -7,11 +7,20 @@ decided with an exact-rational LP) at that set or at any set weakly
 following it.  Removal is by component, which keeps every decision problem
 in own-set-times-others product form; survivors are read at the
 root-containing information sets, which always agree.
+
+A game is treated as immutable, so its BD trace is computed once, on the
+first `bd` call, and shared by every later call and monotonicity report.
+Which rows of a payoff matrix are dominated depends on the matrix alone:
+each game keeps a memo of those answers, keyed by the matrix, and
+`transport_game` hands it on to the game it builds, so the decision
+problems a transformation leaves unchanged, and those that recur from
+round to round, are solved once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +36,10 @@ class DominanceError(EgsError):
 
 
 class Game:
-    """An extensive game: a structure plus exact-rational terminal payoffs."""
+    """An extensive game: a structure plus exact-rational terminal payoffs.
+
+    Treated as immutable once built: its BD trace and dominance memo are
+    derived from the payoffs and kept for the life of the game."""
 
     def __init__(self, structure: Structure, payoffs: dict[str, dict[History, Fraction]]):
         self.structure = structure
@@ -49,6 +61,9 @@ class Game:
         for combo in itertools.product(*(self.plan_lists[p] for p in structure.players)):
             profile = dict(zip(structure.players, combo))
             self._outcomes[combo] = play(structure, profile)
+        self._bd_trace: BdTrace | None = None
+        # dominated_rows answers by payoff matrix; shared by transport_game
+        self._dominated_memo: dict[tuple, tuple[int, ...]] = {}
 
     def outcome(self, combo: tuple[Plan, ...]) -> History:
         return self._outcomes[combo]
@@ -103,10 +118,12 @@ def reaching(game: Game, infoset: InfoSet) -> DecisionProblem:
     return DecisionProblem(infoset, tuple(own), tuple(others))
 
 
-def dominated_rows(matrix: list[list[Fraction]]) -> tuple[int, ...]:
+def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     """Rows strictly dominated by a mixture of the rows: for each
     candidate, maximize the worst-column slack of a mixed strategy over
-    the full simplex; dominated iff the optimum is positive."""
+    the full simplex; dominated iff the optimum is positive.  The point
+    mu = e_r, eps = 0 is feasible, so the LP's slacks plus mu_r make a
+    crash basis and `maximize` needs no phase 1."""
     n = len(matrix)
     if n <= 1 or not matrix[0]:
         return ()
@@ -157,12 +174,15 @@ def strictly_dominated(problem: DecisionProblem, game: Game) -> tuple[Plan, ...]
             for k, plan in zip(rest_axes, rest):
                 combo[k] = plan
             row.append(game.utility(owner, tuple(combo)))
-        matrix.append(row)
-    bad = dominated_rows(matrix)
+        matrix.append(tuple(row))
+    key = tuple(matrix)
+    bad = game._dominated_memo.get(key)
+    if bad is None:
+        bad = game._dominated_memo[key] = dominated_rows(key)
     return tuple(problem.own[r] for r in bad)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BdTrace:
     rounds: tuple[dict[InfoSet, DecisionProblem], ...]
     survivors: dict[str, tuple[Plan, ...]]
@@ -187,7 +207,14 @@ def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ..
 
 
 def bd(game: Game) -> BdTrace:
-    """Run the backward dominance procedure to its fixpoint."""
+    """Run the backward dominance procedure to its fixpoint.  The trace is
+    computed on the first call for a game; later calls return it."""
+    if game._bd_trace is None:
+        game._bd_trace = _run_bd(game)
+    return game._bd_trace
+
+
+def _run_bd(game: Game) -> BdTrace:
     structure = game.structure
     ok, witness = check_uo(structure)
     if not ok:
@@ -313,7 +340,9 @@ def transport_game(game: Game, new_structure: Structure, comp: CompositeMap) -> 
         p: {bijection[z]: v for z, v in table.items()}
         for p, table in game.payoffs.items()
     }
-    return Game(new_structure, payoffs)
+    moved = Game(new_structure, payoffs)
+    moved._dominated_memo = game._dominated_memo
+    return moved
 
 
 def compare_bd(

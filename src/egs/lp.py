@@ -1,4 +1,12 @@
-"""Exact-rational linear programming via a dense two-phase simplex.
+"""Exact-rational linear programming via a dense simplex that starts from a
+crash basis.
+
+Each constraint row gets, where it has one, a column that is positive in
+that row and zero in every other row: the row's own slack for a `<=` row
+with a non-negative right-hand side, or a structural column that no other
+row uses.  Such columns form a feasible starting basis.  Artificial
+columns, and a phase 1 that drives them out, are added only for the rows
+left without one; when every row has one the solve is phase 2 alone.
 
 All arithmetic is fractions.Fraction; pivoting follows Bland's rule, so
 the method terminates without cycling.  Problems here are tiny (dominance
@@ -24,11 +32,13 @@ class LpResult:
 
 def _pivot(tableau, basis, row, col):
     pivot = tableau[row][col]
-    tableau[row] = [x / pivot for x in tableau[row]]
+    if pivot != 1:
+        tableau[row] = [x / pivot for x in tableau[row]]
+    prow = tableau[row]
     for r, line in enumerate(tableau):
         if r != row and line[col] != 0:
             factor = line[col]
-            tableau[r] = [a - factor * b for a, b in zip(line, tableau[row])]
+            tableau[r] = [a - factor * b if b else a for a, b in zip(line, prow)]
     basis[row] = col
 
 
@@ -56,6 +66,18 @@ def _run_simplex(tableau, basis, ncols):
         _pivot(tableau, basis, best_row, col)
 
 
+def _crash_basis(rows, width, n):
+    """A column per row that is positive in it and zero in every other
+    row, or None.  Slack columns are tried before structural ones, so a
+    `<=` row with a non-negative right-hand side keeps its own slack."""
+    basis = [None] * len(rows)
+    for j in [*range(n, width), *range(n)]:
+        hits = [r for r, (row, _) in enumerate(rows) if row[j] != 0]
+        if len(hits) == 1 and basis[hits[0]] is None and rows[hits[0]][0][j] > 0:
+            basis[hits[0]] = j
+    return basis
+
+
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     """max c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
     c = [Fraction(x) for x in c]
@@ -65,8 +87,7 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     b_eq = [Fraction(x) for x in (b_eq or [])]
     n = len(c)
     rows = []
-    # slack variables for inequalities, artificials for everything with a
-    # negative right-hand side or an equality
+    # slack variables for inequalities
     n_slack = len(a_ub)
     for idx, (row, rhs) in enumerate(zip(a_ub, b_ub)):
         slack = [Fraction(0)] * n_slack
@@ -79,38 +100,39 @@ def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         ([-x for x in row], -rhs) if rhs < 0 else (row, rhs) for row, rhs in rows
     ]
     width = n + n_slack
-    n_art = len(rows)
-    tableau = []
-    basis = []
-    for idx, (row, rhs) in enumerate(rows):
-        art = [Fraction(0)] * n_art
-        art[idx] = Fraction(1)
-        tableau.append(row + art + [rhs])
-        basis.append(width + idx)
+    basis = _crash_basis(rows, width, n)
+    # artificials only for the rows the crash basis left uncovered
+    uncovered = [r for r, b in enumerate(basis) if b is None]
+    n_art = len(uncovered)
     total = width + n_art
-    # phase 1: maximize minus the artificial sum; seed the objective with
-    # the artificial columns, then reduce against the (artificial) basis
-    phase1 = [Fraction(0)] * total + [Fraction(0)]
-    for j in range(width, total):
-        phase1[j] = Fraction(1)
-    for r in range(len(rows)):
-        for j in range(total + 1):
-            phase1[j] -= tableau[r][j]
-    tableau.append(phase1)
-    status = _run_simplex(tableau, basis, total)
-    if status != "optimal" or tableau[-1][-1] != 0:
-        return LpResult("infeasible", None, None)
-    tableau.pop()
-    # drive artificials out of the basis where possible
-    for r in range(len(rows)):
-        if basis[r] >= width:
-            col = next(
-                (j for j in range(width) if tableau[r][j] != 0), None
-            )
-            if col is not None:
-                _pivot(tableau, basis, r, col)
-    # drop artificial columns
-    tableau = [line[:width] + [line[-1]] for line in tableau]
+    tableau = [row + [Fraction(0)] * n_art + [rhs] for row, rhs in rows]
+    for k, r in enumerate(uncovered):
+        tableau[r][width + k] = Fraction(1)
+        basis[r] = width + k
+    for r, b in enumerate(basis):
+        if b < width:
+            _pivot(tableau, basis, r, b)  # scales the row to a unit column
+    if n_art:
+        # phase 1: maximize minus the artificial sum; seed the objective
+        # with the artificial columns, then reduce against their rows
+        phase1 = [Fraction(0)] * width + [Fraction(1)] * n_art + [Fraction(0)]
+        for r in uncovered:
+            phase1 = [a - b for a, b in zip(phase1, tableau[r])]
+        tableau.append(phase1)
+        status = _run_simplex(tableau, basis, total)
+        if status != "optimal" or tableau[-1][-1] != 0:
+            return LpResult("infeasible", None, None)
+        tableau.pop()
+        # drive artificials out of the basis where possible
+        for r in range(len(rows)):
+            if basis[r] >= width:
+                col = next(
+                    (j for j in range(width) if tableau[r][j] != 0), None
+                )
+                if col is not None:
+                    _pivot(tableau, basis, r, col)
+        # drop artificial columns
+        tableau = [line[:width] + [line[-1]] for line in tableau]
     # phase 2 objective
     obj = [-x for x in c] + [Fraction(0)] * n_slack + [Fraction(0)]
     for r in range(len(rows)):

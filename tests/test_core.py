@@ -50,6 +50,20 @@ def test_relation_foreign_infoset_rejected():
         relation(other, foreign, foreign)
 
 
+def test_info_set_membership_by_value():
+    g = g_red1()
+    assert g.info_sets is g.info_sets
+    for s in g.info_sets:
+        copy = InfoSet(s.owner, tuple(reversed(s.members)))
+        assert copy is not s and g.has_info_set(copy)
+        g.require_info_set(copy)
+    h11, h12, h21, h22 = red1_infosets(g)
+    # same members as a set of player 1, but owned by player 2
+    assert not g.has_info_set(InfoSet(h21.owner, h11.members))
+    with pytest.raises(EgsError):
+        g.require_info_set(InfoSet(h21.owner, h11.members))
+
+
 def test_relation_entangled_fixture():
     g = g_ent()
     h2 = g.info_set_of("2", path({"1": "A"}))

@@ -193,3 +193,93 @@ def test_format_trace_stable():
     text2 = format_trace(bd(game))
     assert text1 == text2
     assert "survivors" in text1
+
+
+def _lp_inputs(monkeypatch):
+    """Record every LP the dominance code poses, by its repr."""
+    import egs.dominance
+
+    posed = []
+    original = egs.dominance.maximize
+
+    def recording(*args):
+        posed.append(repr(args))
+        return original(*args)
+
+    monkeypatch.setattr(egs.dominance, "maximize", recording)
+    return posed
+
+
+def _multi_ico_games(count):
+    """Corpus games with at least two complete ICOs, seeded payoffs; small
+    enough for the Fourier-Motzkin oracle."""
+    rng = random.Random(77)
+    seen = []
+    for structure, _ in ico_corpus(40, seed=8, max_profiles=30):
+        if structure in seen:
+            continue
+        seen.append(structure)
+        icos = find_complete_icos(structure)
+        if len(icos) >= 2:
+            yield Game(structure, random_payoffs(structure, rng)), icos
+            count -= 1
+            if not count:
+                return
+
+
+def test_check_monotonic_reuses_the_games_bd_and_lps(monkeypatch):
+    posed = _lp_inputs(monkeypatch)
+    for game, icos in _multi_ico_games(3):
+        del posed[:]
+        trace = bd(game)
+        solved = set(posed)
+        assert solved
+        del posed[:]
+        for ico in icos:
+            report = check_monotonic(game, ico)
+            assert report.before is trace
+        assert not solved & set(posed)
+        assert bd(game) is trace
+
+
+def test_separately_parsed_games_share_no_memo(monkeypatch):
+    from egs import parse, serialize
+
+    posed = _lp_inputs(monkeypatch)
+    text = serialize(game_nul())
+    first = bd(parse(text))
+    n_first = len(posed)
+    assert n_first
+    second = bd(parse(text))
+    assert len(posed) == 2 * n_first
+    assert second is not first and second.survivors == first.survivors
+
+
+def test_monotonic_reports_match_fresh_oracle_bd(monkeypatch):
+    import egs.dominance
+    from egs import apply_tau
+
+    from oracles import oracle_dominated
+
+    for game, icos in _multi_ico_games(3):
+        for ico in icos:
+            report = check_monotonic(game, ico)
+            assert report.ok, report.violations
+            new_structure, comp = apply_tau(game.structure, ico)
+            moved = transport_game(game, new_structure, comp)
+            # fresh games, no shared memo, Fourier-Motzkin in place of the LP
+            with monkeypatch.context() as m:
+                m.setattr(egs.dominance, "dominated_rows", oracle_dominated)
+                before = bd(Game(game.structure, game.payoffs))
+                after = bd(Game(moved.structure, moved.payoffs))
+            assert report.before.survivors == before.survivors
+            assert report.after.survivors == after.survivors
+            assert report.before.eliminated_round == before.eliminated_round
+
+
+def test_bd_trace_is_frozen():
+    from dataclasses import FrozenInstanceError
+
+    trace = bd(game_nul())
+    with pytest.raises(FrozenInstanceError):
+        trace.survivors = {}

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from egs import dominated_rows
 from egs.lp import maximize
 
@@ -71,3 +74,79 @@ def test_dominated_rows_match_fm_oracle_randomized():
             for _ in range(n)
         ]
         assert dominated_rows(rows) == oracle_dominated(rows), rows
+
+
+def _count_simplex_runs(monkeypatch):
+    import egs.lp
+
+    runs = []
+    original = egs.lp._run_simplex
+
+    def counting(tableau, basis, ncols):
+        runs.append(ncols)
+        return original(tableau, basis, ncols)
+
+    monkeypatch.setattr(egs.lp, "_run_simplex", counting)
+    return runs
+
+
+def test_uncovered_row_runs_phase_one_to_infeasible(monkeypatch):
+    runs = _count_simplex_runs(monkeypatch)
+    # x + y == 2 shares both columns with the bounds, so it has no crash
+    # column; x <= 0 and y <= 1 contradict it
+    res = maximize([1, 1], [[1, 0], [0, 1]], [0, 1], [[1, 1]], [2])
+    assert res.status == "infeasible"
+    assert len(runs) == 1  # phase 1 alone, which proved infeasibility
+
+
+def test_equality_needing_an_artificial_reaches_optimum(monkeypatch):
+    runs = _count_simplex_runs(monkeypatch)
+    # max x + 2y st x + y == 3, x - y <= 1, y <= 2: optimum x=1, y=2
+    res = maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[1, 1]], [3])
+    assert res.status == "optimal"
+    assert res.value == 5 and res.solution == (1, 2)
+    assert len(runs) == 2  # phase 1, then phase 2
+    # the same row with a negated right-hand side
+    res = maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[-1, -1]], [-3])
+    assert res.status == "optimal" and res.value == 5
+
+
+def test_structural_crash_column_skips_phase_one(monkeypatch):
+    runs = _count_simplex_runs(monkeypatch)
+    # max x st x + 2z == 4, x <= 3: z appears only in the equality row
+    res = maximize([1, 0], [[1, 0]], [3], [[1, 2]], [4])
+    assert res.status == "optimal"
+    assert res.value == 3 and res.solution == (3, Fraction(1, 2))
+    assert len(runs) == 1
+
+
+def test_dominated_rows_lps_skip_phase_one(monkeypatch):
+    runs = _count_simplex_runs(monkeypatch)
+    rows = [
+        [Fraction(3), Fraction(0), Fraction(1)],
+        [Fraction(0), Fraction(3), Fraction(1)],
+        [Fraction(1), Fraction(1), Fraction(0)],
+        [Fraction(2), Fraction(2), Fraction(1)],
+    ]
+    assert dominated_rows(rows) == oracle_dominated(rows) == (2,)
+    # row 2 is purely dominated by row 3; every other row gets one LP,
+    # solved by one phase-2 run over the mixture weights, eps and a slack
+    # per column
+    assert runs == [len(rows) + 1 + len(rows[0])] * 3
+
+
+_entry = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(_entry, min_size=m, max_size=m), min_size=1, max_size=4
+        )
+    )
+)
+def test_dominated_rows_match_fm_oracle_property(rows):
+    assert dominated_rows(rows) == oracle_dominated(rows)
