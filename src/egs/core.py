@@ -7,6 +7,17 @@ action alphabets, a prefix-closed history set, and per-player information
 partitions.  Everything derived (terminals, active players, feasible
 actions, subtree terminal sets) is computed once and cached; all values are
 immutable and safe to share across threads.
+
+The order-and-control index is derived the same way, lazily, on first use:
+one walk from the root records, for each information set, the sets with a
+member strictly before one of its members, and for each anchor strictly
+before a member at which the set's owner is inactive, the members below
+it.  The terminal set reached by each action at each set is memoised and
+filed by (owner, terminal set).  Order
+relations, the unambiguous-ordering check, coalescing and
+interchange/simultanizing discovery read these instead of scanning pairs.
+Histories and information sets compute their hash once, at construction,
+so every lookup costs O(1) rather than O(depth).
 """
 
 from __future__ import annotations
@@ -32,6 +43,16 @@ class History:
     """A finite sequence of action profiles from the root."""
 
     moves: tuple[Profile, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.moves,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy _hash
+        return History, (self.moves,)
 
     @property
     def length(self) -> int:
@@ -100,6 +121,13 @@ class InfoSet:
         object.__setattr__(self, "members", ordered)
         if not ordered:
             raise EgsError("an information set needs at least one member")
+        object.__setattr__(self, "_hash", hash((self.owner, ordered)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return InfoSet, (self.owner, self.members)
 
     @property
     def member_set(self) -> frozenset[History]:
@@ -206,6 +234,10 @@ class Structure:
             s for p, blocks in self.partitions.items() for s in blocks if s.owner == p
         )
         self._z_cache: dict[History, frozenset[History]] = {}
+        self._za_cache: dict[tuple[InfoSet, str], frozenset[History]] = {}
+        self._earlier: dict[InfoSet, frozenset[InfoSet]] | None = None
+        self._below: dict[tuple[InfoSet, History], tuple[History, ...]] | None = None
+        self._links: dict | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -254,33 +286,113 @@ class Structure:
 
     def terminals_below(self, h: History) -> frozenset[History]:
         """Z(h): terminals reachable from h."""
-        cached = self._z_cache.get(h)
+        z = self._z_cache
+        cached = z.get(h)
         if cached is not None:
             return cached
         if h not in self._hist_set:
             raise EgsError(f"{h.label()!r} is not a history of this structure")
-        if h in self._terminal_set:
-            out = frozenset((h,))
-        else:
-            out = frozenset().union(*(self.terminals_below(c) for c in self._children[h]))
-        self._z_cache[h] = out
-        return out
+        # Post-order over the subtree, so depth costs no recursion.
+        stack = [(h, False)]
+        while stack:
+            g, expanded = stack.pop()
+            if g in z:
+                continue
+            kids = self._children[g]
+            if not kids:
+                z[g] = frozenset((g,))
+            elif expanded:
+                z[g] = frozenset().union(*(z[c] for c in kids))
+            else:
+                stack.append((g, True))
+                stack.extend((c, False) for c in kids if c not in z)
+        return z[h]
 
     def terminals_below_set(self, hs) -> frozenset[History]:
         """Z(U) for a set of histories."""
-        out: frozenset[History] = frozenset()
-        for h in hs:
-            out |= self.terminals_below(h)
-        return out
+        zs = [self.terminals_below(h) for h in hs]
+        return zs[0] if len(zs) == 1 else frozenset().union(*zs)
 
     def terminals_after_action(self, s: InfoSet, action: str) -> frozenset[History]:
         """Z(h_i a_i): terminals reached when the owner picks `action` at s."""
-        out: frozenset[History] = frozenset()
-        for m in s.members:
-            for kid in self.children(m):
-                if dict(kid.moves[-1]).get(s.owner) == action:
-                    out |= self.terminals_below(kid)
+        key = (s, action)
+        out = self._za_cache.get(key)
+        if out is None:
+            kids = [
+                kid for m in s.members for kid in self._children[m]
+                if (s.owner, action) in kid.moves[-1]
+            ]
+            out = self._za_cache[key] = self.terminals_below_set(kids)
         return out
+
+    # -- order and control index ----------------------------------------
+
+    def _earlier_sets(self, s: InfoSet) -> frozenset[InfoSet]:
+        """The information sets with a member strictly before a member of s."""
+        if self._earlier is None:
+            self._walk_order()
+        return self._earlier[s]
+
+    def _anchored_members(self) -> dict[tuple[InfoSet, History], tuple[History, ...]]:
+        """For each (s, anchor) with the anchor strictly before a member of s
+        and the owner of s inactive at it, the members of s below the anchor."""
+        if self._below is None:
+            self._walk_order()
+        return self._below
+
+    def _walk_order(self) -> None:
+        """Fill both order indices in one iterative walk from the root that
+        carries the current path; the cost is O(sum of member depths)."""
+        sets_at: dict[History, list[InfoSet]] = {}
+        for s in self.info_sets:
+            for m in s.members:
+                sets_at.setdefault(m, []).append(s)
+        earlier: dict[InfoSet, set[InfoSet]] = {s: set() for s in self.info_sets}
+        below: dict[tuple[InfoSet, History], list[History]] = {}
+        active = self._active
+        path: list[History] = []
+        path_sets: list[list[InfoSet]] = []
+        unreached = dict(sets_at)
+        stack = [ROOT] if ROOT in self._hist_set else []
+        while stack:
+            h = stack.pop()
+            depth = len(h.moves)
+            del path[depth:], path_sets[depth:]
+            here = unreached.pop(h, ())
+            for s in here:
+                earlier[s].update(*path_sets)
+                for g in path:
+                    if s.owner not in active[g]:
+                        below.setdefault((s, g), []).append(h)
+            path.append(h)
+            path_sets.append(here)
+            stack.extend(reversed(self._children[h]))
+        # Members the walk cannot reach (a malformed tree) are read prefix by
+        # prefix, so the index answers for every partition it is given.
+        for h, here in unreached.items():
+            for n in range(h.length):
+                g = h.prefix(n)
+                for s in here:
+                    earlier[s].update(sets_at.get(g, ()))
+                    if self._children.get(g) and s.owner not in active[g]:
+                        below.setdefault((s, g), []).append(h)
+        self._earlier = {s: frozenset(e) for s, e in earlier.items()}
+        self._below = {k: tuple(v) for k, v in below.items()}
+
+    def _controllers(
+        self, owner: str, z: frozenset[History]
+    ) -> tuple[tuple[InfoSet, str], ...]:
+        """The (set, action) pairs of the owner, in set then action order,
+        whose action reaches exactly the terminals z."""
+        if self._links is None:
+            links: dict[tuple[str, frozenset[History]], list[tuple[InfoSet, str]]] = {}
+            for s in self.info_sets:
+                for a in self.feasible_at(s):
+                    links.setdefault(
+                        (s.owner, self.terminals_after_action(s, a)), []
+                    ).append((s, a))
+            self._links = {k: tuple(v) for k, v in links.items()}
+        return self._links.get((owner, z), ())
 
     # -- equality -------------------------------------------------------
 
@@ -324,14 +436,11 @@ def relation(structure: Structure, a: InfoSet, b: InfoSet) -> RelationSet:
     """Compute which of <, ~, > hold between two information sets of G."""
     structure.require_info_set(a)
     structure.require_info_set(b)
-    before = any(
-        strictly_precedes(x, y) for x in a.members for y in b.members
+    return RelationSet(
+        before=a in structure._earlier_sets(b),
+        simultaneous=not a.member_set.isdisjoint(b.members),
+        after=b in structure._earlier_sets(a),
     )
-    after = any(
-        strictly_precedes(y, x) for x in a.members for y in b.members
-    )
-    simultaneous = bool(a.member_set & b.member_set)
-    return RelationSet(before=before, simultaneous=simultaneous, after=after)
 
 
 def _sim_class_index(structure: Structure) -> dict[History, int]:

@@ -169,29 +169,22 @@ def _infoset_key(s: InfoSet):
 def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
     out = []
     for p in structure.players:
-        blocks = structure.partitions.get(p, ())
-        for base in blocks:
-            for mover in blocks:
-                if base == mover:
-                    continue
-                link = controls(structure, base, mover)
-                if link is not None:
+        for mover in structure.partitions.get(p, ()):
+            target = structure.terminals_below_set(mover.members)
+            for base, link in structure._controllers(p, target):
+                if base != mover:
                     out.append(CoalescingOpp(p, base, mover, link))
+    # Stable: movers of one (base, link) stay in partition order.
     out.sort(key=lambda o: (o.owner, _infoset_key(o.base), o.link))
     return out
 
 
 def find_is(structure: Structure) -> list[IsOpp]:
-    out = []
-    for h in structure.nonterminals:
-        active = set(structure.active(h))
-        for p in structure.players:
-            if p in active:
-                continue
-            for block in structure.partitions.get(p, ()):
-                d = tuple(m for m in block.members if strictly_precedes(h, m))
-                if d and dictates(structure, h, d, p):
-                    out.append(IsOpp(p, h, d, block))
+    out = [
+        IsOpp(s.owner, anchor, d, s)
+        for (s, anchor), d in structure._anchored_members().items()
+        if dictates(structure, anchor, d, s.owner)
+    ]
     out.sort(key=lambda o: (history_key(o.anchor), o.owner, _infoset_key(o.mover)))
     return out
 

@@ -18,7 +18,6 @@ from .core import (
     ROOT,
     Structure,
     history_key,
-    relation,
 )
 
 
@@ -237,11 +236,18 @@ def check_uo(structure: Structure) -> tuple[bool, tuple[InfoSet, InfoSet] | None
     """Unambiguous ordering: no information set both before and after
     another.  Returns the lexicographically first offending pair."""
     sets = structure.info_sets
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            r = relation(structure, a, b)
-            if r.before and r.after:
-                return False, (a, b)
+    for s in sets:
+        structure.require_info_set(s)
+    position = {s: i for i, s in enumerate(sets)}
+    for a in sets:
+        # Each offending b has a member before one of a's and vice versa;
+        # one placed before a would have been reported with a already.
+        offending = [
+            position[b] for b in structure._earlier_sets(a)
+            if a in structure._earlier_sets(b)
+        ]
+        if offending:
+            return False, (a, sets[min(offending)])
     return True, None
 
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from egs import (
+    GenError,
     GenParams,
     Structure,
     find_complete_icos,
@@ -73,3 +77,27 @@ def _profile_count(structure: Structure) -> int:
     for p in structure.players:
         total *= len(plans(structure, p))
     return total
+
+
+@st.composite
+def seeded_structures(draw) -> Structure:
+    """A hypothesis strategy over seeded gen_random structures, drawn with
+    and without the unambiguous-ordering requirement.  The seed picks the
+    generator parameters too, so draws spread over the whole range instead
+    of crowding at its small end.  Some unrestricted draws fail UO, so
+    offending pairs get exercised as well."""
+    seed = draw(st.integers(0, 2**32))
+    rng = random.Random(seed)
+    params = GenParams(
+        players=rng.choice((2, 3, 4)),
+        max_depth=rng.choice((3, 4, 5)),
+        max_branching=2,
+        simultaneity=rng.choice((0.0, 0.5)),
+        merge_prob=rng.choice((0.5, 0.95)),
+        continue_prob=0.65,
+        seed=seed,
+    )
+    try:
+        return gen_random(params, require_uo=draw(st.booleans()))
+    except GenError:
+        assume(False)

@@ -112,6 +112,17 @@ def g_chain() -> Structure:
     return build(["1", "2"], nodes)
 
 
+def g_deep_chain(n: int) -> Structure:
+    """One player moving n times in a row: at depth k she stops with s<k>
+    or continues with c<k>.  n singleton sets, 2n+1 histories."""
+    nodes = {}
+    h = ROOT
+    for k in range(n):
+        nodes[h] = {"1": [f"c{k}", f"s{k}"]}
+        h = h.extend(make_profile({"1": f"c{k}"}))
+    return build(["1"], nodes)
+
+
 def g_ladder() -> Structure:
     """Player 1 moves twice along L; player 2 owns the R branch.  The own
     pair ({root}, {L}) is a coalescing opportunity with link L."""

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from egs import CoalescingOpp, IsOpp, RelationSet, dictates
+from egs.core import strictly_precedes
+
 
 def fm_feasible_strict(rows):
     """Fourier-Motzkin oracle: is there a full-simplex mixture of the rows
@@ -67,3 +70,70 @@ def oracle_dominated(matrix):
         if fm_feasible_strict(diff):
             out.append(r)
     return tuple(out)
+
+
+# -- pairwise reference definitions of the order and control queries --------
+#
+# These are the all-pairs scans the library used before it answered the same
+# questions from a per-structure index; the property tests hold the index to
+# them, list order included.
+
+
+def relation_pairwise(structure, a, b):
+    return RelationSet(
+        before=any(strictly_precedes(x, y) for x in a.members for y in b.members),
+        simultaneous=bool(a.member_set & b.member_set),
+        after=any(strictly_precedes(y, x) for x in a.members for y in b.members),
+    )
+
+
+def check_uo_pairwise(structure):
+    sets = structure.info_sets
+    for i, a in enumerate(sets):
+        for b in sets[i:]:
+            r = relation_pairwise(structure, a, b)
+            if r.before and r.after:
+                return False, (a, b)
+    return True, None
+
+
+def controls_pairwise(structure, base, mover):
+    if base == mover:
+        return None
+    target = structure.terminals_below_set(mover.members)
+    for action in structure.feasible_at(base):
+        if structure.terminals_after_action(base, action) == target:
+            return action
+    return None
+
+
+def _infoset_key(s):
+    return (s.owner, tuple(m.moves for m in s.members))
+
+
+def find_coalescing_pairwise(structure):
+    out = []
+    for p in structure.players:
+        blocks = structure.partitions.get(p, ())
+        for base in blocks:
+            for mover in blocks:
+                link = controls_pairwise(structure, base, mover)
+                if link is not None:
+                    out.append(CoalescingOpp(p, base, mover, link))
+    out.sort(key=lambda o: (o.owner, _infoset_key(o.base), o.link))
+    return out
+
+
+def find_is_pairwise(structure):
+    out = []
+    for h in structure.nonterminals:
+        active = set(structure.active(h))
+        for p in structure.players:
+            if p in active:
+                continue
+            for block in structure.partitions.get(p, ()):
+                d = tuple(m for m in block.members if strictly_precedes(h, m))
+                if d and dictates(structure, h, d, p):
+                    out.append(IsOpp(p, h, d, block))
+    out.sort(key=lambda o: (o.anchor.moves, o.owner, _infoset_key(o.mover)))
+    return out

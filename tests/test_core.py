@@ -1,9 +1,21 @@
-import pytest
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings
+
+import egs
 from egs import (
     EgsError,
+    History,
     InfoSet,
     ROOT,
+    Structure,
+    check_uo,
     is_prefix,
     make_profile,
     relation,
@@ -11,7 +23,21 @@ from egs import (
     transitively_simultaneous,
 )
 
-from fixtures import A, B, O, g_chain, g_ent, g_red1, g_sim3, path, red1_infosets
+from corpus import seeded_structures
+from fixtures import (
+    A,
+    B,
+    O,
+    g_absent_minded,
+    g_chain,
+    g_ent,
+    g_kms,
+    g_red1,
+    g_sim3,
+    path,
+    red1_infosets,
+)
+from oracles import check_uo_pairwise, relation_pairwise
 
 
 def test_prefix_basics():
@@ -28,6 +54,49 @@ def test_history_labels():
     assert ROOT.label() == ""
     assert A.label() == "A"
     assert ace.label() == "A/(1=E,2=c)"
+
+
+def test_history_hash_is_by_value():
+    ace = A.extend(make_profile({"1": "E", "2": "c"}))
+    rebuilt = History(ace.moves)
+    assert ace == rebuilt and hash(ace) == hash(rebuilt)
+    assert {ace: 1}[rebuilt] == 1
+    assert hash(ROOT) == hash(History(()))
+
+
+def test_info_set_hash_ignores_member_order():
+    ace = A.extend(make_profile({"1": "E", "2": "c"}))
+    one = InfoSet("2", (A, B, ace))
+    other = InfoSet("2", (ace, B, A))
+    assert one == other and hash(one) == hash(other)
+    assert one.members == other.members == (A, ace, B)
+    assert InfoSet("1", (A, B)) != InfoSet("2", (A, B))
+
+
+def test_cached_hashes_add_no_dataclass_fields():
+    # fileformat and every value comparison see only these fields
+    assert [f.name for f in dataclasses.fields(History)] == ["moves"]
+    assert [f.name for f in dataclasses.fields(InfoSet)] == ["owner", "members"]
+
+
+def test_pickled_values_rehash_in_another_process():
+    # string hashes are salted per process, so a cached hash must not travel
+    ace = A.extend(make_profile({"1": "E", "2": "c"}))
+    data = pickle.dumps((ace, InfoSet("2", (A, B))))
+    check = (
+        "import pickle, sys\n"
+        "from egs import History, InfoSet\n"
+        "h, s = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert h in {History(h.moves)} and s in {InfoSet(s.owner, s.members)}\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = str(Path(egs.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", check], input=data, env=env,
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_relation_red1():
@@ -188,3 +257,39 @@ def test_relation_matches_descendant_set_oracle():
                     x in desc[y] for x in a.members for y in b.members
                 )
                 assert r.simultaneous == bool(set(a.members) & set(b.members))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_ent())
+@example(g_absent_minded())
+def test_relation_matches_pairwise_definition(structure):
+    sets = structure.info_sets
+    for a in sets:
+        for b in sets:
+            assert relation(structure, a, b) == relation_pairwise(structure, a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures())
+@example(g_ent())
+@example(g_kms())
+@example(g_absent_minded())  # a set before itself: the witness pairs it with itself
+def test_check_uo_matches_pairwise_scan(structure):
+    # the same verdict and the same lexicographically first offending pair
+    assert check_uo(structure) == check_uo_pairwise(structure)
+
+
+def test_order_index_answers_for_members_outside_the_tree():
+    # Dropping a history leaves members the walk from the root cannot
+    # reach; relations and the UO verdict must not depend on the tree.
+    for g in (g_red1(), g_ent(), g_kms()):
+        for dropped in g.nonterminals[:3]:
+            m = Structure(
+                g.players, g.actions,
+                [h for h in g.histories if h != dropped], g.partitions,
+            )
+            for a in m.info_sets:
+                for b in m.info_sets:
+                    assert relation(m, a, b) == relation_pairwise(m, a, b)
+            assert check_uo(m) == check_uo_pairwise(m)

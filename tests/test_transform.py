@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from egs import (
     EgsError,
@@ -24,12 +25,14 @@ from egs import (
 )
 from egs import plans as enumerate_plans
 
-from corpus import uo_corpus
+from corpus import seeded_structures, uo_corpus
 from fixtures import (
     A,
     B,
     O,
     g_chain,
+    g_deep_chain,
+    g_kms,
     g_ladder,
     g_mud,
     g_nc,
@@ -40,6 +43,7 @@ from fixtures import (
     path,
     red1_infosets,
 )
+from oracles import controls_pairwise, find_coalescing_pairwise, find_is_pairwise
 
 
 def test_controls_red1():
@@ -304,3 +308,37 @@ def test_plan_transport_roundtrip_counts():
                 old = enumerate_plans(structure, p)
                 moved = {transport_plan(plan, hmap) for plan in old}
                 assert moved == set(enumerate_plans(new, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures())
+@example(g_ladder())
+@example(g_kms())
+def test_coalescing_discovery_matches_all_pairs_controls(structure):
+    assert find_coalescing(structure) == find_coalescing_pairwise(structure)
+    for p in structure.players:
+        blocks = structure.partitions[p]
+        for base in blocks:
+            for mover in blocks:
+                assert controls(structure, base, mover) == controls_pairwise(
+                    structure, base, mover
+                )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures())
+@example(g_nc())
+@example(g_uom())
+@example(g_kms())
+def test_is_discovery_matches_per_history_dictation(structure):
+    assert find_is(structure) == find_is_pairwise(structure)
+
+
+def test_deep_chain_needs_no_recursion():
+    g = g_deep_chain(1200)
+    assert len(g.histories) == 2 * 1200 + 1 and len(g.info_sets) == 1200
+    assert check_uo(g) == (True, None)
+    opps = find_coalescing(g)
+    assert len(opps) == 1199
+    assert [o.link for o in opps[:2]] == ["c0", "c1"]
+    assert find_is(g) == []
