@@ -12,9 +12,11 @@ also be certified by comparing unique minimal forms.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import EgsError, History, InfoSet, Structure, history_key
+from .isomorph import _isomorphism
 from .validate import check_uo, experience
 
 
@@ -123,7 +125,8 @@ def play(structure: Structure, profile: dict[str, Plan]) -> History:
 @dataclass(frozen=True)
 class ReducedNormalForm:
     """Players, their plan lists, the terminal set, and the outcome table
-    (per-player plan indices -> terminal index)."""
+    (per-player plan indices -> terminal index), one row per plan profile
+    in `itertools.product` order of the plan indices."""
 
     players: tuple[str, ...]
     plan_lists: tuple[tuple[Plan, ...], ...]
@@ -133,15 +136,11 @@ class ReducedNormalForm:
     def plans_of(self, player: str) -> tuple[Plan, ...]:
         return self.plan_lists[self.players.index(player)]
 
-    @property
-    def outcome_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.table)
-
     def outcome(self, profile: dict[str, Plan]) -> History:
-        key = tuple(
-            self.plan_lists[i].index(profile[p]) for i, p in enumerate(self.players)
-        )
-        return self.terminals[self.outcome_map[key]]
+        row = 0
+        for plan_list, p in zip(self.plan_lists, self.players):
+            row = row * len(plan_list) + plan_list.index(profile[p])
+        return self.terminals[self.table[row][1]]
 
     def shape(self) -> tuple[int, ...]:
         return tuple(len(pl) for pl in self.plan_lists)
@@ -170,14 +169,33 @@ class RnfIsomorphism:
     terminal_map: tuple[int, ...]            # source terminal index -> target index
 
 
-def _slice_signature(rnf: ReducedNormalForm, axis: int, index: int) -> tuple:
-    """Relabeling-invariant signature of one plan's outcome slice: the
-    multiset of terminal-multiplicity classes it induces."""
-    counts: dict[int, int] = {}
+def _rnf_graph(rnf: ReducedNormalForm, by_name: bool, colours: list, adj: list):
+    """Append the reduced normal form as a coloured graph to colours and
+    adj: a vertex per player, per plan, per terminal and per table cell.
+    Each plan is joined to its player and each cell to its plans and to its
+    terminal.  Returns the vertices of each player's plans and then of the
+    terminals, in list order."""
+    base = len(adj)
+    colours += [("player", p if by_name else None) for p in rnf.players]
+    adj += [[] for _ in rnf.players]
+    # Cells share these vertex numbers rather than each holding its own.
+    ends = []
+    for i, plan_list in enumerate(rnf.plan_lists):
+        ends.append(list(range(len(adj), len(adj) + len(plan_list))))
+        colours += [("plan",)] * len(plan_list)
+        adj += [[base + i] for _ in plan_list]
+        adj[base + i] += ends[i]
+    ends.append(list(range(len(adj), len(adj) + len(rnf.terminals))))
+    colours += [("terminal",)] * len(rnf.terminals)
+    adj += [[] for _ in rnf.terminals]
     for combo, term in rnf.table:
-        if combo[axis] == index:
-            counts[term] = counts.get(term, 0) + 1
-    return tuple(sorted(counts.values()))
+        cell = len(adj)
+        row = [vs[k] for vs, k in zip(ends, (*combo, term))]
+        for v in row:
+            adj[v].append(cell)
+        adj.append(row)
+    colours += [("cell",)] * len(rnf.table)
+    return ends
 
 
 def rnf_isomorphic(
@@ -185,104 +203,33 @@ def rnf_isomorphic(
     r2: ReducedNormalForm,
     allow_player_permutation: bool = False,
 ) -> RnfIsomorphism | None:
-    """Search for player/plan/terminal bijections making the outcome tables
+    """Find player/plan/terminal bijections making the outcome tables
     commute.  Players map by identity unless permutation is enabled."""
     if len(r1.terminals) != len(r2.terminals):
         return None
     if allow_player_permutation:
-        candidates = [
-            perm for perm in itertools.permutations(range(len(r2.players)))
-            if len(perm) == len(r1.players)
-            and all(len(r1.plan_lists[i]) == len(r2.plan_lists[perm[i]]) for i in range(len(perm)))
-        ]
-    else:
-        if r1.players != r2.players:
+        if sorted(r1.shape()) != sorted(r2.shape()):
             return None
-        candidates = [tuple(range(len(r1.players)))]
-    for perm in candidates:
-        iso = _search_plan_maps(r1, r2, perm)
-        if iso is not None:
-            return iso
-    return None
-
-
-def _search_plan_maps(r1, r2, perm) -> RnfIsomorphism | None:
-    n = len(r1.players)
-    if any(len(r1.plan_lists[i]) != len(r2.plan_lists[perm[i]]) for i in range(n)):
+    elif r1.players != r2.players or r1.shape() != r2.shape():
         return None
-    sig1 = [
-        [_slice_signature(r1, i, k) for k in range(len(r1.plan_lists[i]))]
-        for i in range(n)
-    ]
-    sig2 = [
-        [_slice_signature(r2, perm[i], k) for k in range(len(r2.plan_lists[perm[i]]))]
-        for i in range(n)
-    ]
-    table2 = r2.outcome_map
-
-    def candidates_for(i: int, k: int) -> list[int]:
-        return [t for t in range(len(sig2[i])) if sig2[i][t] == sig1[i][k]]
-
-    maps: list[list[int | None]] = [
-        [None] * len(r1.plan_lists[i]) for i in range(n)
-    ]
-    # round-robin slot order, so table cells complete early and prune the
-    # search as soon as an outcome mismatch appears
-    slots: list[tuple[int, int]] = []
-    for k in range(max(len(pl) for pl in r1.plan_lists)):
-        for i in range(n):
-            if k < len(r1.plan_lists[i]):
-                slots.append((i, k))
-    slot_pos = {slot: pos for pos, slot in enumerate(slots)}
-    cells_by_slot: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in slots]
-    for combo, term in r1.table:
-        done_at = max(slot_pos[(i, combo[i])] for i in range(n))
-        cells_by_slot[done_at].append((combo, term))
-
-    tmap: dict[int, int] = {}
-    used: set[int] = set()
-
-    def assign(pos: int) -> bool:
-        if pos == len(slots):
-            return True
-        i, k = slots[pos]
-        taken = {v for v in maps[i] if v is not None}
-        for t in candidates_for(i, k):
-            if t in taken:
-                continue
-            maps[i][k] = t
-            added = []
-            ok = True
-            for combo, term in cells_by_slot[pos]:
-                target = [0] * n
-                for j in range(n):
-                    target[perm[j]] = maps[j][combo[j]]
-                t2 = table2[tuple(target)]
-                if term in tmap:
-                    if tmap[term] != t2:
-                        ok = False
-                        break
-                elif t2 in used:
-                    ok = False
-                    break
-                else:
-                    tmap[term] = t2
-                    used.add(t2)
-                    added.append(term)
-            if ok and assign(pos + 1):
-                return True
-            for term in added:
-                used.discard(tmap.pop(term))
-            maps[i][k] = None
-        return False
-
-    if not assign(0):
+    counts1, counts2 = (sorted(Counter(t for _, t in r.table).values()) for r in (r1, r2))
+    if counts1 != counts2:
         return None
-    terminal_map = tuple(tmap[i] for i in range(len(r1.terminals)))
+    colours: list = []
+    adj: list[list[int]] = []
+    ends1 = _rnf_graph(r1, not allow_player_permutation, colours, adj)
+    n = len(adj)
+    ends2 = _rnf_graph(r2, not allow_player_permutation, colours, adj)
+    image = _isomorphism(colours, adj, n)
+    if image is None:
+        return None
+    position = {v: k for vs in ends2 for k, v in enumerate(vs)}
     return RnfIsomorphism(
-        player_map=tuple((r1.players[i], r2.players[perm[i]]) for i in range(n)),
-        plan_maps=tuple(tuple(m) for m in maps),  # type: ignore[arg-type]
-        terminal_map=terminal_map,
+        player_map=tuple(
+            (p, r2.players[image[i] - n]) for i, p in enumerate(r1.players)
+        ),
+        plan_maps=tuple(tuple(position[image[v]] for v in vs) for vs in ends1[:-1]),
+        terminal_map=tuple(position[image[v]] for v in ends1[-1]),
     )
 
 

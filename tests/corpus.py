@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -11,9 +12,18 @@ from hypothesis import strategies as st
 from egs import (
     GenError,
     GenParams,
+    History,
+    InfoSet,
+    ReducedNormalForm,
     Structure,
+    apply_coalescing,
+    apply_is,
+    find_coalescing,
     find_complete_icos,
+    find_is,
     gen_random,
+    is_non_crossing,
+    make_profile,
 )
 
 
@@ -61,7 +71,7 @@ def ico_corpus(count: int, seed: int = 3, max_profiles: int | None = None):
     while len(out) < count:
         structure = gen_random(_params_for(k, seed), require_uo=True)
         k += 1
-        if max_profiles is not None and _profile_count(structure) > max_profiles:
+        if max_profiles is not None and profile_count(structure) > max_profiles:
             continue
         for ico in find_complete_icos(structure):
             out.append((structure, ico))
@@ -70,7 +80,7 @@ def ico_corpus(count: int, seed: int = 3, max_profiles: int | None = None):
     return tuple(out)
 
 
-def _profile_count(structure: Structure) -> int:
+def profile_count(structure: Structure) -> int:
     from egs import plans
 
     total = 1
@@ -101,3 +111,80 @@ def seeded_structures(draw) -> Structure:
         return gen_random(params, require_uo=draw(st.booleans()))
     except GenError:
         assume(False)
+
+
+def renamed(structure: Structure, rng: random.Random, players: bool = False) -> Structure:
+    """An isomorphic copy with every action, and with `players` every
+    player, given a fresh name assigned in shuffled order."""
+    pnames = list(structure.players)
+    if players:
+        fresh = [f"q{k}" for k in range(len(pnames))]
+        rng.shuffle(fresh)
+        pnames = fresh
+    pmap = dict(zip(structure.players, pnames))
+    amap = {}
+    for p in structure.players:
+        old = sorted(structure.actions.get(p, ()))
+        fresh = [f"x{k}{pmap[p]}" for k in range(len(old))]
+        rng.shuffle(fresh)
+        amap[p] = dict(zip(old, fresh))
+
+    def image(h):
+        return History(tuple(
+            make_profile({pmap[p]: amap[p][a] for p, a in move}) for move in h.moves
+        ))
+
+    return Structure(
+        pnames,
+        {pmap[p]: frozenset(amap[p].values()) for p in structure.players},
+        [image(h) for h in structure.histories],
+        {
+            pmap[p]: tuple(InfoSet(pmap[p], tuple(image(m) for m in s.members)) for s in blocks)
+            for p, blocks in structure.partitions.items()
+        },
+    )
+
+
+def shuffled_rnf(
+    rnf: ReducedNormalForm, rng: random.Random, players: bool = False
+) -> ReducedNormalForm:
+    """The same reduced normal form with every plan list, the terminal
+    list and, with `players`, the player order shuffled; rows stay in
+    product order."""
+    n = len(rnf.players)
+    seats = rng.sample(range(n), n) if players else list(range(n))
+    orders = [rng.sample(range(len(pl)), len(pl)) for pl in rnf.plan_lists]
+    terms = rng.sample(range(len(rnf.terminals)), len(rnf.terminals))
+    new_term = {old: new for new, old in enumerate(terms)}
+    table = dict(rnf.table)
+    rows = []
+    for combo in itertools.product(*(range(len(rnf.plan_lists[i])) for i in seats)):
+        old = [0] * n
+        for i, k in zip(seats, combo):
+            old[i] = orders[i][k]
+        rows.append((combo, new_term[table[tuple(old)]]))
+    return ReducedNormalForm(
+        tuple(rnf.players[i] for i in seats),
+        tuple(tuple(rnf.plan_lists[i][k] for k in orders[i]) for i in seats),
+        tuple(rnf.terminals[k] for k in terms),
+        tuple(rows),
+    )
+
+
+def random_chain(structure, rng, steps=3):
+    """An equivalent structure: up to `steps` coalescings or non-crossing
+    IS steps, each drawn from those available."""
+    current = structure
+    for _ in range(steps):
+        opps = list(find_coalescing(current))
+        opps.extend(
+            o for o in find_is(current) if is_non_crossing(current, o)
+        )
+        if not opps:
+            break
+        opp = opps[rng.randrange(len(opps))]
+        if hasattr(opp, "link"):
+            current, _ = apply_coalescing(current, opp)
+        else:
+            current, _ = apply_is(current, opp)
+    return current

@@ -10,6 +10,7 @@ interchanges, compactification bundles, and the dominance counterexample.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 from egs import (
     Game,
@@ -20,7 +21,15 @@ from egs import (
     apply_coalescing,
     find_coalescing,
     make_profile,
+    parse,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "egsbench" / "data"
+
+
+def data_pair(name: str) -> tuple[Structure, Structure]:
+    """The two equivalent structures of one fixed pair in egsbench/data."""
+    return tuple(parse((DATA / f"{name}-{side}.egs").read_text()) for side in "ab")
 
 
 def path(*moves: dict) -> History:

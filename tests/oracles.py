@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from egs import CoalescingOpp, IsOpp, RelationSet, dictates
+from egs import ROOT, CoalescingOpp, IsOpp, RelationSet, dictates, make_profile
 from egs.core import strictly_precedes
 
 
@@ -137,3 +138,103 @@ def find_is_pairwise(structure):
                     out.append(IsOpp(p, h, d, block))
     out.sort(key=lambda o: (o.anchor.moves, o.owner, _infoset_key(o.mover)))
     return out
+
+
+# -- isomorphism references -------------------------------------------------
+
+
+def structure_certificate_ok(g1, g2, iso) -> bool:
+    """Does the certificate map g1 exactly onto g2?  The player map and each
+    player's action map must be bijections onto the image player's
+    occurring actions, the history map a bijection sending the root to the
+    root and every child to its image parent extended by the image of its
+    last move, and every information set onto one of the image player's."""
+    pmap = dict(iso.player_map)
+    if sorted(pmap) != sorted(g1.players) or sorted(pmap.values()) != sorted(g2.players):
+        return False
+    amaps = {p: dict(m) for p, m in iso.action_maps}
+    used1, used2 = _occurring_actions(g1), _occurring_actions(g2)
+    for p in g1.players:
+        amap = amaps.get(p, {})
+        images = set(amap.values())
+        if set(amap) != used1[p] or images != used2[pmap[p]] or len(images) != len(amap):
+            return False
+    hmap = dict(iso.history_map)
+    if set(hmap) != set(g1.histories) or set(hmap.values()) != set(g2.histories):
+        return False
+    if len(g1.histories) != len(g2.histories) or hmap[ROOT] != ROOT:
+        return False
+    for h in g1.histories[1:]:
+        move = make_profile({pmap[p]: amaps[p][a] for p, a in h.moves[-1]})
+        if hmap[h] != hmap[h.parent].extend(move):
+            return False
+    for p in g1.players:
+        blocks = {frozenset(hmap[m] for m in s.members) for s in g1.partitions.get(p, ())}
+        if blocks != {s.member_set for s in g2.partitions.get(pmap[p], ())}:
+            return False
+    return True
+
+
+def _occurring_actions(g):
+    out = {p: set() for p in g.players}
+    for h in g.histories[1:]:
+        for p, a in h.moves[-1]:
+            out[p].add(a)
+    return out
+
+
+def rnf_certificate_ok(r1, r2, iso) -> bool:
+    """Are the certificate's player, plan and terminal maps bijections
+    under which every cell of r1's table lands on the cell of r2 with the
+    image terminal?"""
+    pmap = dict(iso.player_map)
+    if sorted(pmap) != sorted(r1.players) or sorted(pmap.values()) != sorted(r2.players):
+        return False
+    perm = [r2.players.index(pmap[p]) for p in r1.players]
+    if len(iso.plan_maps) != len(perm):
+        return False
+    for i, j in enumerate(perm):
+        if sorted(iso.plan_maps[i]) != list(range(len(r2.plan_lists[j]))):
+            return False
+    if sorted(iso.terminal_map) != list(range(len(r2.terminals))):
+        return False
+    table2 = dict(r2.table)
+    for combo, term in r1.table:
+        target = [0] * len(perm)
+        for i, j in enumerate(perm):
+            target[j] = iso.plan_maps[i][combo[i]]
+        if table2.get(tuple(target)) != iso.terminal_map[term]:
+            return False
+    return len(r1.table) == len(r2.table)
+
+
+def rnf_isomorphic_brute(r1, r2, allow_player_permutation=False) -> bool:
+    """Try every player permutation (identity unless allowed) and every
+    family of plan permutations; one is an isomorphism when the terminal
+    correspondence it induces through the tables is injective."""
+    n = len(r1.players)
+    if n != len(r2.players) or len(r1.terminals) != len(r2.terminals):
+        return False
+    if allow_player_permutation:
+        perms = itertools.permutations(range(n))
+    else:
+        perms = [tuple(range(n))] if r1.players == r2.players else []
+    table2 = dict(r2.table)
+    for perm in perms:
+        if any(len(r1.plan_lists[i]) != len(r2.plan_lists[j]) for i, j in enumerate(perm)):
+            continue
+        for maps in itertools.product(
+            *(itertools.permutations(range(len(pl))) for pl in r1.plan_lists)
+        ):
+            tmap = {}
+            for combo, term in r1.table:
+                target = [0] * n
+                for i, j in enumerate(perm):
+                    target[j] = maps[i][combo[i]]
+                image = table2[tuple(target)]
+                if tmap.setdefault(term, image) != image:
+                    break
+            else:
+                if len(set(tmap.values())) == len(tmap):
+                    return True
+    return False

@@ -8,35 +8,13 @@ import random
 from egs import (
     InfoSet,
     Structure,
-    apply_coalescing,
-    apply_is,
     behaviorally_equivalent,
     check_uo,
-    find_coalescing,
-    find_is,
-    is_non_crossing,
     make_profile,
     validate_structure,
 )
 
-from corpus import uo_corpus
-
-
-def random_chain(structure, rng, steps=3):
-    current = structure
-    for _ in range(steps):
-        opps = list(find_coalescing(current))
-        opps.extend(
-            o for o in find_is(current) if is_non_crossing(current, o)
-        )
-        if not opps:
-            break
-        opp = opps[rng.randrange(len(opps))]
-        if hasattr(opp, "link"):
-            current, _ = apply_coalescing(current, opp)
-        else:
-            current, _ = apply_is(current, opp)
-    return current
+from corpus import random_chain, uo_corpus
 
 
 def graft_extra_decision(structure, rng):

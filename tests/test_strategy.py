@@ -1,12 +1,19 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from egs import (
     EgsError,
+    GenParams,
     Plan,
     PlanError,
     behaviorally_equivalent,
+    check_uo,
+    gen_random,
     make_profile,
     plans,
     play,
@@ -15,8 +22,28 @@ from egs import (
 )
 from egs.strategy import own_predecessor
 
-from corpus import uo_corpus
-from fixtures import A, B, O, g_chain, g_ladder, g_red1, g_red2, g_sim, path, red1_infosets
+from corpus import (
+    profile_count,
+    random_chain,
+    renamed,
+    seeded_structures,
+    shuffled_rnf,
+    uo_corpus,
+)
+from fixtures import (
+    A,
+    B,
+    O,
+    data_pair,
+    g_chain,
+    g_ladder,
+    g_red1,
+    g_red2,
+    g_sim,
+    path,
+    red1_infosets,
+)
+from oracles import rnf_certificate_ok, rnf_isomorphic_brute
 
 
 def brute_force_plans(structure, player):
@@ -181,3 +208,67 @@ def test_minimal_route_requires_uo():
 
     with pytest.raises(EgsError):
         behaviorally_equivalent(g_kms(), g_kms(), route="minimal")
+
+
+def test_outcome_matches_play_on_every_profile():
+    for g in (g_red1(), g_sim()):
+        rnf = reduced_normal_form(g)
+        for lists in itertools.product(*rnf.plan_lists):
+            profile = dict(zip(rnf.players, lists))
+            assert rnf.outcome(profile) == play(g, profile)
+
+
+@st.composite
+def small_rnfs(draw):
+    """Reduced normal forms of random two-player structures."""
+    seed = draw(st.integers(0, 2**32))
+    params = GenParams(
+        players=2, max_depth=draw(st.sampled_from((2, 3))), max_branching=2,
+        simultaneity=draw(st.sampled_from((0.0, 0.5))), merge_prob=0.8,
+        continue_prob=0.65, seed=seed,
+    )
+    return reduced_normal_form(gen_random(params))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rnfs(), st.integers(0, 2**32), st.booleans())
+def test_rnf_isomorphic_on_shuffled_rnfs_commutes_with_the_table(rnf, seed, players):
+    other = shuffled_rnf(rnf, random.Random(seed), players=players)
+    iso = rnf_isomorphic(rnf, other, allow_player_permutation=players)
+    assert iso is not None
+    assert rnf_certificate_ok(rnf, other, iso)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rnfs(), st.integers(0, 2**32), st.booleans())
+def test_rnf_isomorphic_agrees_with_brute_force(rnf, seed, swap):
+    assume(max(rnf.shape()) <= 4)
+    rng = random.Random(seed)
+    other = shuffled_rnf(rnf, rng)
+    if swap and len(other.table) > 1:
+        rows = list(other.table)
+        i, j = rng.sample(range(len(rows)), 2)
+        (ci, ti), (cj, tj) = rows[i], rows[j]
+        rows[i], rows[j] = (ci, tj), (cj, ti)
+        other = replace(other, table=tuple(rows))
+    iso = rnf_isomorphic(rnf, other)
+    assert (iso is not None) == rnf_isomorphic_brute(rnf, other)
+    if iso is not None:
+        assert rnf_certificate_ok(rnf, other, iso)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32))
+def test_routes_agree_on_renamed_pairs(g, seed):
+    assume(check_uo(g)[0] and profile_count(g) <= 2000)
+    rng = random.Random(seed)
+    other = renamed(random_chain(g, rng), rng)
+    assert behaviorally_equivalent(g, other, route="both")[0]
+
+
+def test_rnf_isomorphic_on_the_fixed_rnf_slow_pairs():
+    for name in ("rnf-slow-1-20x20", "rnf-slow-2-18x16x11", "rnf-slow-3-63x36"):
+        r1, r2 = (reduced_normal_form(g) for g in data_pair(name))
+        iso = rnf_isomorphic(r1, r2)
+        assert iso is not None
+        assert rnf_certificate_ok(r1, r2, iso)
