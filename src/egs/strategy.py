@@ -5,8 +5,10 @@ reachable given the player's earlier own choices: it must cover every
 minimal own set, and a non-minimal set is in the domain exactly when its
 unique immediate own predecessor is and the choice there leads to it.
 Behavioral equivalence of two structures is an isomorphism of their
-reduced normal forms; for structures with unambiguous orderings it can
-also be certified by comparing unique minimal forms.
+reduced normal forms, decided on the plan-terminal incidence found in one
+root walk rather than on the tabulated forms; for structures with
+unambiguous orderings it can also be certified by comparing unique
+minimal forms.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 
 from .core import EgsError, History, InfoSet, Structure, history_key
 from .isomorph import _isomorphism
@@ -169,25 +172,30 @@ class RnfIsomorphism:
     terminal_map: tuple[int, ...]            # source terminal index -> target index
 
 
-def _rnf_graph(rnf: ReducedNormalForm, by_name: bool, colours: list, adj: list):
-    """Append the reduced normal form as a coloured graph to colours and
-    adj: a vertex per player, per plan, per terminal and per table cell.
-    Each plan is joined to its player and each cell to its plans and to its
-    terminal.  Returns the vertices of each player's plans and then of the
-    terminals, in list order."""
+def _plan_vertices(form, by_name: bool, colours: list, adj: list):
+    """Append a vertex per player, per plan and per terminal of a reduced
+    normal form (or of a plan-terminal incidence) to colours and adj, each
+    plan joined to its player.  Returns the vertices of each player's plans
+    and then of the terminals, in list order."""
     base = len(adj)
-    colours += [("player", p if by_name else None) for p in rnf.players]
-    adj += [[] for _ in rnf.players]
-    # Cells share these vertex numbers rather than each holding its own.
+    colours += [("player", p if by_name else None) for p in form.players]
+    adj += [[] for _ in form.players]
     ends = []
-    for i, plan_list in enumerate(rnf.plan_lists):
+    for i, plan_list in enumerate(form.plan_lists):
         ends.append(list(range(len(adj), len(adj) + len(plan_list))))
         colours += [("plan",)] * len(plan_list)
         adj += [[base + i] for _ in plan_list]
         adj[base + i] += ends[i]
-    ends.append(list(range(len(adj), len(adj) + len(rnf.terminals))))
-    colours += [("terminal",)] * len(rnf.terminals)
-    adj += [[] for _ in rnf.terminals]
+    ends.append(list(range(len(adj), len(adj) + len(form.terminals))))
+    colours += [("terminal",)] * len(form.terminals)
+    adj += [[] for _ in form.terminals]
+    return ends
+
+
+def _cell_edges(rnf: ReducedNormalForm, ends, colours: list, adj: list) -> None:
+    """A vertex per table cell, joined to its plans and to its terminal."""
+    # Cells share the plan and terminal vertices rather than each holding
+    # its own.
     for combo, term in rnf.table:
         cell = len(adj)
         row = [vs[k] for vs, k in zip(ends, (*combo, term))]
@@ -195,7 +203,42 @@ def _rnf_graph(rnf: ReducedNormalForm, by_name: bool, colours: list, adj: list):
             adj[v].append(cell)
         adj.append(row)
     colours += [("cell",)] * len(rnf.table)
-    return ends
+
+
+def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, edges):
+    """The engine's answer for two forms with players, plan_lists and
+    terminals: shapes, terminal counts and the sorted outcome
+    multiplicities must agree, and `edges` joins each form's plans and
+    terminals.  The certificate indexes plans and terminals by list
+    position."""
+    if len(f1.terminals) != len(f2.terminals):
+        return None
+    shape1, shape2 = (tuple(len(pl) for pl in f.plan_lists) for f in (f1, f2))
+    if allow_player_permutation:
+        if sorted(shape1) != sorted(shape2):
+            return None
+    elif f1.players != f2.players or shape1 != shape2:
+        return None
+    if sorted(multiplicities(f1)) != sorted(multiplicities(f2)):
+        return None
+    colours: list = []
+    adj: list[list[int]] = []
+    ends1 = _plan_vertices(f1, not allow_player_permutation, colours, adj)
+    edges(f1, ends1, colours, adj)
+    n = len(adj)
+    ends2 = _plan_vertices(f2, not allow_player_permutation, colours, adj)
+    edges(f2, ends2, colours, adj)
+    image = _isomorphism(colours, adj, n)
+    if image is None:
+        return None
+    position = {v: k for vs in ends2 for k, v in enumerate(vs)}
+    return RnfIsomorphism(
+        player_map=tuple(
+            (p, f2.players[image[i] - n]) for i, p in enumerate(f1.players)
+        ),
+        plan_maps=tuple(tuple(position[image[v]] for v in vs) for vs in ends1[:-1]),
+        terminal_map=tuple(position[image[v]] for v in ends1[-1]),
+    )
 
 
 def rnf_isomorphic(
@@ -205,32 +248,82 @@ def rnf_isomorphic(
 ) -> RnfIsomorphism | None:
     """Find player/plan/terminal bijections making the outcome tables
     commute.  Players map by identity unless permutation is enabled."""
-    if len(r1.terminals) != len(r2.terminals):
-        return None
-    if allow_player_permutation:
-        if sorted(r1.shape()) != sorted(r2.shape()):
-            return None
-    elif r1.players != r2.players or r1.shape() != r2.shape():
-        return None
-    counts1, counts2 = (sorted(Counter(t for _, t in r.table).values()) for r in (r1, r2))
-    if counts1 != counts2:
-        return None
-    colours: list = []
-    adj: list[list[int]] = []
-    ends1 = _rnf_graph(r1, not allow_player_permutation, colours, adj)
-    n = len(adj)
-    ends2 = _rnf_graph(r2, not allow_player_permutation, colours, adj)
-    image = _isomorphism(colours, adj, n)
-    if image is None:
-        return None
-    position = {v: k for vs in ends2 for k, v in enumerate(vs)}
-    return RnfIsomorphism(
-        player_map=tuple(
-            (p, r2.players[image[i] - n]) for i, p in enumerate(r1.players)
-        ),
-        plan_maps=tuple(tuple(position[image[v]] for v in vs) for vs in ends1[:-1]),
-        terminal_map=tuple(position[image[v]] for v in ends1[-1]),
+    return _plan_isomorphism(
+        r1, r2, allow_player_permutation,
+        lambda r: Counter(t for _, t in r.table).values(), _cell_edges,
     )
+
+
+@dataclass(frozen=True)
+class _Incidence:
+    """Which plans are consistent with which terminals: consistent[t][i]
+    is the bitset Cᵢ(z), over the indices of plan_lists[i], of player i's
+    plans that make i's choices along terminal z = terminals[t]."""
+
+    players: tuple[str, ...]
+    plan_lists: tuple[tuple[Plan, ...], ...]
+    terminals: tuple[History, ...]
+    consistent: tuple[tuple[int, ...], ...]
+
+    def multiplicities(self) -> list[int]:
+        counts = (prod(c.bit_count() for c in cs) for cs in self.consistent)
+        return [k for k in counts if k]
+
+    def edges(self, ends, colours: list, adj: list) -> None:
+        for t, cs in zip(ends[-1], self.consistent):
+            for vs, c in zip(ends, cs):
+                while c:
+                    low = c & -c
+                    v = vs[low.bit_length() - 1]
+                    adj[v].append(t)
+                    adj[t].append(v)
+                    c ^= low
+
+
+def _incidence(structure: Structure) -> _Incidence:
+    """The plan-terminal incidence of a structure, from one root walk.
+
+    The walk carries, per player, the bitset of plans that made the
+    player's choices so far, and at each move keeps only the plans choosing
+    the action taken at the player's information set there.  It descends
+    only where every player keeps a plan, so a terminal some player cannot
+    reach has all its sets empty.  Raises PlanError when some plan profile
+    reaches no terminal, exactly when `play` would raise on it.
+    """
+    players = tuple(structure.players)
+    plan_lists = tuple(plans(structure, p) for p in players)
+    choosing: dict[tuple[InfoSet, str], int] = {}
+    for plan_list in plan_lists:
+        for k, plan in enumerate(plan_list):
+            for s, a in plan.choices:
+                choosing[(s, a)] = choosing.get((s, a), 0) | 1 << k
+    seat = {p: i for i, p in enumerate(players)}
+    reached: dict[History, tuple[int, ...]] = {}
+    stack = [(structure.root, tuple((1 << len(pl)) - 1 for pl in plan_lists))]
+    while stack:
+        h, sets = stack.pop()
+        if structure.is_terminal(h):
+            reached[h] = sets
+            continue
+        active = structure.active(h)
+        at = [(seat[p], structure.info_set_of(p, h)) for p in active]
+        for kid in structure.children(h):
+            move = dict(kid.moves[-1])
+            if len(move) != len(active):
+                continue  # no profile plays a move missing an active player
+            grown = list(sets)
+            for p, (i, s) in zip(active, at):
+                grown[i] &= choosing.get((s, move[p]), 0)
+            if all(grown):
+                stack.append((kid, tuple(grown)))
+    terminals = tuple(sorted(structure.terminals, key=history_key))
+    empty = (0,) * len(players)
+    form = _Incidence(
+        players, plan_lists, terminals, tuple(reached.get(z, empty) for z in terminals)
+    )
+    if sum(form.multiplicities()) != prod(len(pl) for pl in plan_lists):
+        raise PlanError("some plan profile reaches no terminal")
+    return form
 
 
 def behaviorally_equivalent(
@@ -241,10 +334,28 @@ def behaviorally_equivalent(
 ):
     """Decide behavioral equivalence.
 
-    route="rnf" compares reduced normal forms directly; route="minimal"
-    reduces both structures to their unique minimal forms (UO inputs only)
-    and compares those for structure isomorphism; route="both" runs both
-    and insists they agree.  Returns (flag, certificate).
+    route="rnf" decides isomorphism of the reduced normal forms without
+    tabulating them; route="minimal" reduces both structures to their
+    unique minimal forms (UO inputs only) and compares those for structure
+    isomorphism; route="both" runs both and insists they agree.  Returns
+    (flag, certificate).
+
+    The rnf route rests on this.  Play is deterministic and each step
+    applies every active player's own choice, so a profile reaches the
+    terminal z exactly when every player i's plan makes i's choices along
+    z: the preimage of z in the outcome table is the product Πᵢ Cᵢ(z) of
+    the sets of plans consistent with z, and preimages of distinct
+    terminals are disjoint.  So every profile reaches a terminal exactly
+    when Σ_z Πᵢ |Cᵢ(z)| = Πᵢ |plansᵢ|; otherwise PlanError is raised, as
+    `play` would raise while tabulating.  When it holds, the table is
+    fixed by the sets Cᵢ(z), and each Cᵢ(z), taken empty for every i when
+    it is empty for some i, is the projection of z's preimage.  Hence two reduced
+    normal forms are isomorphic exactly when their plan-terminal incidence
+    graphs are: plans joined to their player and to the terminals they are
+    consistent with, Σᵢ |plansᵢ| + |Z| vertices in place of Πᵢ |plansᵢ|
+    table cells.  This is the plan-terminal view of the sequence form
+    (Koller, Megiddo & von Stengel 1994).  The certificate indexes plans
+    and terminals as `reduced_normal_form` does.
     """
     from .isomorph import structure_isomorphic
     from .transform import minimize_uo
@@ -252,9 +363,9 @@ def behaviorally_equivalent(
     cert: dict[str, object] = {}
     flag_rnf = None
     if route in ("rnf", "both"):
-        iso = rnf_isomorphic(
-            reduced_normal_form(g1), reduced_normal_form(g2),
-            allow_player_permutation=allow_player_permutation,
+        iso = _plan_isomorphism(
+            _incidence(g1), _incidence(g2), allow_player_permutation,
+            _Incidence.multiplicities, _Incidence.edges,
         )
         flag_rnf = iso is not None
         cert["rnf"] = iso

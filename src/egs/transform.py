@@ -3,14 +3,18 @@
 Coalescing merges an information set into the own set that controls it
 (the mover's choice migrates up into the controlling action); an
 interchange/simultanizing (IS) synchronizes a dictated part of an
-information set with a predecessor history.  Histories strictly inside the
-affected region are replicated once per mover action; histories past the
-mover are rewritten by moving the mover's action component up and deleting
-the vacated move when nobody else acted there.  On top of these two
-operators sit UO-preserving minimization, complete immediate
-compactification opportunities and their composed transformation, the
-backward (leaves-to-root) compactification, and the equal-length-
-preserving synthesized transformation for von Neumann structures.
+information set with a predecessor history.  Both are one rewrite,
+`_lift`: the mover's choice moves up to an earlier history (a base member
+or the anchor), histories strictly inside the affected region up to the
+mover's members are replicated once per mover action, and histories past
+them carry the action taken there up and drop the vacated move when
+nobody else acted in it.  On top of these two operators sit UO-preserving
+minimization, complete immediate compactification opportunities, the
+equal-length-preserving synthesized opportunities for von Neumann
+structures, and the backward (leaves-to-root) compactification.  The
+composed transformations of both kinds of opportunity, τ and φ, run one
+loop, `_compose`: IS pieces at every image of their anchors, then
+coalescings, each re-found on the current structure.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .core import (
     EgsError,
     History,
     InfoSet,
-    Profile,
     Structure,
     history_key,
     make_profile,
@@ -217,7 +220,7 @@ def is_non_crossing(structure: Structure, opp: IsOpp) -> bool:
     return True
 
 
-# -- applying a coalescing ----------------------------------------------
+# -- applying a coalescing: the lift shared with IS -----------------------
 
 
 def _descendants(structure: Structure, h: History) -> list[History]:
@@ -230,15 +233,66 @@ def _descendants(structure: Structure, h: History) -> list[History]:
     return out
 
 
-def _with_component(profile: Profile, player: str, action: str) -> Profile:
-    entries = dict(profile)
-    entries[player] = action
-    return make_profile(entries)
+def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_block):
+    """The one rewrite behind both operators.
 
+    top sends each history of the affected region to the history the
+    mover's choice moves up to; below sends each history strictly past a
+    moving member to that member.  A region history up to a moving member,
+    the member included, gets one replica per mover action; one past a
+    member takes the action chosen there into the top's outgoing move, and
+    the member's move loses the owner's component (vanishing when nobody
+    else acted).  Returns the new structure, forward and infoset_map.
+    mover_block lists the members, before the lift, of the mover's new
+    block; None drops the block and maps the mover onto the block of the
+    histories its members move up to.
+    """
+    mover_actions = structure.feasible_at(mover)
+    forward: dict[History, tuple[History, ...]] = {}
+    for g in structure.histories:
+        t = top.get(g)
+        if t is None:
+            forward[g] = (g,)
+            continue
+        first = dict(g.move_at(t.length))
+        m = below.get(g)
+        if m is None:
+            # weakly between the top and the mover: one replica per action
+            forward[g] = tuple(sorted(
+                (History(t.moves
+                         + (make_profile({**first, owner: c}),)
+                         + g.moves[t.length + 1:])
+                 for c in mover_actions),
+                key=history_key,
+            ))
+        else:
+            rest = dict(g.move_at(m.length))
+            taken = rest.pop(owner)
+            tail = g.moves[t.length + 1:m.length] \
+                + ((make_profile(rest),) if rest else ()) \
+                + g.moves[m.length + 1:]
+            forward[g] = (History(t.moves + (make_profile({**first, owner: taken}),) + tail),)
 
-def _without_component(profile: Profile, player: str) -> Profile | None:
-    entries = {p: a for p, a in profile if p != player}
-    return make_profile(entries) if entries else None
+    new_histories = sorted({h for imgs in forward.values() for h in imgs}, key=history_key)
+    infoset_map: dict[InfoSet, InfoSet] = {}
+    partitions: dict[str, list[InfoSet]] = {p: [] for p in structure.players}
+    for p in structure.players:
+        for block in structure.partitions.get(p, ()):
+            members = block.members
+            if block == mover:
+                if mover_block is None:
+                    continue
+                members = mover_block
+            new_block = InfoSet(p, tuple(h for m in members for h in forward[m]))
+            partitions[p].append(new_block)
+            infoset_map[block] = new_block
+    if mover_block is None:
+        infoset_map[mover] = infoset_map[structure.info_set_of(owner, top[mover.members[0]])]
+    new_structure = Structure(
+        structure.players, structure.actions, new_histories,
+        {p: tuple(blocks) for p, blocks in partitions.items()},
+    )
+    return new_structure, forward, infoset_map
 
 
 def apply_coalescing(
@@ -249,65 +303,14 @@ def apply_coalescing(
     if controls(structure, opp.base, opp.mover) != opp.link:
         raise TransformError(f"stale coalescing opportunity {opp!r}")
     i = opp.owner
-    mover_actions = structure.feasible_at(opp.mover)
-
-    base_prefix: dict[History, History] = {}
+    top: dict[History, History] = {}
     for b in opp.base.members:
         for kid in structure.children(b):
             if dict(kid.moves[-1]).get(i) == opp.link:
-                base_prefix[kid] = b
-                for g in _descendants(structure, kid):
-                    base_prefix[g] = b
-    mover_prefix: dict[History, History] = {}
-    for m in opp.mover.members:
-        for g in _descendants(structure, m):
-            mover_prefix[g] = m
-
-    forward: dict[History, tuple[History, ...]] = {}
-    for g in structure.histories:
-        b = base_prefix.get(g)
-        if b is None:
-            forward[g] = (g,)
-            continue
-        first = g.move_at(b.length)
-        mid = g.moves[b.length + 1:]
-        m = mover_prefix.get(g)
-        if m is None:
-            # weakly between the base and the mover: one replica per action
-            forward[g] = tuple(sorted(
-                (History(b.moves + (_with_component(first, i, c),) + mid)
-                 for c in mover_actions),
-                key=history_key,
-            ))
-        else:
-            taken = dict(g.move_at(m.length))[i]
-            stripped = _without_component(g.move_at(m.length), i)
-            tail = g.moves[b.length + 1:m.length] \
-                + ((stripped,) if stripped else ()) \
-                + g.moves[m.length + 1:]
-            forward[g] = (History(b.moves + (_with_component(first, i, taken),) + tail),)
-
-    new_histories = sorted({h for imgs in forward.values() for h in imgs}, key=history_key)
-    infoset_map: dict[InfoSet, InfoSet] = {}
-    partitions: dict[str, list[InfoSet]] = {p: [] for p in structure.players}
-    for p in structure.players:
-        for block in structure.partitions.get(p, ()):
-            if block == opp.mover:
-                infoset_map[block] = opp.base
-                continue
-            if block == opp.base:
-                new_block = block
-            else:
-                new_block = InfoSet(p, tuple(
-                    h for m in block.members for h in forward[m]
-                ))
-            partitions[p].append(new_block)
-            infoset_map[block] = new_block
-    new_structure = Structure(
-        structure.players, structure.actions, new_histories,
-        {p: tuple(blocks) for p, blocks in partitions.items()},
-    )
-    mover_lift = {m: (base_prefix[m],) for m in opp.mover.members}
+                top.update(dict.fromkeys([kid, *_descendants(structure, kid)], b))
+    below = {g: m for m in opp.mover.members for g in _descendants(structure, m)}
+    new_structure, forward, infoset_map = _lift(structure, i, top, below, opp.mover, None)
+    mover_lift = {m: (top[m],) for m in opp.mover.members}
     return new_structure, HistoryMap(
         kind="coalescing", owner=i, forward=forward, infoset_map=infoset_map,
         mover_lift=mover_lift, base=opp.base, mover=opp.mover, link=opp.link,
@@ -325,63 +328,17 @@ def apply_is(structure: Structure, opp: IsOpp) -> tuple[Structure, HistoryMap]:
         raise TransformError("sub-mover is not part of the mover")
     if not dictates(structure, opp.anchor, opp.submover, i):
         raise TransformError(f"stale IS opportunity {opp!r}")
-    mover_actions = structure.feasible_at(opp.mover)
     anchor = opp.anchor
-
-    sub_prefix: dict[History, History] = {}
-    for m in opp.submover:
-        for g in _descendants(structure, m):
-            sub_prefix[g] = m
-    region = set(_descendants(structure, anchor))
-
-    forward: dict[History, tuple[History, ...]] = {}
+    top = dict.fromkeys(_descendants(structure, anchor), anchor)
+    below = {g: m for m in opp.submover for g in _descendants(structure, m)}
     for g in structure.histories:
-        if g not in region:
-            forward[g] = (g,)
-            continue
-        first = g.move_at(anchor.length)
-        m = sub_prefix.get(g)
-        if m is None:
-            if not any(g.is_prefix_of(d) for d in opp.submover):
-                raise TransformError(
-                    f"{g.label()!r} is unrelated to the sub-mover; dictation is broken"
-                )
-            forward[g] = tuple(sorted(
-                (History(anchor.moves
-                         + (_with_component(first, i, c),)
-                         + g.moves[anchor.length + 1:])
-                 for c in mover_actions),
-                key=history_key,
-            ))
-        else:
-            taken = dict(g.move_at(m.length))[i]
-            stripped = _without_component(g.move_at(m.length), i)
-            tail = g.moves[anchor.length + 1:m.length] \
-                + ((stripped,) if stripped else ()) \
-                + g.moves[m.length + 1:]
-            forward[g] = (History(
-                anchor.moves + (_with_component(first, i, taken),) + tail
-            ),)
-
-    new_histories = sorted({h for imgs in forward.values() for h in imgs}, key=history_key)
-    infoset_map: dict[InfoSet, InfoSet] = {}
-    partitions: dict[str, list[InfoSet]] = {p: [] for p in structure.players}
-    for p in structure.players:
-        for block in structure.partitions.get(p, ()):
-            if block == opp.mover:
-                kept = [m for m in block.members if m not in opp.submover_set]
-                new_block = InfoSet(p, (anchor,) + tuple(
-                    h for m in kept for h in forward[m]
-                ))
-            else:
-                new_block = InfoSet(p, tuple(
-                    h for m in block.members for h in forward[m]
-                ))
-            partitions[p].append(new_block)
-            infoset_map[block] = new_block
-    new_structure = Structure(
-        structure.players, structure.actions, new_histories,
-        {p: tuple(blocks) for p, blocks in partitions.items()},
+        if g in top and g not in below and not any(g.is_prefix_of(d) for d in opp.submover):
+            raise TransformError(
+                f"{g.label()!r} is unrelated to the sub-mover; dictation is broken"
+            )
+    kept = tuple(m for m in opp.mover.members if m not in opp.submover_set)
+    new_structure, forward, infoset_map = _lift(
+        structure, i, top, below, opp.mover, (anchor,) + kept
     )
     mover_lift = {m: (anchor,) for m in opp.submover}
     return new_structure, HistoryMap(
@@ -527,22 +484,25 @@ def _complete_in_class(structure: Structure, class_sets, atoms) -> list[Ico]:
             f"too many immediate atoms in one class ({len(atoms)}); instance too large"
         )
     out: list[Ico] = []
-    indexed = list(enumerate(atoms))
-    for r in range(1, len(indexed) + 1):
-        for combo in itertools.combinations(indexed, r):
-            chosen = [a for _, a in combo]
-            coal = tuple(a for a in chosen if isinstance(a, CoalescingOpp))
-            isps = tuple(a for a in chosen if isinstance(a, IsOpp))
-            ico = Ico(coal, isps)
-            elements = ico.elements()
-            if len(set(elements)) != len(elements):
-                continue
-            participants = set(ico.participants())
-            if participants != set(class_sets):
-                continue
-            if _overlaps_covered(ico):
-                out.append(ico)
+    for chosen in _subsets(atoms):
+        coal = tuple(a for a in chosen if isinstance(a, CoalescingOpp))
+        isps = tuple(a for a in chosen if isinstance(a, IsOpp))
+        ico = Ico(coal, isps)
+        elements = ico.elements()
+        if len(set(elements)) != len(elements):
+            continue
+        participants = set(ico.participants())
+        if participants != set(class_sets):
+            continue
+        if _overlaps_covered(ico):
+            out.append(ico)
     return out
+
+
+def _subsets(atoms):
+    """Every non-empty subset of atoms, smallest first, each in list order."""
+    for r in range(1, len(atoms) + 1):
+        yield from itertools.combinations(atoms, r)
 
 
 def _overlaps_covered(ico: Ico) -> bool:
@@ -608,29 +568,25 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
         raise TransformError("incomplete ICO: an overlap does not move as a whole")
 
 
-def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
-    """Compose the ICO's IS parts (input order) and then its coalescing
-    parts.  Unambiguous ordering may break on intermediate structures and
-    is restored by the final one."""
-    _verify_complete(structure, ico)
+def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, CompositeMap]:
+    """Apply each IS piece (owner, mover, anchor) at every current image of
+    its anchor, then each coalescing, re-finding every piece on the current
+    structure through the running composite map."""
     current = structure
     comp = CompositeMap.identity(structure)
-    for part in ico.is_parts:
-        anchors = comp.forward[part.anchor]
-        for anchor in anchors:
-            mover_now = comp.infoset_map[part.mover]
-            d = tuple(m for m in mover_now.members if strictly_precedes(anchor, m))
-            if not d or not dictates(current, anchor, d, part.owner):
+    for owner, mover, anchor in is_pieces:
+        for a in comp.forward[anchor]:
+            mover_now = comp.infoset_map[mover]
+            d = tuple(m for m in mover_now.members if strictly_precedes(a, m))
+            if not d or not dictates(current, a, d, owner):
                 raise TransformError(
-                    f"IS part {part!r} no longer dictates at {anchor.label()!r}"
+                    f"IS piece of {mover!r} no longer dictates at {a.label()!r}"
                 )
             # Sibling anchor images live in disjoint subtrees, so the
             # remaining ones are untouched by this application.
-            current, step = apply_is(
-                current, IsOpp(part.owner, anchor, d, mover_now)
-            )
+            current, step = apply_is(current, IsOpp(owner, a, d, mover_now))
             comp = comp.extend(step)
-    for part in ico.coalescings:
+    for part in coalescings:
         base_now = comp.infoset_map[part.base]
         mover_now = comp.infoset_map[part.mover]
         link = controls(current, base_now, mover_now)
@@ -641,6 +597,16 @@ def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
         )
         comp = comp.extend(step)
     return current, comp
+
+
+def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
+    """Compose the ICO's IS parts (input order) and then its coalescing
+    parts.  Unambiguous ordering may break on intermediate structures and
+    is restored by the final one."""
+    _verify_complete(structure, ico)
+    return _compose(
+        structure, [(p.owner, p.mover, p.anchor) for p in ico.is_parts], ico.coalescings
+    )
 
 
 def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
@@ -720,32 +686,29 @@ def _complete_controls_for(structure: Structure, mover: InfoSet, opps: list[IsOp
     """Subsets of the mover's IS anchors whose pieces partition it, with
     pairwise-incomparable anchors of equal length."""
     out = []
-    indexed = list(enumerate(opps))
-    for r in range(1, len(indexed) + 1):
-        for combo in itertools.combinations(indexed, r):
-            chosen = [o for _, o in combo]
-            anchors = [o.anchor for o in chosen]
-            if len({a.length for a in anchors}) != 1:
-                continue
-            if any(
-                a.is_prefix_of(b) or b.is_prefix_of(a)
-                for a, b in itertools.combinations(anchors, 2)
-            ):
-                continue
-            covered: set[History] = set()
-            disjoint = True
-            for o in chosen:
-                if covered & o.submover_set:
-                    disjoint = False
-                    break
-                covered |= o.submover_set
-            if not disjoint or covered != mover.member_set:
-                continue
-            out.append(CompleteControl(
-                mover.owner, mover,
-                tuple(o.anchor for o in chosen),
-                tuple(o.submover for o in chosen),
-            ))
+    for chosen in _subsets(opps):
+        anchors = [o.anchor for o in chosen]
+        if len({a.length for a in anchors}) != 1:
+            continue
+        if any(
+            a.is_prefix_of(b) or b.is_prefix_of(a)
+            for a, b in itertools.combinations(anchors, 2)
+        ):
+            continue
+        covered: set[History] = set()
+        disjoint = True
+        for o in chosen:
+            if covered & o.submover_set:
+                disjoint = False
+                break
+            covered |= o.submover_set
+        if not disjoint or covered != mover.member_set:
+            continue
+        out.append(CompleteControl(
+            mover.owner, mover,
+            tuple(o.anchor for o in chosen),
+            tuple(o.submover for o in chosen),
+        ))
     return out
 
 
@@ -792,19 +755,16 @@ def find_synthesized(structure: Structure, atom_cap: int = 14) -> list[SynthOpp]
             f"too many candidate atoms ({len(atoms)}); instance too large"
         )
     out: list[SynthOpp] = []
-    indexed = list(enumerate(atoms))
-    for r in range(1, len(indexed) + 1):
-        for combo in itertools.combinations(indexed, r):
-            chosen = [a for _, a in combo]
-            opp = SynthOpp(
-                tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
-                tuple(a for a in chosen if isinstance(a, CompleteControl)),
-            )
-            movers = opp.movers()
-            if len(set(movers)) != len(movers):
-                continue
-            if _uniform_shift(structure, frozenset(movers)):
-                out.append(opp)
+    for chosen in _subsets(atoms):
+        opp = SynthOpp(
+            tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
+            tuple(a for a in chosen if isinstance(a, CompleteControl)),
+        )
+        movers = opp.movers()
+        if len(set(movers)) != len(movers):
+            continue
+        if _uniform_shift(structure, frozenset(movers)):
+            out.append(opp)
     return out
 
 
@@ -840,35 +800,13 @@ def apply_phi(structure: Structure, opp: SynthOpp) -> Structure:
     if not ok:
         raise EgsError(f"the transformation requires a vNM structure; see {witness!r}")
     _verify_synth(structure, opp)
-    current = structure
-    comp = CompositeMap.identity(structure)
-    pieces = [
-        (k, anchor) for k in opp.controls for anchor in k.anchors
-    ]
-    pieces.sort(key=lambda ka: (-ka[1].length, history_key(ka[1])))
-    for k, anchor in pieces:
-        mover_now = comp.infoset_map[k.mover]
-        for a in comp.forward[anchor]:
-            d = tuple(m for m in mover_now.members if strictly_precedes(a, m))
-            if not d or not dictates(current, a, d, k.owner):
-                raise TransformError(f"control piece at {a.label()!r} is gone")
-            current, step = apply_is(current, IsOpp(k.owner, a, d, mover_now))
-            comp = comp.extend(step)
-            mover_now = step.infoset_map[mover_now]
+    pieces = [(k.owner, k.mover, anchor) for k in opp.controls for anchor in k.anchors]
+    pieces.sort(key=lambda piece: (-piece[2].length, history_key(piece[2])))
     coals = sorted(
         opp.coalescings,
         key=lambda c: (-max(m.length for m in c.mover.members), _infoset_key(c.mover)),
     )
-    for c in coals:
-        base_now = comp.infoset_map[c.base]
-        mover_now = comp.infoset_map[c.mover]
-        link = controls(current, base_now, mover_now)
-        if link is None:
-            raise TransformError(f"coalescing part {c!r} no longer controls")
-        current, step = apply_coalescing(
-            current, CoalescingOpp(c.owner, base_now, mover_now, link)
-        )
-        comp = comp.extend(step)
+    current, _ = _compose(structure, pieces, coals)
     ok, witness = check_vnm(current)
     if not ok:
         raise TransformError(f"transformation result lost equal length at {witness!r}")

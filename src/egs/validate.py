@@ -9,6 +9,7 @@ reproducible.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -140,7 +141,7 @@ def validate_structure(structure: Structure) -> ValidationReport:
                 actions_ok = False
         expected = {
             tuple(sorted(zip(players, combo)))
-            for combo in _product([structure.feasible(h, p) for p in players])
+            for combo in itertools.product(*(structure.feasible(h, p) for p in players))
         }
         got = {kid.moves[-1] for kid in kids}
         if expected != got:
@@ -220,16 +221,6 @@ def validate_structure(structure: Structure) -> ValidationReport:
                     ))
                     break
     return ValidationReport(tuple(out))
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, *tail = pools
-    for a in head:
-        for rest in _product(tail):
-            yield (a,) + rest
 
 
 def check_uo(structure: Structure) -> tuple[bool, tuple[InfoSet, InfoSet] | None]:

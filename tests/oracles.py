@@ -5,8 +5,21 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from egs import ROOT, CoalescingOpp, IsOpp, RelationSet, dictates, make_profile
-from egs.core import strictly_precedes
+from egs import (
+    ROOT,
+    CoalescingOpp,
+    History,
+    HistoryMap,
+    InfoSet,
+    IsOpp,
+    RelationSet,
+    Structure,
+    TransformError,
+    controls,
+    dictates,
+    make_profile,
+)
+from egs.core import history_key, strictly_precedes
 
 
 def fm_feasible_strict(rows):
@@ -138,6 +151,178 @@ def find_is_pairwise(structure):
                     out.append(IsOpp(p, h, d, block))
     out.sort(key=lambda o: (o.anchor.moves, o.owner, _infoset_key(o.mover)))
     return out
+
+
+# -- the two operators as separate rewrites ----------------------------------
+#
+# Coalescing and IS as the library wrote them before both became one lift:
+# each builds its own forward map, partitions and structure.  The property
+# tests require the shared lift to give equal structures and maps.
+
+
+def _descendants(structure, h):
+    out = []
+    stack = list(structure.children(h))
+    while stack:
+        g = stack.pop()
+        out.append(g)
+        stack.extend(structure.children(g))
+    return out
+
+
+def _with_component(profile, player, action):
+    entries = dict(profile)
+    entries[player] = action
+    return make_profile(entries)
+
+
+def _without_component(profile, player):
+    entries = {p: a for p, a in profile if p != player}
+    return make_profile(entries) if entries else None
+
+
+def apply_coalescing_reference(structure, opp):
+    if not structure.has_info_set(opp.base) or not structure.has_info_set(opp.mover):
+        raise TransformError(f"stale coalescing opportunity {opp!r}")
+    if controls(structure, opp.base, opp.mover) != opp.link:
+        raise TransformError(f"stale coalescing opportunity {opp!r}")
+    i = opp.owner
+    mover_actions = structure.feasible_at(opp.mover)
+
+    base_prefix = {}
+    for b in opp.base.members:
+        for kid in structure.children(b):
+            if dict(kid.moves[-1]).get(i) == opp.link:
+                base_prefix[kid] = b
+                for g in _descendants(structure, kid):
+                    base_prefix[g] = b
+    mover_prefix = {}
+    for m in opp.mover.members:
+        for g in _descendants(structure, m):
+            mover_prefix[g] = m
+
+    forward = {}
+    for g in structure.histories:
+        b = base_prefix.get(g)
+        if b is None:
+            forward[g] = (g,)
+            continue
+        first = g.move_at(b.length)
+        mid = g.moves[b.length + 1:]
+        m = mover_prefix.get(g)
+        if m is None:
+            forward[g] = tuple(sorted(
+                (History(b.moves + (_with_component(first, i, c),) + mid)
+                 for c in mover_actions),
+                key=history_key,
+            ))
+        else:
+            taken = dict(g.move_at(m.length))[i]
+            stripped = _without_component(g.move_at(m.length), i)
+            tail = g.moves[b.length + 1:m.length] \
+                + ((stripped,) if stripped else ()) \
+                + g.moves[m.length + 1:]
+            forward[g] = (History(b.moves + (_with_component(first, i, taken),) + tail),)
+
+    new_histories = sorted({h for imgs in forward.values() for h in imgs}, key=history_key)
+    infoset_map = {}
+    partitions = {p: [] for p in structure.players}
+    for p in structure.players:
+        for block in structure.partitions.get(p, ()):
+            if block == opp.mover:
+                infoset_map[block] = opp.base
+                continue
+            if block == opp.base:
+                new_block = block
+            else:
+                new_block = InfoSet(p, tuple(
+                    h for m in block.members for h in forward[m]
+                ))
+            partitions[p].append(new_block)
+            infoset_map[block] = new_block
+    new_structure = Structure(
+        structure.players, structure.actions, new_histories,
+        {p: tuple(blocks) for p, blocks in partitions.items()},
+    )
+    mover_lift = {m: (base_prefix[m],) for m in opp.mover.members}
+    return new_structure, HistoryMap(
+        kind="coalescing", owner=i, forward=forward, infoset_map=infoset_map,
+        mover_lift=mover_lift, base=opp.base, mover=opp.mover, link=opp.link,
+    )
+
+
+def apply_is_reference(structure, opp):
+    i = opp.owner
+    if not structure.has_history(opp.anchor) or not structure.has_info_set(opp.mover):
+        raise TransformError(f"stale IS opportunity {opp!r}")
+    if not opp.submover_set <= opp.mover.member_set:
+        raise TransformError("sub-mover is not part of the mover")
+    if not dictates(structure, opp.anchor, opp.submover, i):
+        raise TransformError(f"stale IS opportunity {opp!r}")
+    mover_actions = structure.feasible_at(opp.mover)
+    anchor = opp.anchor
+
+    sub_prefix = {}
+    for m in opp.submover:
+        for g in _descendants(structure, m):
+            sub_prefix[g] = m
+    region = set(_descendants(structure, anchor))
+
+    forward = {}
+    for g in structure.histories:
+        if g not in region:
+            forward[g] = (g,)
+            continue
+        first = g.move_at(anchor.length)
+        m = sub_prefix.get(g)
+        if m is None:
+            if not any(g.is_prefix_of(d) for d in opp.submover):
+                raise TransformError(
+                    f"{g.label()!r} is unrelated to the sub-mover; dictation is broken"
+                )
+            forward[g] = tuple(sorted(
+                (History(anchor.moves
+                         + (_with_component(first, i, c),)
+                         + g.moves[anchor.length + 1:])
+                 for c in mover_actions),
+                key=history_key,
+            ))
+        else:
+            taken = dict(g.move_at(m.length))[i]
+            stripped = _without_component(g.move_at(m.length), i)
+            tail = g.moves[anchor.length + 1:m.length] \
+                + ((stripped,) if stripped else ()) \
+                + g.moves[m.length + 1:]
+            forward[g] = (History(
+                anchor.moves + (_with_component(first, i, taken),) + tail
+            ),)
+
+    new_histories = sorted({h for imgs in forward.values() for h in imgs}, key=history_key)
+    infoset_map = {}
+    partitions = {p: [] for p in structure.players}
+    for p in structure.players:
+        for block in structure.partitions.get(p, ()):
+            if block == opp.mover:
+                kept = [m for m in block.members if m not in opp.submover_set]
+                new_block = InfoSet(p, (anchor,) + tuple(
+                    h for m in kept for h in forward[m]
+                ))
+            else:
+                new_block = InfoSet(p, tuple(
+                    h for m in block.members for h in forward[m]
+                ))
+            partitions[p].append(new_block)
+            infoset_map[block] = new_block
+    new_structure = Structure(
+        structure.players, structure.actions, new_histories,
+        {p: tuple(blocks) for p, blocks in partitions.items()},
+    )
+    mover_lift = {m: (anchor,) for m in opp.submover}
+    return new_structure, HistoryMap(
+        kind="is", owner=i, forward=forward, infoset_map=infoset_map,
+        mover_lift=mover_lift, mover=opp.mover, anchor=anchor,
+        submover=opp.submover,
+    )
 
 
 # -- isomorphism references -------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from egs import (
+    ROOT,
     EgsError,
     GenParams,
     Plan,
@@ -34,7 +36,9 @@ from fixtures import (
     A,
     B,
     O,
+    build,
     data_pair,
+    g_absent_minded,
     g_chain,
     g_ladder,
     g_red1,
@@ -260,7 +264,7 @@ def test_rnf_isomorphic_agrees_with_brute_force(rnf, seed, swap):
 @settings(max_examples=60, deadline=None)
 @given(seeded_structures(), st.integers(0, 2**32))
 def test_routes_agree_on_renamed_pairs(g, seed):
-    assume(check_uo(g)[0] and profile_count(g) <= 2000)
+    assume(check_uo(g)[0])
     rng = random.Random(seed)
     other = renamed(random_chain(g, rng), rng)
     assert behaviorally_equivalent(g, other, route="both")[0]
@@ -272,3 +276,94 @@ def test_rnf_isomorphic_on_the_fixed_rnf_slow_pairs():
         iso = rnf_isomorphic(r1, r2)
         assert iso is not None
         assert rnf_certificate_ok(r1, r2, iso)
+
+
+RNF_SLOW = ("rnf-slow-1-20x20", "rnf-slow-2-18x16x11", "rnf-slow-3-63x36")
+
+
+def test_rnf_route_never_tabulates(monkeypatch):
+    pairs = [(g_red1(), g_red2()), (g_chain(), g_sim())]
+    pairs += [data_pair(name) for name in RNF_SLOW]
+    expected = [True, False, True, True, True]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rnf route tabulated a reduced normal form")
+
+    monkeypatch.setattr("egs.strategy.reduced_normal_form", refuse)
+    monkeypatch.setattr("egs.strategy.play", refuse)
+    for (g1, g2), flag in zip(pairs, expected):
+        assert behaviorally_equivalent(g1, g2, route="rnf")[0] == flag
+
+
+def test_rnf_route_certificates_check_against_the_tables():
+    rng = random.Random(7)
+    pairs = [data_pair(name) for name in RNF_SLOW]
+    pairs += [(g_red1(), g_red2()), (g_absent_minded(), renamed(g_absent_minded(), rng))]
+    for g1, g2 in pairs:
+        flag, cert = behaviorally_equivalent(g1, g2, route="rnf")
+        assert flag
+        assert rnf_certificate_ok(reduced_normal_form(g1), reduced_normal_form(g2), cert["rnf"])
+    g1, g2 = g_red1(), renamed(g_red2(), rng, players=True)
+    flag, cert = behaviorally_equivalent(g1, g2, allow_player_permutation=True)
+    assert flag
+    assert rnf_certificate_ok(reduced_normal_form(g1), reduced_normal_form(g2), cert["rnf"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures(), seeded_structures(), st.integers(0, 2**32), st.booleans())
+def test_rnf_route_agrees_with_the_tabulated_forms(g, h, seed, players):
+    assume(profile_count(g) <= 2000 and profile_count(h) <= 2000)
+    rng = random.Random(seed)
+    others = [renamed(random_chain(g, rng), rng, players=players), h]
+    if check_uo(h)[0]:
+        others.append(random_chain(h, rng))
+    for other in others:
+        flag, cert = behaviorally_equivalent(
+            g, other, allow_player_permutation=players
+        )
+        r1, r2 = reduced_normal_form(g), reduced_normal_form(other)
+        expected = rnf_isomorphic(r1, r2, allow_player_permutation=players)
+        assert flag == (expected is not None)
+        if flag:
+            assert rnf_certificate_ok(r1, r2, cert["rnf"])
+
+
+def test_rnf_route_agrees_with_the_tabulated_forms_on_corpus_pairs():
+    # Small two-player draws share shapes often, so many pairs get past the
+    # shape and multiplicity checks to the search itself, either way.
+    corpus = [
+        gen_random(GenParams(
+            players=2, max_depth=2 + k % 2, max_branching=2,
+            simultaneity=(0.0, 0.5)[k // 2 % 2], merge_prob=0.8,
+            continue_prob=0.65, seed=k,
+        ))
+        for k in range(60)
+    ]
+    forms = [reduced_normal_form(g) for g in corpus]
+    searched = Counter()
+    for i, j in itertools.combinations(range(len(corpus)), 2):
+        for players in (False, True):
+            flag, _ = behaviorally_equivalent(
+                corpus[i], corpus[j], allow_player_permutation=players
+            )
+            expected = rnf_isomorphic(forms[i], forms[j], allow_player_permutation=players)
+            assert flag == (expected is not None)
+            r1, r2 = forms[i], forms[j]
+            if sorted(r1.shape()) == sorted(r2.shape()) and len(r1.terminals) == len(r2.terminals):
+                searched[flag] += 1
+    assert searched[True] >= 50 and searched[False] >= 5
+
+
+def test_rnf_route_raises_where_tabulation_does():
+    # Player 2's set joins histories with different feasible actions, so
+    # the plan choosing b at R leaves the tree.
+    l, r = path({"1": "L"}), path({"1": "R"})
+    g = build(
+        ["1", "2"],
+        {ROOT: {"1": ["L", "R"]}, l: {"2": ["a", "b"]}, r: {"2": ["a", "c"]}},
+        blocks=[("2", [l, r])],
+    )
+    with pytest.raises(PlanError):
+        reduced_normal_form(g)
+    with pytest.raises(PlanError):
+        behaviorally_equivalent(g, g, route="rnf")

@@ -43,7 +43,13 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import controls_pairwise, find_coalescing_pairwise, find_is_pairwise
+from oracles import (
+    apply_coalescing_reference,
+    apply_is_reference,
+    controls_pairwise,
+    find_coalescing_pairwise,
+    find_is_pairwise,
+)
 
 
 def test_controls_red1():
@@ -332,6 +338,39 @@ def test_coalescing_discovery_matches_all_pairs_controls(structure):
 @example(g_kms())
 def test_is_discovery_matches_per_history_dictation(structure):
     assert find_is(structure) == find_is_pairwise(structure)
+
+
+def _same_outcome(apply, reference, structure, opp):
+    try:
+        expected = reference(structure, opp)
+    except TransformError:
+        with pytest.raises(TransformError):
+            apply(structure, opp)
+        return
+    new, hmap = apply(structure, opp)
+    ref_new, ref_map = expected
+    assert new == ref_new
+    assert new.partitions == ref_new.partitions
+    assert hmap.forward == ref_map.forward
+    assert hmap.infoset_map == ref_map.infoset_map
+    assert hmap.mover_lift == ref_map.mover_lift
+    assert hmap == ref_map
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures())
+@example(g_ladder())
+@example(g_red1())
+@example(g_nc())
+@example(g_nul())
+@example(g_uom())
+@example(g_mud())
+@example(g_kms())
+def test_lift_matches_the_separate_operators(structure):
+    for opp in find_coalescing(structure):
+        _same_outcome(apply_coalescing, apply_coalescing_reference, structure, opp)
+    for opp in find_is(structure):
+        _same_outcome(apply_is, apply_is_reference, structure, opp)
 
 
 def test_deep_chain_needs_no_recursion():
