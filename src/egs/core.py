@@ -238,6 +238,7 @@ class Structure:
         self._earlier: dict[InfoSet, frozenset[InfoSet]] | None = None
         self._below: dict[tuple[InfoSet, History], tuple[History, ...]] | None = None
         self._links: dict | None = None
+        self._plan_space = None  # strategy.plan_space fills it on first use
 
     # -- basic queries -------------------------------------------------
 

@@ -2,11 +2,34 @@
 
 Round zero gives every information set the decision problem of all plan
 profiles reaching it.  Each later round removes, at every information set,
-each player's plans that are strictly dominated (possibly by a mixture,
-decided with an exact-rational LP) at that set or at any set weakly
-following it.  Removal is by component, which keeps every decision problem
-in own-set-times-others product form; survivors are read at the
-root-containing information sets, which always agree.
+each player's plans that are strictly dominated (possibly by a mixture) at
+that set or at any set weakly following it.  Removal is by component,
+which keeps every decision problem in own-set-times-others product form;
+survivors are read at the root-containing information sets, which always
+agree.
+
+The procedure runs on the structure's plan space (`strategy.plan_space`):
+plans are integer indices, the profiles reaching a history are a product
+of per-player bitsets, and a game holds each player's payoffs as one flat
+list over the profiles.  A decision problem is a pair of index tuples;
+`Plan` and `DecisionProblem` values are built only for the trace and the
+public functions.
+
+`dominated_rows` settles the rows of a payoff matrix in order of cost, all
+in exact arithmetic, and each test is sound on its own:
+
+1. a best response to a pure column is kept (one pass of column maxima);
+2. a best response to the uniform belief, the largest row sum, is kept;
+3. a row that another row beats in every column is dominated;
+4. only the rows left open go to the exact-rational LP.
+
+Tests 1 and 2 are sound because a row that maximises expected payoff
+under some belief cannot be strictly dominated: the dominating mixture
+would earn more than that row under the belief, though under any belief
+no mixture earns more than the best row (Pearce 1984).  Test 3 exhibits
+the dominating mixture, and the LP decides the rest exactly.  Payoff
+matrices hold the payoffs times the least common multiple of their
+player's denominators, integers with the same dominated rows.
 
 A game is treated as immutable, so its BD trace is computed once, on the
 first `bd` call, and shared by every later call and monotonicity report.
@@ -23,10 +46,11 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import EgsError, History, InfoSet, ROOT, Structure, relation
+from .core import EgsError, History, InfoSet, ROOT, Structure
 from .lp import maximize
-from .strategy import Plan, plans, play
+from .strategy import Plan, PlanSpace, bit_indices, plan_space
 from .transform import CompositeMap, Ico, apply_tau, transport_plan_through
 from .validate import check_uo
 
@@ -39,7 +63,10 @@ class Game:
     """An extensive game: a structure plus exact-rational terminal payoffs.
 
     Treated as immutable once built: its BD trace and dominance memo are
-    derived from the payoffs and kept for the life of the game."""
+    derived from the payoffs and kept for the life of the game.  Payoffs
+    are held per player as one flat list over the plan profiles, in the
+    product order of the structure's plan space, filled from the terminal
+    each profile reaches."""
 
     def __init__(self, structure: Structure, payoffs: dict[str, dict[History, Fraction]]):
         self.structure = structure
@@ -54,26 +81,25 @@ class Game:
                     f"payoffs for {p} must cover exactly the terminal set"
                 )
             self.payoffs[p] = table
-        self.plan_lists: dict[str, tuple[Plan, ...]] = {
-            p: plans(structure, p) for p in structure.players
-        }
-        self._outcomes: dict[tuple[Plan, ...], History] = {}
-        for combo in itertools.product(*(self.plan_lists[p] for p in structure.players)):
-            profile = dict(zip(structure.players, combo))
-            self._outcomes[combo] = play(structure, profile)
+        space = plan_space(structure)
+        self._space = space
+        self.plan_lists: dict[str, tuple[Plan, ...]] = dict(
+            zip(space.players, space.plan_lists)
+        )
+        # Each player's payoffs times the least common multiple of their
+        # denominators: integers, whose matrices have the same dominated
+        # rows as the payoffs' and are cheap to compare and hash.
+        self._utility: dict[str, list[int]] = {}
+        for p, table in self.payoffs.items():
+            scale = lcm(*(v.denominator for v in table.values()))
+            pay = [
+                v.numerator * (scale // v.denominator)
+                for v in (table[z] for z in space.terminals)
+            ]
+            self._utility[p] = [pay[t] for t in space.outcomes]
         self._bd_trace: BdTrace | None = None
         # dominated_rows answers by payoff matrix; shared by transport_game
         self._dominated_memo: dict[tuple, tuple[int, ...]] = {}
-
-    def outcome(self, combo: tuple[Plan, ...]) -> History:
-        return self._outcomes[combo]
-
-    def utility(self, player: str, combo: tuple[Plan, ...]) -> Fraction:
-        return self.payoffs[player][self._outcomes[combo]]
-
-    @property
-    def profiles(self) -> tuple[tuple[Plan, ...], ...]:
-        return tuple(self._outcomes)
 
 
 @dataclass(frozen=True)
@@ -90,47 +116,114 @@ class DecisionProblem:
         return len(self.own), len(self.others)
 
 
-def _others_index(structure: Structure, owner: str) -> list[int]:
-    return [k for k, p in enumerate(structure.players) if p != owner]
+# Inside this module a decision problem is a pair of index tuples: the
+# owner's plan indices, and the opponents' profiles as tuples of plan
+# indices over the other seats in player order.  DecisionProblem values
+# are built from them only where they leave the module.
+
+
+def _reaching(space: PlanSpace, infoset: InfoSet, seat: int):
+    """The index form of `reaching`.  A profile crosses the set when it
+    reaches a member m, that is, lies in the product Πᵢ Cᵢ(m).  Plans and
+    opponent profiles are listed in order of first appearance in the
+    product order of all profiles.  An opponent profile v first appears
+    in the profile (v before the seat, the least own plan compatible with
+    v, v after the seat); an own plan x first appears in (the least
+    opponent prefix compatible with x, x, ...), so the own plans come out
+    prefix group by prefix group, in index order within a group."""
+    compatible: dict[tuple[int, ...], int] = {}
+    for m in infoset.members:
+        sets = space.reach.get(m)
+        if sets is None:
+            continue
+        mine = sets[seat]
+        rest = [bit_indices(c) for i, c in enumerate(sets) if i != seat]
+        for v in itertools.product(*rest):
+            compatible[v] = compatible.get(v, 0) | mine
+    others = sorted(
+        compatible,
+        key=lambda v: (v[:seat], (compatible[v] & -compatible[v]).bit_length(), v[seat:]),
+    )
+    own: list[int] = []
+    seen = 0
+    for _, group in itertools.groupby(others, key=lambda v: v[:seat]):
+        fresh = 0
+        for v in group:
+            fresh |= compatible[v]
+        fresh &= ~seen
+        seen |= fresh
+        own += bit_indices(fresh)
+    return tuple(own), tuple(others)
+
+
+def _decision_problem(game: Game, infoset: InfoSet, own, others) -> DecisionProblem:
+    space = game._space
+    seat = space.players.index(infoset.owner)
+    lists = [pl for i, pl in enumerate(space.plan_lists) if i != seat]
+    return DecisionProblem(
+        infoset,
+        tuple(space.plan_lists[seat][x] for x in own),
+        tuple(tuple(pl[k] for pl, k in zip(lists, v)) for v in others),
+    )
 
 
 def reaching(game: Game, infoset: InfoSet) -> DecisionProblem:
     """Round-zero decision problem: projections of the profiles whose play
-    crosses the information set."""
-    structure = game.structure
-    structure.require_info_set(infoset)
-    target = structure.terminals_below_set(infoset.members)
-    owner_axis = structure.players.index(infoset.owner)
-    rest_axes = _others_index(structure, infoset.owner)
-    own: list[Plan] = []
-    others: list[tuple[Plan, ...]] = []
-    seen_own, seen_rest = set(), set()
-    for combo in game.profiles:
-        if game.outcome(combo) in target:
-            mine = combo[owner_axis]
-            rest = tuple(combo[k] for k in rest_axes)
-            if mine not in seen_own:
-                seen_own.add(mine)
-                own.append(mine)
-            if rest not in seen_rest:
-                seen_rest.add(rest)
-                others.append(rest)
-    return DecisionProblem(infoset, tuple(own), tuple(others))
+    crosses the information set, each plan and opponent profile in order of
+    its first appearance in the product order of all profiles."""
+    game.structure.require_info_set(infoset)
+    seat = game._space.players.index(infoset.owner)
+    return _decision_problem(game, infoset, *_reaching(game._space, infoset, seat))
+
+
+def best_responses(matrix: Sequence[Sequence[Fraction]]) -> dict[int, tuple[int, ...]]:
+    """The rows that are a best response to a pure column or, failing
+    that, to the uniform belief, each with that belief as column weights:
+    the column's unit vector, or all ones.  One pass of column maxima
+    finds the first kind and one of row sums the second."""
+    n = len(matrix)
+    found: dict[int, tuple[int, ...]] = {}
+    ncols = len(matrix[0]) if n else 0
+    for c, col in enumerate(zip(*matrix)):
+        best = max(col)
+        hits = [r for r in range(n) if col[r] == best and r not in found]
+        if hits:
+            unit = (0,) * c + (1,) + (0,) * (ncols - c - 1)
+            found.update((r, unit) for r in hits)
+    if len(found) < n:
+        sums = [sum(row) for row in matrix]
+        best = max(sums)
+        uniform = (1,) * ncols
+        found.update(
+            (r, uniform) for r in range(n) if sums[r] == best and r not in found
+        )
+    return found
 
 
 def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
-    """Rows strictly dominated by a mixture of the rows: for each
-    candidate, maximize the worst-column slack of a mixed strategy over
-    the full simplex; dominated iff the optimum is positive.  The point
-    mu = e_r, eps = 0 is feasible, so the LP's slacks plus mu_r make a
-    crash basis and `maximize` needs no phase 1."""
+    """Rows strictly dominated by a mixture of the rows, settled in order
+    of cost and in exact arithmetic.
+
+    A best response to some belief over the columns is not strictly
+    dominated: a mixture beating it in every column would earn more than
+    it under that belief, yet no mixture earns more there than the best
+    row (Pearce 1984; by LP duality every undominated row is a best
+    response to some belief).  So the rows `best_responses` finds are
+    kept at once.  A row still open is dominated when another row beats it
+    in every column, and otherwise goes to the LP: maximize the
+    worst-column slack of a mixed strategy over the full simplex; dominated
+    iff the optimum is positive.  The point mu = e_r, eps = 0 is feasible,
+    so the LP's slacks plus mu_r make a crash basis and `maximize` needs
+    no phase 1."""
     n = len(matrix)
     if n <= 1 or not matrix[0]:
         return ()
     ncols = len(matrix[0])
+    kept = best_responses(matrix)
     out = []
     for r in range(n):
-        # quick exit: pure strict domination
+        if r in kept:
+            continue
         if any(
             all(matrix[k][c] > matrix[r][c] for c in range(ncols))
             for k in range(n) if k != r
@@ -155,31 +248,43 @@ def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _dominated(game: Game, seat: int, own, others) -> int:
+    """The index form of `strictly_dominated`: the bitset of the own plan
+    indices that are strictly dominated in the decision problem."""
+    if not others or len(own) <= 1:
+        return 0
+    space = game._space
+    strides = [st for i, st in enumerate(space.strides) if i != seat]
+    columns = [sum(k * st for k, st in zip(v, strides)) for v in others]
+    utility = game._utility[space.players[seat]]
+    step = space.strides[seat]
+    key = tuple(
+        tuple(utility[x * step + col] for col in columns) for x in own
+    )
+    bad = game._dominated_memo.get(key)
+    if bad is None:
+        bad = game._dominated_memo[key] = dominated_rows(key)
+    out = 0
+    for r in bad:
+        out |= 1 << own[r]
+    return out
+
+
 def strictly_dominated(problem: DecisionProblem, game: Game) -> tuple[Plan, ...]:
     """The owner's plans strictly dominated within the decision problem.
     With an empty opponent side nothing is eliminated: there is no state
     against which to witness the strict inequality."""
-    if not problem.others or len(problem.own) <= 1:
-        return ()
-    structure = game.structure
-    owner = problem.at.owner
-    owner_axis = structure.players.index(owner)
-    rest_axes = _others_index(structure, owner)
-    matrix = []
-    for mine in problem.own:
-        row = []
-        for rest in problem.others:
-            combo = [None] * len(structure.players)
-            combo[owner_axis] = mine
-            for k, plan in zip(rest_axes, rest):
-                combo[k] = plan
-            row.append(game.utility(owner, tuple(combo)))
-        matrix.append(tuple(row))
-    key = tuple(matrix)
-    bad = game._dominated_memo.get(key)
-    if bad is None:
-        bad = game._dominated_memo[key] = dominated_rows(key)
-    return tuple(problem.own[r] for r in bad)
+    space = game._space
+    seat = space.players.index(problem.at.owner)
+    mine = space.index(seat)
+    indices = [space.index(i) for i in range(len(space.players)) if i != seat]
+    own = [mine[plan] for plan in problem.own]
+    others = [
+        tuple(index[plan] for index, plan in zip(indices, rest))
+        for rest in problem.others
+    ]
+    bad = _dominated(game, seat, own, others)
+    return tuple(plan for plan, x in zip(problem.own, own) if bad >> x & 1)
 
 
 @dataclass(frozen=True)
@@ -195,15 +300,16 @@ class BdTrace:
 
 def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ...]]:
     """For each set h, the sets g with g weakly following h (g >= h in the
-    elimination sense: h < g or h ~ g)."""
+    elimination sense: h < g or h ~ g), read from the order index."""
     sets = structure.info_sets
-    out: dict[InfoSet, list[InfoSet]] = {s: [] for s in sets}
-    for s in sets:
-        for t in sets:
-            r = relation(structure, s, t)
-            if r.before or r.simultaneous:
-                out[s].append(t)
-    return {s: tuple(v) for s, v in out.items()}
+    members = {s: s.member_set for s in sets}
+    return {
+        s: tuple(
+            t for t in sets
+            if s in structure._earlier_sets(t) or not members[s].isdisjoint(t.members)
+        )
+        for s in sets
+    }
 
 
 def bd(game: Game) -> BdTrace:
@@ -223,76 +329,99 @@ def _run_bd(game: Game) -> BdTrace:
             f"backward dominance needs an unambiguous ordering; {a!r} and {b!r}"
             " are each before the other"
         )
-    followers = _weak_follow_matrix(structure)
-    problems = {s: reaching(game, s) for s in structure.info_sets}
-    rounds = [dict(problems)]
-    eliminated_round: dict[tuple[str, Plan], int] = {}
+    space = game._space
+    players = space.players
+    seat = {p: i for i, p in enumerate(players)}
+    followers = {
+        s: [(seat[t.owner], t) for t in ts]
+        for s, ts in _weak_follow_matrix(structure).items()
+    }
+    problems = {s: _reaching(space, s, seat[s.owner]) for s in structure.info_sets}
+    rounds = [problems]
+    eliminated: dict[tuple[int, int], int] = {}
     root_sets = [s for s in structure.info_sets if ROOT in s.member_set]
     # every non-final round strictly shrinks this total
-    budget = sum(len(p.own) + len(p.others) for p in problems.values()) + 2
+    budget = sum(len(own) + len(others) for own, others in problems.values()) + 2
     n = 0
     while True:
         n += 1
-        sd = {s: set(strictly_dominated(problems[s], game)) for s in problems}
-        new_problems: dict[InfoSet, DecisionProblem] = {}
+        sd = {s: _dominated(game, seat[s.owner], *problems[s]) for s in problems}
+        new_problems = {}
         for s, prob in problems.items():
-            bad: dict[str, set[Plan]] = {}
-            for t in followers[s]:
-                if sd[t]:
-                    bad.setdefault(t.owner, set()).update(sd[t])
-            own = tuple(p for p in prob.own if p not in bad.get(s.owner, ()))
-            others = tuple(
-                rest for rest in prob.others
-                if not any(
-                    plan in bad.get(player, ())
-                    for plan, player in zip(
-                        rest, [q for q in structure.players if q != s.owner]
-                    )
-                )
+            bad = [0] * len(players)
+            for i, t in followers[s]:
+                bad[i] |= sd[t]
+            k = seat[s.owner]
+            mine = bad.pop(k)
+            if not (mine or any(bad)):
+                new_problems[s] = prob  # unchanged, and kept as the same object
+                continue
+            own, others = prob
+            new_problems[s] = (
+                tuple(x for x in own if not mine >> x & 1),
+                tuple(
+                    v for v in others
+                    if not any(b >> x & 1 for b, x in zip(bad, v))
+                ),
             )
-            new_problems[s] = DecisionProblem(s, own, others)
         for s in root_sets:
-            before = set(rounds[-1][s].own)
-            after = set(new_problems[s].own)
-            for plan in before - after:
-                eliminated_round.setdefault((s.owner, plan), n)
-            axes = [q for q in structure.players if q != s.owner]
-            before_rest = {
-                (player, plan)
-                for rest in rounds[-1][s].others for player, plan in zip(axes, rest)
-            }
-            after_rest = {
-                (player, plan)
-                for rest in new_problems[s].others for player, plan in zip(axes, rest)
-            }
-            for player, plan in before_rest - after_rest:
-                eliminated_round.setdefault((player, plan), n)
+            before, after = rounds[-1][s], new_problems[s]
+            if before is after:
+                continue
+            k = seat[s.owner]
+            for x in set(before[0]) - set(after[0]):
+                eliminated.setdefault((k, x), n)
+            axes = [i for i in range(len(players)) if i != k]
+            before_rest = {(i, x) for v in before[1] for i, x in zip(axes, v)}
+            after_rest = {(i, x) for v in after[1] for i, x in zip(axes, v)}
+            for key in before_rest - after_rest:
+                eliminated.setdefault(key, n)
         rounds.append(new_problems)
         if new_problems == problems:
             break
         if n > budget:
             raise DominanceError("backward dominance failed to reach a fixpoint")
         problems = new_problems
+    return _trace(game, rounds, eliminated, root_sets)
+
+
+def _trace(game: Game, rounds, eliminated, root_sets) -> BdTrace:
+    """Build the public trace from the index form of the rounds; a problem
+    that did not change between rounds keeps one DecisionProblem value."""
+    space = game._space
+    players = space.players
+    built: dict[InfoSet, tuple] = {}
+    public = []
+    for problems in rounds:
+        out = {}
+        for s, prob in problems.items():
+            last = built.get(s)
+            if last is None or last[0] is not prob:
+                last = built[s] = (prob, _decision_problem(game, s, *prob))
+            out[s] = last[1]
+        public.append(out)
     final = rounds[-1]
     survivors: dict[str, tuple[Plan, ...]] = {}
-    for player in structure.players:
+    for i, player in enumerate(players):
         per_root = []
         for s in root_sets:
-            prob = final[s]
-            if s.owner == player:
-                alive = [p for p in game.plan_lists[player] if p in set(prob.own)]
+            own, others = final[s]
+            k = players.index(s.owner)
+            if k == i:
+                alive = set(own)
             else:
-                axes = [q for q in structure.players if q != s.owner]
-                axis = axes.index(player)
-                present = {rest[axis] for rest in prob.others}
-                alive = [p for p in game.plan_lists[player] if p in present]
-            per_root.append(tuple(alive))
+                axis = i if i < k else i - 1
+                alive = {v[axis] for v in others}
+            per_root.append(tuple(space.plan_lists[i][x] for x in sorted(alive)))
         if len(set(per_root)) != 1:
             raise DominanceError(
                 f"root-containing information sets disagree on {player}'s survivors"
             )
         survivors[player] = per_root[0]
-    return BdTrace(tuple(rounds), survivors, eliminated_round)
+    eliminated_round = {
+        (players[i], space.plan_lists[i][x]): n for (i, x), n in eliminated.items()
+    }
+    return BdTrace(tuple(public), survivors, eliminated_round)
 
 
 def format_trace(trace: BdTrace) -> str:

@@ -4,6 +4,13 @@ A plan assigns actions only to the own information sets that remain
 reachable given the player's earlier own choices: it must cover every
 minimal own set, and a non-minimal set is in the domain exactly when its
 unique immediate own predecessor is and the choice there leads to it.
+
+Each structure keeps one plan space, built on first use the way the order
+index is: every player's plans under integer indices, and per history the
+bitsets of plans consistent with reaching it, from one root walk.  Reduced
+normal forms, the equivalence route and games read it; `play` remains the
+reference for what a single profile reaches.
+
 Behavioral equivalence of two structures is an isomorphism of their
 reduced normal forms, decided on the plan-terminal incidence found in one
 root walk rather than on the tabulated forms; for structures with
@@ -40,6 +47,14 @@ class Plan:
             key=lambda c: tuple(history_key(m) for m in c[0].members),
         ))
         object.__setattr__(self, "choices", ordered)
+        object.__setattr__(self, "_hash", hash((self.owner, ordered)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, never copy _hash
+        return Plan, (self.owner, self.choices)
 
     def get(self, s: InfoSet) -> str | None:
         for k, v in self.choices:
@@ -125,6 +140,111 @@ def play(structure: Structure, profile: dict[str, Plan]) -> History:
     return h
 
 
+def bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits of a bitset, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+class PlanSpace:
+    """Each player's plans under integer indices, and which of them are
+    consistent with reaching each history.
+
+    `plan_lists[i]` holds player i's plans in `plans` order, so a plan's
+    index is its position there, and a profile is a tuple of indices whose
+    position in `itertools.product` order is its dot product with
+    `strides`.  `reach[h][i]` is the bitset Cᵢ(h) of player i's plans that
+    make i's choices along h.  Play is deterministic and each step applies
+    every active player's own choice, so the profiles reaching h are
+    exactly the product Πᵢ Cᵢ(h).  One walk from the root fills `reach`:
+    it carries the bitsets and, at each move, keeps only the plans choosing
+    the action taken at the player's information set there.  It descends
+    only where every player keeps a plan, so a history no profile reaches
+    has no entry.
+
+    Preimages of distinct terminals are disjoint, so every profile reaches
+    a terminal exactly when Σ_z Πᵢ |Cᵢ(z)| = Πᵢ |plansᵢ|; otherwise
+    PlanError is raised, where `play` would raise on some profile.
+    """
+
+    def __init__(self, structure: Structure):
+        self.players = tuple(structure.players)
+        self.plan_lists = tuple(plans(structure, p) for p in self.players)
+        sizes = [len(pl) for pl in self.plan_lists]
+        self.strides = tuple(prod(sizes[i + 1:]) for i in range(len(sizes)))
+        self.profile_count = prod(sizes)
+        choosing: dict[tuple[InfoSet, str], int] = {}
+        for plan_list in self.plan_lists:
+            for k, plan in enumerate(plan_list):
+                for s, a in plan.choices:
+                    choosing[(s, a)] = choosing.get((s, a), 0) | 1 << k
+        seat = {p: i for i, p in enumerate(self.players)}
+        reach: dict[History, tuple[int, ...]] = {}
+        stack = [(structure.root, tuple((1 << n) - 1 for n in sizes))]
+        while stack:
+            h, sets = stack.pop()
+            reach[h] = sets
+            if structure.is_terminal(h):
+                continue
+            active = structure.active(h)
+            at = [(seat[p], structure.info_set_of(p, h)) for p in active]
+            for kid in structure.children(h):
+                move = dict(kid.moves[-1])
+                if len(move) != len(active):
+                    continue  # no profile plays a move missing an active player
+                grown = list(sets)
+                for p, (i, s) in zip(active, at):
+                    grown[i] &= choosing.get((s, move[p]), 0)
+                if all(grown):
+                    stack.append((kid, tuple(grown)))
+        self.reach = reach
+        self.terminals = tuple(sorted(structure.terminals, key=history_key))
+        reached = sum(
+            prod(c.bit_count() for c in reach[z]) for z in self.terminals if z in reach
+        )
+        if reached != self.profile_count:
+            raise PlanError("some plan profile reaches no terminal")
+        self._outcomes: list[int] | None = None
+        self._index: tuple[dict[Plan, int], ...] | None = None
+
+    @property
+    def outcomes(self) -> list[int]:
+        """The index in `terminals` of the terminal each profile reaches,
+        profiles in product order: each terminal fills its preimage."""
+        if self._outcomes is None:
+            table = [0] * self.profile_count
+            for t, z in enumerate(self.terminals):
+                sets = self.reach.get(z)
+                if sets is None:
+                    continue
+                rows = [0]
+                for stride, c in zip(self.strides, sets):
+                    rows = [r + k * stride for r in rows for k in bit_indices(c)]
+                for r in rows:
+                    table[r] = t
+            self._outcomes = table
+        return self._outcomes
+
+    def index(self, seat: int) -> dict[Plan, int]:
+        """Plan -> index for the player in the given seat."""
+        if self._index is None:
+            self._index = tuple(
+                {plan: k for k, plan in enumerate(pl)} for pl in self.plan_lists
+            )
+        return self._index[seat]
+
+
+def plan_space(structure: Structure) -> PlanSpace:
+    """The structure's plan space, built on first use and kept with it."""
+    if structure._plan_space is None:
+        structure._plan_space = PlanSpace(structure)
+    return structure._plan_space
+
+
 @dataclass(frozen=True)
 class ReducedNormalForm:
     """Players, their plan lists, the terminal set, and the outcome table
@@ -150,18 +270,13 @@ class ReducedNormalForm:
 
 
 def reduced_normal_form(structure: Structure) -> ReducedNormalForm:
-    """rn_Z(G): tabulate the terminal reached by every plan profile."""
-    plan_lists = tuple(plans(structure, p) for p in structure.players)
-    terminals = tuple(sorted(structure.terminals, key=history_key))
-    term_index = {z: i for i, z in enumerate(terminals)}
-    rows = []
-    for combo in itertools.product(*(range(len(pl)) for pl in plan_lists)):
-        profile = {
-            p: plan_lists[i][combo[i]] for i, p in enumerate(structure.players)
-        }
-        rows.append((combo, term_index[play(structure, profile)]))
+    """rn_Z(G): the terminal reached by every plan profile, read from the
+    plan space rather than played out profile by profile."""
+    space = plan_space(structure)
+    combos = itertools.product(*(range(len(pl)) for pl in space.plan_lists))
     return ReducedNormalForm(
-        tuple(structure.players), plan_lists, terminals, tuple(rows)
+        space.players, space.plan_lists, space.terminals,
+        tuple(zip(combos, space.outcomes)),
     )
 
 
@@ -281,49 +396,15 @@ class _Incidence:
 
 
 def _incidence(structure: Structure) -> _Incidence:
-    """The plan-terminal incidence of a structure, from one root walk.
-
-    The walk carries, per player, the bitset of plans that made the
-    player's choices so far, and at each move keeps only the plans choosing
-    the action taken at the player's information set there.  It descends
-    only where every player keeps a plan, so a terminal some player cannot
-    reach has all its sets empty.  Raises PlanError when some plan profile
-    reaches no terminal, exactly when `play` would raise on it.
-    """
-    players = tuple(structure.players)
-    plan_lists = tuple(plans(structure, p) for p in players)
-    choosing: dict[tuple[InfoSet, str], int] = {}
-    for plan_list in plan_lists:
-        for k, plan in enumerate(plan_list):
-            for s, a in plan.choices:
-                choosing[(s, a)] = choosing.get((s, a), 0) | 1 << k
-    seat = {p: i for i, p in enumerate(players)}
-    reached: dict[History, tuple[int, ...]] = {}
-    stack = [(structure.root, tuple((1 << len(pl)) - 1 for pl in plan_lists))]
-    while stack:
-        h, sets = stack.pop()
-        if structure.is_terminal(h):
-            reached[h] = sets
-            continue
-        active = structure.active(h)
-        at = [(seat[p], structure.info_set_of(p, h)) for p in active]
-        for kid in structure.children(h):
-            move = dict(kid.moves[-1])
-            if len(move) != len(active):
-                continue  # no profile plays a move missing an active player
-            grown = list(sets)
-            for p, (i, s) in zip(active, at):
-                grown[i] &= choosing.get((s, move[p]), 0)
-            if all(grown):
-                stack.append((kid, tuple(grown)))
-    terminals = tuple(sorted(structure.terminals, key=history_key))
-    empty = (0,) * len(players)
-    form = _Incidence(
-        players, plan_lists, terminals, tuple(reached.get(z, empty) for z in terminals)
+    """The plan-terminal incidence of a structure: its plan space at the
+    terminals, each terminal no profile reaches with all its sets empty.
+    Raises PlanError when some plan profile reaches no terminal."""
+    space = plan_space(structure)
+    empty = (0,) * len(space.players)
+    return _Incidence(
+        space.players, space.plan_lists, space.terminals,
+        tuple(space.reach.get(z, empty) for z in space.terminals),
     )
-    if sum(form.multiplicities()) != prod(len(pl) for pl in plan_lists):
-        raise PlanError("some plan profile reaches no terminal")
-    return form
 
 
 def behaviorally_equivalent(

@@ -7,19 +7,31 @@ from fractions import Fraction
 
 from egs import (
     ROOT,
+    BdTrace,
     CoalescingOpp,
+    DecisionProblem,
+    DominanceError,
     History,
     HistoryMap,
     InfoSet,
     IsOpp,
+    ReducedNormalForm,
     RelationSet,
     Structure,
     TransformError,
+    apply_tau,
+    check_uo,
     controls,
     dictates,
     make_profile,
+    plans,
+    play,
+    relation,
+    transport_plan_through,
 )
 from egs.core import history_key, strictly_precedes
+from egs.dominance import MonotonicityReport, MonotonicityViolation
+from egs.lp import maximize
 
 
 def fm_feasible_strict(rows):
@@ -73,7 +85,9 @@ def fm_feasible_strict(rows):
 
 
 def oracle_dominated(matrix):
-    """Row indices strictly dominated by a mixture over all rows."""
+    """Row indices strictly dominated by a mixture over all rows.  Entries
+    are taken as exact rationals, so integer matrices divide exactly too."""
+    matrix = [[Fraction(x) for x in row] for row in matrix]
     n = len(matrix)
     out = []
     for r in range(n):
@@ -423,3 +437,192 @@ def rnf_isomorphic_brute(r1, r2, allow_player_permutation=False) -> bool:
                 if len(set(tmap.values())) == len(tmap):
                     return True
     return False
+
+
+# -- per-profile references for games ----------------------------------------
+#
+# Games, decision problems, dominance, backward dominance and reduced normal
+# forms as the library computed them before it read a per-structure plan
+# space: every plan profile is played out from the root, plans are dict keys,
+# and every open row goes to the LP.  The property tests require the library
+# to give equal values, list orders included.
+
+
+class GameReference:
+    """A game whose outcome table holds `play` of every plan profile."""
+
+    def __init__(self, structure, payoffs):
+        self.structure = structure
+        self.payoffs = {
+            p: {z: Fraction(v) for z, v in payoffs[p].items()} for p in structure.players
+        }
+        self.plan_lists = {p: plans(structure, p) for p in structure.players}
+        self.outcomes = {}
+        for combo in itertools.product(*(self.plan_lists[p] for p in structure.players)):
+            self.outcomes[combo] = play(structure, dict(zip(structure.players, combo)))
+        self.memo = {}
+
+    def utility(self, player, combo):
+        return self.payoffs[player][self.outcomes[combo]]
+
+
+def _rest_axes(structure, owner):
+    return [k for k, p in enumerate(structure.players) if p != owner]
+
+
+def reaching_reference(game, infoset):
+    """Projections of the profiles whose play crosses the set, in order of
+    first appearance over the profiles in product order."""
+    structure = game.structure
+    structure.require_info_set(infoset)
+    target = structure.terminals_below_set(infoset.members)
+    owner_axis = structure.players.index(infoset.owner)
+    rest_axes = _rest_axes(structure, infoset.owner)
+    own, others = [], []
+    for combo, z in game.outcomes.items():
+        if z in target:
+            mine = combo[owner_axis]
+            rest = tuple(combo[k] for k in rest_axes)
+            if mine not in own:
+                own.append(mine)
+            if rest not in others:
+                others.append(rest)
+    return DecisionProblem(infoset, tuple(own), tuple(others))
+
+
+def dominated_rows_lp(matrix):
+    """Rows strictly dominated by a mixture: pure domination, else one LP
+    maximizing the worst-column slack of a mixture over the simplex."""
+    n = len(matrix)
+    if n <= 1 or not matrix[0]:
+        return ()
+    ncols = len(matrix[0])
+    out = []
+    for r in range(n):
+        if any(
+            all(matrix[k][c] > matrix[r][c] for c in range(ncols))
+            for k in range(n) if k != r
+        ):
+            out.append(r)
+            continue
+        a_ub = [
+            [-(matrix[k][c] - matrix[r][c]) for k in range(n)] + [1] for c in range(ncols)
+        ]
+        result = maximize([0] * n + [1], a_ub, [0] * ncols, [[1] * n + [0]], [1])
+        if result.status == "unbounded" or (result.status == "optimal" and result.value > 0):
+            out.append(r)
+    return tuple(out)
+
+
+def strictly_dominated_reference(problem, game):
+    if not problem.others or len(problem.own) <= 1:
+        return ()
+    structure = game.structure
+    owner = problem.at.owner
+    owner_axis = structure.players.index(owner)
+    rest_axes = _rest_axes(structure, owner)
+    matrix = []
+    for mine in problem.own:
+        row = []
+        for rest in problem.others:
+            combo = [None] * len(structure.players)
+            combo[owner_axis] = mine
+            for k, plan in zip(rest_axes, rest):
+                combo[k] = plan
+            row.append(game.utility(owner, tuple(combo)))
+        matrix.append(tuple(row))
+    key = tuple(matrix)
+    if key not in game.memo:
+        game.memo[key] = dominated_rows_lp(key)
+    return tuple(problem.own[r] for r in game.memo[key])
+
+
+def bd_reference(game):
+    """Backward dominance over Plan-keyed decision problems, round by round
+    until two rounds coincide."""
+    structure = game.structure
+    ok, witness = check_uo(structure)
+    if not ok:
+        raise DominanceError(f"no unambiguous ordering: {witness}")
+    sets = structure.info_sets
+    followers = {
+        s: [t for t in sets if relation(structure, s, t).weakly_follows] for s in sets
+    }
+    problems = {s: reaching_reference(game, s) for s in sets}
+    rounds = [dict(problems)]
+    eliminated_round = {}
+    root_sets = [s for s in sets if ROOT in s.member_set]
+    n = 0
+    while True:
+        n += 1
+        sd = {s: set(strictly_dominated_reference(problems[s], game)) for s in problems}
+        new_problems = {}
+        for s, prob in problems.items():
+            bad = {}
+            for t in followers[s]:
+                bad.setdefault(t.owner, set()).update(sd[t])
+            axes = [q for q in structure.players if q != s.owner]
+            own = tuple(p for p in prob.own if p not in bad.get(s.owner, ()))
+            others = tuple(
+                rest for rest in prob.others
+                if not any(plan in bad.get(q, ()) for plan, q in zip(rest, axes))
+            )
+            new_problems[s] = DecisionProblem(s, own, others)
+        for s in root_sets:
+            axes = [q for q in structure.players if q != s.owner]
+            for plan in set(rounds[-1][s].own) - set(new_problems[s].own):
+                eliminated_round.setdefault((s.owner, plan), n)
+            before = {(q, p) for rest in rounds[-1][s].others for q, p in zip(axes, rest)}
+            after = {(q, p) for rest in new_problems[s].others for q, p in zip(axes, rest)}
+            for key in before - after:
+                eliminated_round.setdefault(key, n)
+        rounds.append(new_problems)
+        if new_problems == problems:
+            break
+        problems = new_problems
+    survivors = {}
+    for player in structure.players:
+        per_root = set()
+        for s in root_sets:
+            prob = rounds[-1][s]
+            if s.owner == player:
+                present = set(prob.own)
+            else:
+                axis = [q for q in structure.players if q != s.owner].index(player)
+                present = {rest[axis] for rest in prob.others}
+            per_root.add(tuple(p for p in game.plan_lists[player] if p in present))
+        assert len(per_root) == 1, "root-containing sets disagree"
+        survivors[player] = per_root.pop()
+    return BdTrace(tuple(rounds), survivors, eliminated_round)
+
+
+def check_monotonic_reference(game, ico):
+    """BD before and after the complete ICO, on fresh reference games."""
+    new_structure, comp = apply_tau(game.structure, ico)
+    bijection = comp.terminal_bijection(game.structure, new_structure)
+    other = GameReference(new_structure, {
+        p: {bijection[z]: v for z, v in table.items()} for p, table in game.payoffs.items()
+    })
+    before, after = bd_reference(game), bd_reference(other)
+    violations = []
+    for player in game.structure.players:
+        for plan in game.plan_lists[player]:
+            if plan in before.survivors[player]:
+                continue
+            if transport_plan_through(plan, comp) in after.survivors[player]:
+                violations.append(MonotonicityViolation(
+                    player, plan, before.eliminated_round.get((player, plan), -1)
+                ))
+    return MonotonicityReport(tuple(violations), before, after)
+
+
+def reduced_normal_form_reference(structure):
+    """rn_Z(G) with `play` run on every plan profile."""
+    plan_lists = tuple(plans(structure, p) for p in structure.players)
+    terminals = tuple(sorted(structure.terminals, key=history_key))
+    term_index = {z: i for i, z in enumerate(terminals)}
+    rows = []
+    for combo in itertools.product(*(range(len(pl)) for pl in plan_lists)):
+        profile = {p: plan_lists[i][combo[i]] for i, p in enumerate(structure.players)}
+        rows.append((combo, term_index[play(structure, profile)]))
+    return ReducedNormalForm(tuple(structure.players), plan_lists, terminals, tuple(rows))

@@ -1,15 +1,21 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egs import (
+    ROOT,
     DominanceError,
+    EgsError,
     Game,
     IsOpp,
     apply_is,
     bd,
     check_monotonic,
+    check_uo,
     compare_bd,
     find_complete_icos,
     find_is,
@@ -17,14 +23,24 @@ from egs import (
     plans,
     random_payoffs,
     reaching,
+    reduced_normal_form,
     strictly_dominated,
     transport_game,
     transport_plan,
 )
 from egs.transform import CompositeMap
 
-from corpus import ico_corpus
-from fixtures import g_kms, g_nul, g_red1, game_nul, path, red1_infosets
+import fixtures
+from corpus import ico_corpus, profile_count, seeded_structures, uo_corpus
+from fixtures import data_pair, g_kms, g_nul, g_red1, game_nul, path, red1_infosets
+from oracles import (
+    GameReference,
+    bd_reference,
+    check_monotonic_reference,
+    reaching_reference,
+    reduced_normal_form_reference,
+    strictly_dominated_reference,
+)
 
 
 def _label_set(plan_list):
@@ -195,18 +211,20 @@ def test_format_trace_stable():
     assert "survivors" in text1
 
 
-def _lp_inputs(monkeypatch):
-    """Record every LP the dominance code poses, by its repr."""
+def _solved_matrices(monkeypatch):
+    """Record every payoff matrix the dominance code solves, by its repr.
+    Each `dominated_rows` call is a memo miss; most rows are settled
+    without an LP, so the LPs posed would undercount the misses."""
     import egs.dominance
 
     posed = []
-    original = egs.dominance.maximize
+    original = egs.dominance.dominated_rows
 
-    def recording(*args):
-        posed.append(repr(args))
-        return original(*args)
+    def recording(matrix):
+        posed.append(repr(matrix))
+        return original(matrix)
 
-    monkeypatch.setattr(egs.dominance, "maximize", recording)
+    monkeypatch.setattr(egs.dominance, "dominated_rows", recording)
     return posed
 
 
@@ -228,7 +246,7 @@ def _multi_ico_games(count):
 
 
 def test_check_monotonic_reuses_the_games_bd_and_lps(monkeypatch):
-    posed = _lp_inputs(monkeypatch)
+    posed = _solved_matrices(monkeypatch)
     for game, icos in _multi_ico_games(3):
         del posed[:]
         trace = bd(game)
@@ -245,7 +263,7 @@ def test_check_monotonic_reuses_the_games_bd_and_lps(monkeypatch):
 def test_separately_parsed_games_share_no_memo(monkeypatch):
     from egs import parse, serialize
 
-    posed = _lp_inputs(monkeypatch)
+    posed = _solved_matrices(monkeypatch)
     text = serialize(game_nul())
     first = bd(parse(text))
     n_first = len(posed)
@@ -283,3 +301,141 @@ def test_bd_trace_is_frozen():
     trace = bd(game_nul())
     with pytest.raises(FrozenInstanceError):
         trace.survivors = {}
+
+
+# -- the plan space against the per-profile reference -------------------------
+
+
+def _tied_payoffs(structure, rng):
+    """Payoffs in -2..2 with a few halves, so equal payoffs are common."""
+    return {
+        p: {z: Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for z in structure.terminals}
+        for p in structure.players
+    }
+
+
+def _assert_matches_reference(structure, payoffs):
+    """Reaching problems, dominated plans, BD traces, monotonicity reports
+    and the reduced normal form agree with the per-profile reference."""
+    try:
+        ref = GameReference(structure, payoffs)
+    except EgsError as err:
+        with pytest.raises(type(err)):
+            Game(structure, payoffs)
+        with pytest.raises(type(err)):
+            reduced_normal_form(structure)
+        return
+    game = Game(structure, payoffs)
+    assert reduced_normal_form(structure) == reduced_normal_form_reference(structure)
+    for s in structure.info_sets:
+        problem = reaching(game, s)
+        assert problem == reaching_reference(ref, s)
+        assert strictly_dominated(problem, game) == strictly_dominated_reference(problem, ref)
+    if not check_uo(structure)[0]:
+        with pytest.raises(DominanceError):
+            bd(game)
+        return
+    trace, expected = bd(game), bd_reference(ref)
+    assert trace == expected
+    assert [list(r) for r in trace.rounds] == [list(r) for r in expected.rounds]
+    for ico in find_complete_icos(structure):
+        assert check_monotonic(game, ico) == check_monotonic_reference(ref, ico)
+
+
+def _fixture_structures():
+    for name, builder in sorted(vars(fixtures).items()):
+        if name.startswith("g_") and not inspect.signature(builder).parameters:
+            yield builder()
+    yield fixtures.g_deep_chain(6)
+    for name in ("rnf-slow-1-20x20", "minimal-wrong-1", "minimal-wrong-2", "minimal-wrong-3"):
+        yield from data_pair(name)
+
+
+def _forgetful_owner():
+    """O's set S = {a/q, b/p/u} forgets O's own move u at b/p, so the O
+    plans reaching its two members differ.  P, seated before O, reaches
+    b/p/u with its first plan and a/q only with later ones."""
+    from fixtures import build
+
+    a, b = path({"X": "a"}), path({"X": "b"})
+    aq = path({"X": "a"}, {"P": "q"})
+    bp = path({"X": "b"}, {"P": "p"})
+    bpu = path({"X": "b"}, {"P": "p"}, {"O": "u"})
+    return build(
+        ["P", "O", "X"],
+        {ROOT: {"X": ["a", "b"]}, a: {"P": ["p", "q"]}, b: {"P": ["p", "q"]},
+         aq: {"O": ["c", "d"]}, bp: {"O": ["u", "v"]}, bpu: {"O": ["c", "d"]}},
+        blocks=[("O", [aq, bpu])],
+    )
+
+
+def test_reaching_lists_plans_in_order_of_first_appearance():
+    structure = _forgetful_owner()
+    rng = random.Random(5)
+    payoffs = _tied_payoffs(structure, rng)
+    game = Game(structure, payoffs)
+    s = structure.info_set_of("O", path({"X": "a"}, {"P": "q"}))
+    own = [game.plan_lists["O"].index(plan) for plan in reaching(game, s).own]
+    # the T=u plans come with P's first plan, the others only later
+    assert own == [0, 2, 1, 3]
+    for seed in range(20):
+        _assert_matches_reference(structure, _tied_payoffs(structure, random.Random(seed)))
+
+
+def test_plan_space_matches_the_per_profile_reference_on_fixtures():
+    rng = random.Random(11)
+    game = game_nul()
+    _assert_matches_reference(game.structure, game.payoffs)
+    for structure in _fixture_structures():
+        _assert_matches_reference(structure, _tied_payoffs(structure, rng))
+    # BD through the LP-only reference takes 7-55 s a side on these two
+    for name in ("rnf-slow-2-18x16x11", "rnf-slow-3-63x36"):
+        for structure in data_pair(name):
+            assert reduced_normal_form(structure) == reduced_normal_form_reference(structure)
+
+
+def test_plan_space_matches_the_per_profile_reference_on_the_corpus():
+    rng = random.Random(12)
+    structures = list(uo_corpus(20))
+    structures += [g for g, _ in ico_corpus(20, seed=8, max_profiles=200)]
+    for structure in structures:
+        if profile_count(structure) <= 400:
+            _assert_matches_reference(structure, _tied_payoffs(structure, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32))
+def test_plan_space_matches_the_per_profile_reference(structure, seed):
+    if profile_count(structure) > 400:
+        return
+    _assert_matches_reference(structure, _tied_payoffs(structure, random.Random(seed)))
+
+
+def test_bd_at_scale_settles_most_rows_without_an_lp(capsys, monkeypatch):
+    # `egs gen --seed 30 --players 2 --depth 5 --merge 0.8 --continue-prob 1.0
+    # --simultaneity 0 --uo --payoffs`: 144 x 35 = 5,040 plan profiles.  The
+    # LP-only procedure poses 1,240 LPs on it.
+    import egs.dominance
+    from egs import parse
+    from egs.cli import main
+
+    assert main([
+        "gen", "--seed", "30", "--players", "2", "--depth", "5", "--merge", "0.8",
+        "--continue-prob", "1.0", "--simultaneity", "0", "--uo", "--payoffs",
+    ]) == 0
+    game = parse(capsys.readouterr().out)
+    assert [len(game.plan_lists[p]) for p in game.structure.players] == [144, 35]
+    posed = []
+    original = egs.dominance.maximize
+
+    def counting(*args):
+        posed.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(egs.dominance, "maximize", counting)
+    trace = bd(game)
+    assert len(posed) <= 25
+    assert {p: [plan.label() for plan in v] for p, v in trace.survivors.items()} == {
+        "1": ["a1e1m1g1p1s1d1i1", "a1e1m1g1p1s1d1j1y1", "b1k1g1p1v1", "b1l1g1p1v1aa1"],
+        "2": ["a2d2e2", "b2k2r2s2h2w2", "b2k2r2t2h2w2"],
+    }

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egs.dominance
 from egs import dominated_rows
+from egs.dominance import best_responses
 from egs.lp import maximize
 
 from oracles import oracle_dominated
@@ -123,16 +126,17 @@ def test_structural_crash_column_skips_phase_one(monkeypatch):
 def test_dominated_rows_lps_skip_phase_one(monkeypatch):
     runs = _count_simplex_runs(monkeypatch)
     rows = [
-        [Fraction(3), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(3), Fraction(1)],
-        [Fraction(1), Fraction(1), Fraction(0)],
-        [Fraction(2), Fraction(2), Fraction(1)],
+        [Fraction(3), Fraction(0)],
+        [Fraction(0), Fraction(3)],
+        [Fraction(1), Fraction(1)],
     ]
     assert dominated_rows(rows) == oracle_dominated(rows) == (2,)
-    # row 2 is purely dominated by row 3; every other row gets one LP,
+    # rows 0 and 1 are best responses to a column; row 2 is a best
+    # response to no column nor to the uniform belief, and no row beats it
+    # purely, so it alone gets an LP (the half/half mixture dominates it),
     # solved by one phase-2 run over the mixture weights, eps and a slack
     # per column
-    assert runs == [len(rows) + 1 + len(rows[0])] * 3
+    assert runs == [len(rows) + 1 + len(rows[0])]
 
 
 _entry = st.builds(
@@ -150,3 +154,35 @@ _entry = st.builds(
 )
 def test_dominated_rows_match_fm_oracle_property(rows):
     assert dominated_rows(rows) == oracle_dominated(rows)
+
+
+_tied_rows = st.integers(1, 5).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=2, max_size=5
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_rows)
+def test_rows_kept_without_an_lp_are_best_responses(entries):
+    rows = [[Fraction(x) for x in row] for row in entries]
+    n, ncols = len(rows), len(rows[0])
+    kept = best_responses(rows)
+    for r, belief in kept.items():
+        assert len(belief) == ncols and min(belief) >= 0 and sum(belief) > 0
+        weights = [Fraction(w, sum(belief)) for w in belief]
+        value = [sum(w * x for w, x in zip(weights, row)) for row in rows]
+        assert value[r] == max(value)
+    purely = {
+        r for r in range(n)
+        if any(all(a > b for a, b in zip(rows[k], rows[r])) for k in range(n) if k != r)
+    }
+    posed = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(egs.dominance, "maximize", lambda *a: posed.append(a) or maximize(*a))
+        bad = dominated_rows(rows)
+    assert bad == oracle_dominated(rows)
+    # only the rows neither kept as best responses nor purely dominated
+    # reach the LP
+    assert len(posed) == n - len(kept) - len(purely - set(kept))

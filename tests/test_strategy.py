@@ -1,12 +1,19 @@
+import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import egs
 from egs import (
     ROOT,
     EgsError,
@@ -103,6 +110,37 @@ def test_plans_sim_single_choice_each():
 def test_plans_unknown_player():
     with pytest.raises(EgsError):
         plans(g_red1(), "9")
+
+
+def test_plan_hash_is_computed_once_and_by_value():
+    g = g_red1()
+    plan = plans(g, "2")[-1]
+    rebuilt = Plan(plan.owner, tuple(reversed(plan.choices)))
+    assert plan == rebuilt and hash(plan) == hash(rebuilt)
+    assert hash(plan) == hash((plan.owner, plan.choices))
+    assert {plan: 1}[rebuilt] == 1
+    # fileformat and every value comparison see only these fields
+    assert [f.name for f in dataclasses.fields(Plan)] == ["owner", "choices"]
+
+
+def test_pickled_plans_rehash_in_another_process():
+    # string hashes are salted per process, so a cached hash must not travel
+    plan = plans(g_red1(), "2")[-1]
+    data = pickle.dumps(plan)
+    check = (
+        "import pickle, sys\n"
+        "from egs import Plan\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert p in {Plan(p.owner, p.choices)}\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = str(Path(egs.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", check], input=data, env=env,
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_plans_match_brute_force_on_fixtures_and_corpus():
