@@ -189,16 +189,14 @@ class Structure:
         self._build_indices()
 
     def _build_indices(self) -> None:
+        by_moves = {h.moves: h for h in self.histories}
         children: dict[History, list[History]] = {h: [] for h in self.histories}
         for h in self.histories:
-            if h.length == 0:
-                continue
-            parent = h.parent
-            if parent in children:
+            parent = by_moves.get(h.moves[:-1]) if h.moves else None
+            if parent is not None:
                 children[parent].append(h)
-        self._children = {
-            h: tuple(sorted(c, key=history_key)) for h, c in children.items()
-        }
+        # appended in history order, so each child list is already sorted
+        self._children = {h: tuple(c) for h, c in children.items()}
         self.terminals: tuple[History, ...] = tuple(
             h for h in self.histories if not self._children[h]
         )
@@ -206,19 +204,18 @@ class Structure:
             h for h in self.histories if self._children[h]
         )
         self._terminal_set = frozenset(self.terminals)
-        # Active players at h: key set of the first child's last move.  The
-        # validator checks that all children agree.
+        # Active players at h: every player in a child's last move, with the
+        # actions taken there.  The validator checks that all children agree.
         active: dict[History, tuple[str, ...]] = {}
         feasible: dict[tuple[History, str], tuple[str, ...]] = {}
         for h in self.nonterminals:
-            kids = self._children[h]
-            keys = tuple(sorted({p for kid in kids for p, _ in kid.moves[-1]}))
-            active[h] = keys
-            for p in keys:
-                acts = sorted(
-                    {dict(kid.moves[-1])[p] for kid in kids if p in dict(kid.moves[-1])}
-                )
-                feasible[(h, p)] = tuple(acts)
+            taken: dict[str, set[str]] = {}
+            for kid in self._children[h]:
+                for p, a in kid.moves[-1]:
+                    taken.setdefault(p, set()).add(a)
+            active[h] = tuple(sorted(taken))
+            for p, acts in taken.items():
+                feasible[(h, p)] = tuple(sorted(acts))
         self._active = active
         self._feasible = feasible
         index: dict[tuple[str, History], InfoSet] = {}

@@ -20,6 +20,7 @@ the file into a game.  '#' starts a comment outside quotes.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -36,16 +37,13 @@ class FormatError(EgsError):
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|\S+')
 
 
+# Runs of plain text and quoted spans (an unclosed one runs to the end of
+# the line); the match stops at the first '#' outside quotes.
+_BEFORE_COMMENT = re.compile(r'(?:[^"#]+|"[^"]*"?)*')
+
+
 def _strip_comment(line: str) -> str:
-    out = []
-    in_quote = False
-    for ch in line:
-        if ch == '"':
-            in_quote = not in_quote
-        if ch == "#" and not in_quote:
-            break
-        out.append(ch)
-    return "".join(out)
+    return _BEFORE_COMMENT.match(line).group()
 
 
 def _unquote(token: str, lineno: int) -> str:
@@ -154,7 +152,7 @@ def parse(text: str):
                 if not acts:
                     raise FormatError(lineno, f"player {pid} offers no actions")
                 pools.append([(pid, a) for a in acts])
-            for combo in _product(pools):
+            for combo in itertools.product(*pools):
                 child = h.extend(tuple(sorted(combo)))
                 histories[child.label()] = child
                 stack.append(child)
@@ -178,15 +176,14 @@ def parse(text: str):
         declared[pid].append(InfoSet(pid, tuple(members)))
         declared_members[pid].update(members)
 
-    skeleton = Structure(
-        players, {p: frozenset(a) for p, a in actions.items()},
-        histories.values(), {p: tuple(v) for p, v in declared.items()},
-    )
+    # A node line names the players active at its history; each such
+    # history no infoset line covers gets a singleton set.
     partitions = {p: list(declared[p]) for p in players}
-    for p in players:
-        for h in skeleton.player_histories(p):
-            if h not in declared_members[p]:
-                partitions[p].append(InfoSet(p, (h,)))
+    for label, (_, entries) in nodes.items():
+        h = histories[label]
+        for pid in {pid for pid, _ in entries}:
+            if pid in partitions and h not in declared_members[pid]:
+                partitions[pid].append(InfoSet(pid, (h,)))
     structure = Structure(
         players, {p: frozenset(a) for p, a in actions.items()},
         histories.values(), {p: tuple(v) for p, v in partitions.items()},
@@ -204,16 +201,6 @@ def parse(text: str):
                 raise FormatError(lineno, f"payoff for undeclared player {pid}")
             payoffs[pid][z] = v
     return Game(structure, payoffs)
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, *tail = pools
-    for a in head:
-        for rest in _product(tail):
-            yield (a,) + rest
 
 
 def _quote(label: str) -> str:

@@ -9,6 +9,7 @@ sets are measurable and disjoint across a player's sets for free.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,7 +108,7 @@ def _generate_once(params: GenParams, rng: random.Random) -> Structure | None:
         pools = [
             [(p, a) for a in groups[assignment[p]]["actions"]] for p in active
         ]
-        for combo in _product(pools):
+        for combo in itertools.product(*pools):
             child = h.extend(tuple(sorted(combo)))
             crossings[child] = {
                 p: crossings[h][p] + (((assignment[p], dict(combo)[p]),) if p in assignment else ())
@@ -131,16 +132,6 @@ def _generate_once(params: GenParams, rng: random.Random) -> Structure | None:
     if not report.ok:
         raise GenError(f"generator produced an invalid structure: {report}")
     return structure
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, *tail = pools
-    for a in head:
-        for rest in _product(tail):
-            yield (a,) + rest
 
 
 def random_payoffs(

@@ -83,41 +83,38 @@ def own_predecessor(structure: Structure, s: InfoSet) -> tuple[InfoSet, str] | N
     return experience(structure, s.owner, s.members[0]).last
 
 
-def minimal_own_sets(structure: Structure, player: str) -> tuple[InfoSet, ...]:
-    return tuple(
-        s for s in structure.partitions.get(player, ())
-        if own_predecessor(structure, s) is None
-    )
-
-
 def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
     """Enumerate the player's plans of action, lexicographically by
     information set and then action."""
     if player not in structure.players:
         raise EgsError(f"unknown player {player}")
-    blocks = structure.partitions.get(player, ())
+    # The partition is in _infoset_key order, and so is every list below.
+    minimal: list[InfoSet] = []
     successors: dict[tuple[InfoSet, str], list[InfoSet]] = {}
-    for s in blocks:
+    for s in structure.partitions.get(player, ()):
         pred = own_predecessor(structure, s)
-        if pred is not None:
+        if pred is None:
+            minimal.append(s)
+        else:
             successors.setdefault(pred, []).append(s)
-    for v in successors.values():
-        v.sort(key=_infoset_key)
 
-    def expand(frontier: tuple[InfoSet, ...]):
+    # Depth first on an explicit stack, so depth costs no recursion: each
+    # entry is the sets still to choose at, in key order, and the choices
+    # made so far; actions go on in reverse so they come off in order.
+    out = []
+    stack = [(tuple(minimal), ())]
+    while stack:
+        frontier, choices = stack.pop()
         if not frontier:
-            yield ()
-            return
+            out.append(Plan(player, choices))
+            continue
         head, rest = frontier[0], frontier[1:]
-        for action in structure.feasible_at(head):
+        for action in reversed(structure.feasible_at(head)):
             grown = tuple(sorted(
                 rest + tuple(successors.get((head, action), ())), key=_infoset_key
             ))
-            for tail in expand(grown):
-                yield ((head, action),) + tail
-
-    start = tuple(sorted(minimal_own_sets(structure, player), key=_infoset_key))
-    return tuple(Plan(player, choices) for choices in expand(start))
+            stack.append((grown, choices + ((head, action),)))
+    return tuple(out)
 
 
 def play(structure: Structure, profile: dict[str, Plan]) -> History:

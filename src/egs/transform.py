@@ -273,7 +273,7 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
                 + g.moves[m.length + 1:]
             forward[g] = (History(t.moves + (make_profile({**first, owner: taken}),) + tail),)
 
-    new_histories = sorted({h for imgs in forward.values() for h in imgs}, key=history_key)
+    new_histories = {h for imgs in forward.values() for h in imgs}
     infoset_map: dict[InfoSet, InfoSet] = {}
     partitions: dict[str, list[InfoSet]] = {p: [] for p in structure.players}
     for p in structure.players:

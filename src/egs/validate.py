@@ -209,9 +209,12 @@ def validate_structure(structure: Structure) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
 
-    # Perfect recall: experience constant on each information set.
+    # Perfect recall: experience constant on each information set, which a
+    # set with one member has by definition.
     for p in structure.players:
         for block in structure.partitions[p]:
+            if len(block.members) == 1:
+                continue
             base = experience(structure, p, block.members[0]).pair_set
             for m in block.members[1:]:
                 if experience(structure, p, m).pair_set != base:

@@ -9,6 +9,7 @@ interchanges, compactification bundles, and the dominance counterexample.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def build(players, nodes, blocks=()) -> Structure:
     for h, spec in nodes.items():
         histories.add(h)
         pools = [[(p, a) for a in acts] for p, acts in sorted(spec.items())]
-        for combo in _product(pools):
+        for combo in itertools.product(*pools):
             histories.add(h.extend(tuple(sorted(combo))))
     actions: dict[str, set] = {p: set() for p in players}
     for spec in nodes.values():
@@ -64,16 +65,6 @@ def build(players, nodes, blocks=()) -> Structure:
         players, {p: frozenset(a) for p, a in actions.items()},
         histories, {p: tuple(v) for p, v in partitions.items()},
     )
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    head, *tail = pools
-    for a in head:
-        for rest in _product(tail):
-            yield (a,) + rest
 
 
 # -- the section-2 reduction pair ------------------------------------------

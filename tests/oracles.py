@@ -626,3 +626,104 @@ def reduced_normal_form_reference(structure):
         profile = {p: plan_lists[i][combo[i]] for i, p in enumerate(structure.players)}
         rows.append((combo, term_index[play(structure, profile)]))
     return ReducedNormalForm(tuple(structure.players), plan_lists, terminals, tuple(rows))
+
+
+# -- derivations as the library made them before each was made once ---------
+#
+# The index derivation re-sorted every child list and rebuilt a child's last
+# move as a dict once per player; `plans` recursed once per choice; comments
+# were stripped character by character; perfect recall compared experiences
+# on every set, singletons included.  The tests hold the library to these,
+# order included.
+
+
+def indices_reference(structure):
+    """Child lists, terminals, nonterminals, active players and feasible
+    actions of the structure's histories."""
+    children = {h: [] for h in structure.histories}
+    for h in structure.histories:
+        if h.length and h.parent in children:
+            children[h.parent].append(h)
+    children = {h: tuple(sorted(c, key=history_key)) for h, c in children.items()}
+    active, feasible = {}, {}
+    for h in structure.histories:
+        kids = children[h]
+        if not kids:
+            continue
+        keys = tuple(sorted({p for kid in kids for p, _ in kid.moves[-1]}))
+        active[h] = keys
+        for p in keys:
+            feasible[(h, p)] = tuple(sorted(
+                {dict(kid.moves[-1])[p] for kid in kids if p in dict(kid.moves[-1])}
+            ))
+    return {
+        "children": children,
+        "terminals": tuple(h for h in structure.histories if not children[h]),
+        "nonterminals": tuple(h for h in structure.histories if children[h]),
+        "active": active,
+        "feasible": feasible,
+    }
+
+
+def plans_reference(structure, player):
+    """The recursive enumeration, lexicographic by set and then action."""
+    from egs.strategy import Plan, _infoset_key, own_predecessor
+
+    blocks = structure.partitions.get(player, ())
+    successors = {}
+    for s in blocks:
+        pred = own_predecessor(structure, s)
+        if pred is not None:
+            successors.setdefault(pred, []).append(s)
+    for v in successors.values():
+        v.sort(key=_infoset_key)
+
+    def expand(frontier):
+        if not frontier:
+            yield ()
+            return
+        head, rest = frontier[0], frontier[1:]
+        for action in structure.feasible_at(head):
+            grown = tuple(sorted(
+                rest + tuple(successors.get((head, action), ())), key=_infoset_key
+            ))
+            for tail in expand(grown):
+                yield ((head, action),) + tail
+
+    start = tuple(sorted(
+        (s for s in blocks if own_predecessor(structure, s) is None), key=_infoset_key
+    ))
+    return tuple(Plan(player, choices) for choices in expand(start))
+
+
+def strip_comment_reference(line):
+    """The line up to its first '#' outside double quotes."""
+    out = []
+    in_quote = False
+    for ch in line:
+        if ch == '"':
+            in_quote = not in_quote
+        if ch == "#" and not in_quote:
+            break
+        out.append(ch)
+    return "".join(out)
+
+
+def recall_violations_reference(structure):
+    """The perfect-recall witnesses with every set's experiences compared."""
+    from egs.validate import Violation, experience
+
+    out = []
+    for p in structure.players:
+        for block in structure.partitions[p]:
+            base = experience(structure, p, block.members[0]).pair_set
+            for m in block.members[1:]:
+                if experience(structure, p, m).pair_set != base:
+                    label = m.label() or "''"
+                    first = block.members[0].label() or "''"
+                    out.append(Violation(
+                        "perfect-recall",
+                        f"{p}'s experiences at {first} and {label} differ",
+                    ))
+                    break
+    return tuple(out)

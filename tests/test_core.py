@@ -37,7 +37,7 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import check_uo_pairwise, relation_pairwise
+from oracles import check_uo_pairwise, indices_reference, relation_pairwise
 
 
 def test_prefix_basics():
@@ -293,3 +293,45 @@ def test_order_index_answers_for_members_outside_the_tree():
                 for b in m.info_sets:
                     assert relation(m, a, b) == relation_pairwise(m, a, b)
             assert check_uo(m) == check_uo_pairwise(m)
+
+
+def _assert_indices_match(structure):
+    ref = indices_reference(structure)
+    assert structure._children == ref["children"]
+    assert structure.terminals == ref["terminals"]
+    assert structure.nonterminals == ref["nonterminals"]
+    assert structure._active == ref["active"]
+    assert structure._feasible == ref["feasible"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_ent())
+@example(g_absent_minded())
+def test_indices_match_the_reference(structure):
+    _assert_indices_match(structure)
+
+
+def test_indices_match_the_reference_on_malformed_structures():
+    g = g_red1()
+    ace = A.extend(make_profile({"1": "E", "2": "c"}))
+    h11, h12, h21, h22 = red1_infosets(g)
+    stray = path({"1": "Z"})
+    malformed = [
+        # a missing parent: A's children stay, A does not
+        Structure(g.players, g.actions, [h for h in g.histories if h != A], g.partitions),
+        # children that disagree on who moves: A/E alone, beside A/(E,c)
+        Structure(
+            g.players, g.actions, g.histories + (A.extend(make_profile({"1": "E"})),),
+            g.partitions,
+        ),
+        # a partition member outside the tree
+        Structure(
+            g.players, g.actions, g.histories,
+            {**g.partitions, "2": (h21, InfoSet("2", (stray,)))},
+        ),
+    ]
+    for m in malformed:
+        _assert_indices_match(m)
+    assert ace in malformed[0].terminals
+    assert malformed[1].active(A) == ("1", "2")

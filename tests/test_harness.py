@@ -2,16 +2,24 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egs import (
+    ROOT,
     FormatError,
     Game,
+    InfoSet,
+    Structure,
     GenError,
     GenParams,
     check_uo,
     check_vnm,
     gen_random,
+    make_profile,
     parse,
     random_payoffs,
     serialize,
@@ -19,7 +27,9 @@ from egs import (
     validate_structure,
 )
 
-from fixtures import g_chain, g_red1, game_nul, g_sim
+from corpus import profile_count, seeded_structures
+from fixtures import g_chain, g_red1, game_nul, g_sim, path
+from oracles import strip_comment_reference
 
 
 def test_round_trip_fixtures():
@@ -97,6 +107,64 @@ def test_parse_bad_rational():
     text = "egs 1\nplayer 1 actions a,b\nnode \"\" 1:a|b\npayoff \"a\" 1=1/0\n"
     with pytest.raises(FormatError):
         parse(text)
+
+
+def test_parse_gives_singletons_to_histories_no_infoset_line_covers():
+    text = """
+egs 1
+player 1 actions a,b,c,d
+player 2 actions x,y
+node "" 1:a|b
+node "a" 2:x|y
+node "b" 2:x|y
+node "a/x" 1:c|d
+node "b/x" 1:c|d 3:p|q
+infoset 1 {"a/x","b/x"}
+infoset 2 {"a"}
+"""
+    g = parse(text)
+    a, b = path({"1": "a"}), path({"1": "b"})
+    ax = a.extend(make_profile({"2": "x"}))
+    bx = b.extend(make_profile({"2": "x"}))
+    assert g.partitions == {
+        "1": (InfoSet("1", (ROOT,)), InfoSet("1", (ax, bx))),
+        "2": (InfoSet("2", (a,)), InfoSet("2", (b,))),
+    }
+    # the undeclared player 3 moves at b/x but gets no partition
+    assert g.active(bx) == ("1", "3")
+
+
+def test_parse_builds_one_structure(monkeypatch):
+    texts = serialize(g_red1()), serialize(game_nul())
+    built = []
+    init = Structure.__init__
+    monkeypatch.setattr(
+        Structure, "__init__", lambda self, *args: built.append(1) or init(self, *args)
+    )
+    for k, text in enumerate(texts, start=1):
+        parse(text)
+        assert len(built) == k
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32))
+def test_round_trip_is_byte_identical_on_the_corpus(g, seed):
+    text = serialize(g)
+    assert parse(text) == g and serialize(parse(text)) == text
+    if profile_count(g) > 2000:
+        return  # a game's utility lists hold one entry per plan profile
+    game = Game(g, random_payoffs(g, random.Random(seed)))
+    text = serialize(game)
+    again = parse(text)
+    assert again.payoffs == game.payoffs and serialize(again) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet='a"#\\ /()', max_size=40))
+def test_strip_comment_matches_the_character_loop(line):
+    from egs.fileformat import _strip_comment
+
+    assert _strip_comment(line) == strip_comment_reference(line)
 
 
 def test_gen_deterministic():

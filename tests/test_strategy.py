@@ -47,6 +47,7 @@ from fixtures import (
     data_pair,
     g_absent_minded,
     g_chain,
+    g_deep_chain,
     g_ladder,
     g_red1,
     g_red2,
@@ -54,7 +55,7 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import rnf_certificate_ok, rnf_isomorphic_brute
+from oracles import plans_reference, rnf_certificate_ok, rnf_isomorphic_brute
 
 
 def brute_force_plans(structure, player):
@@ -155,6 +156,35 @@ def test_plans_match_brute_force_on_fixtures_and_corpus():
             assert set(plans(structure, p)) == brute_force_plans(structure, p)
             checked += 1
     assert checked >= 15
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+def test_plans_match_the_recursive_reference(structure):
+    for p in structure.players:
+        assert plans(structure, p) == plans_reference(structure, p)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_plans_of_a_deep_chain_need_no_recursion():
+    g = g_deep_chain(300)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        got = plans(g, "1")
+        # the limit is low enough to stop the recursive enumeration
+        with pytest.raises(RecursionError):
+            plans_reference(g, "1")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == plans_reference(g, "1")
+    assert len(got) == 301
 
 
 def test_play_red1():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from egs import (
@@ -12,12 +14,15 @@ from egs import (
     validate_structure,
 )
 
+import egs.validate
+import fixtures
 from corpus import uo_corpus
 from fixtures import (
     A,
     O,
     g_absent_minded,
     g_chain,
+    g_deep_chain,
     g_ent,
     g_kms,
     g_red1,
@@ -26,6 +31,7 @@ from fixtures import (
     path,
     red1_infosets,
 )
+from oracles import recall_violations_reference
 
 
 def test_experience_red1():
@@ -147,3 +153,42 @@ def test_recall_no_double_crossing():
                 pairs = experience(structure, p, z).pairs
                 crossed = [s for s, _ in pairs]
                 assert len(crossed) == len(set(crossed))
+
+
+def test_perfect_recall_reads_no_experience_of_a_singleton_set(monkeypatch):
+    calls = []
+    real = egs.validate.experience
+    monkeypatch.setattr(
+        egs.validate, "experience", lambda *args: calls.append(args) or real(*args)
+    )
+    assert validate_structure(g_deep_chain(200)).ok
+    assert calls == []
+    # a set with two members still compares them
+    assert validate_structure(g_absent_minded()).axioms() == ("perfect-recall",)
+    assert len(calls) == 2
+
+
+def _assert_recall_matches_the_reference(structure):
+    report = validate_structure(structure)
+    if any(v.axiom != "perfect-recall" for v in report.violations):
+        return  # recall is checked only on an otherwise valid structure
+    assert report.violations == recall_violations_reference(structure)
+
+
+def test_recall_verdicts_match_the_reference_on_fixtures():
+    for name, builder in sorted(vars(fixtures).items()):
+        if name.startswith("g_") and not inspect.signature(builder).parameters:
+            _assert_recall_matches_the_reference(builder())
+    # O forgets its own move u: {a/q, b/r/u} has two members, two experiences
+    aq = path({"X": "a"}, {"P": "q"})
+    bp = path({"X": "b"}, {"P": "r"})
+    bpu = bp.extend(make_profile({"O": "u"}))
+    forgetful = fixtures.build(
+        ["P", "O", "X"],
+        {ROOT: {"X": ["a", "b"]}, path({"X": "a"}): {"P": ["p", "q"]},
+         path({"X": "b"}): {"P": ["r", "s"]}, aq: {"O": ["c", "d"]},
+         bp: {"O": ["u", "v"]}, bpu: {"O": ["c", "d"]}},
+        blocks=[("O", [aq, bpu])],
+    )
+    assert validate_structure(forgetful).axioms() == ("perfect-recall",)
+    _assert_recall_matches_the_reference(forgetful)
