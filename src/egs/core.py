@@ -5,19 +5,21 @@ moves at that point to the action she takes, so simultaneous moves need no
 component ordering.  A structure bundles the player set, the per-player
 action alphabets, a prefix-closed history set, and per-player information
 partitions.  Everything derived (terminals, active players, feasible
-actions, subtree terminal sets) is computed once and cached; all values are
-immutable and safe to share across threads.
+actions, subtree terminal sets, transitive-simultaneity classes) is
+computed once per structure and cached; all values are immutable and safe
+to share across threads.
 
-The order-and-control index is derived the same way, lazily, on first use:
-one walk from the root records, for each information set, the sets with a
-member strictly before one of its members, and for each anchor strictly
-before a member at which the set's owner is inactive, the members below
-it.  The terminal set reached by each action at each set is memoised and
-filed by (owner, terminal set).  Order
-relations, the unambiguous-ordering check, coalescing and
-interchange/simultanizing discovery read these instead of scanning pairs.
-Histories and information sets compute their hash once, at construction,
-so every lookup costs O(1) rather than O(depth).
+Terminal sets are int bitsets over positions in `terminals`, filled for
+every history in one pass from the last nonterminal back (a child sorts
+after its parent); the public queries decode them to frozensets.  The
+order-and-control index is derived lazily: one walk from the root records
+each set's earlier sets (those with a member strictly before one of its
+members) as a bitset over positions in `info_sets`, and for each anchor
+strictly before a member at which the set's owner is inactive, the members
+below it.  Each (set, action) terminal mask is filed by (owner, mask).
+Order relations, the UO check, coalescing and IS discovery test these bits
+instead of scanning pairs.  Histories and information sets hash once, at
+construction, so every lookup costs O(1) rather than O(depth).
 """
 
 from __future__ import annotations
@@ -230,11 +232,13 @@ class Structure:
         self._info_set_set = frozenset(
             s for p, blocks in self.partitions.items() for s in blocks if s.owner == p
         )
-        self._z_cache: dict[History, frozenset[History]] = {}
-        self._za_cache: dict[tuple[InfoSet, str], frozenset[History]] = {}
-        self._earlier: dict[InfoSet, frozenset[InfoSet]] | None = None
+        self._position = {s: i for i, s in enumerate(self.info_sets)}
+        self._z: dict[History, int] | None = None
+        self._za_cache: dict[InfoSet, dict[str, int]] = {}
+        self._earlier: dict[InfoSet, int] | None = None
         self._below: dict[tuple[InfoSet, History], tuple[History, ...]] | None = None
-        self._links: dict | None = None
+        self._links: dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]] | None = None
+        self._sim_classes: tuple[tuple[InfoSet, ...], ...] | None = None
         self._plan_space = None  # strategy.plan_space fills it on first use
 
     # -- basic queries -------------------------------------------------
@@ -282,54 +286,64 @@ class Structure:
 
     # -- subtree terminal sets ------------------------------------------
 
+    def _terminal_masks(self) -> dict[History, int]:
+        """Z(h) of every history as a bitset over positions in `terminals`,
+        filled from the last nonterminal back: a child sorts after its
+        parent."""
+        if self._z is None:
+            z = {t: 1 << i for i, t in enumerate(self.terminals)}
+            for h in reversed(self.nonterminals):
+                # the children's subtrees are disjoint, so their sum is their union
+                z[h] = sum(z[c] for c in self._children[h])
+            self._z = z
+        return self._z
+
+    def _terminal_mask_set(self, hs) -> int:
+        z = self._terminal_masks()
+        mask = 0
+        for h in hs:
+            if h not in z:
+                raise EgsError(f"{h.label()!r} is not a history of this structure")
+            mask |= z[h]
+        return mask
+
+    def _action_mask(self, s: InfoSet, action: str) -> int:
+        """Z(h_i a_i) as a mask; one pass over the children of s's members
+        fills the masks of all its actions."""
+        masks = self._za_cache.get(s)
+        if masks is None:
+            z = self._terminal_masks()
+            masks = self._za_cache[s] = {}
+            for m in s.members:
+                for kid in self._children[m]:
+                    for p, a in kid.moves[-1]:
+                        if p == s.owner:
+                            masks[a] = masks.get(a, 0) | z[kid]
+        return masks.get(action, 0)
+
+    def _decode(self, mask: int) -> frozenset[History]:
+        return frozenset(t for i, t in enumerate(self.terminals) if mask >> i & 1)
+
     def terminals_below(self, h: History) -> frozenset[History]:
         """Z(h): terminals reachable from h."""
-        z = self._z_cache
-        cached = z.get(h)
-        if cached is not None:
-            return cached
-        if h not in self._hist_set:
-            raise EgsError(f"{h.label()!r} is not a history of this structure")
-        # Post-order over the subtree, so depth costs no recursion.
-        stack = [(h, False)]
-        while stack:
-            g, expanded = stack.pop()
-            if g in z:
-                continue
-            kids = self._children[g]
-            if not kids:
-                z[g] = frozenset((g,))
-            elif expanded:
-                z[g] = frozenset().union(*(z[c] for c in kids))
-            else:
-                stack.append((g, True))
-                stack.extend((c, False) for c in kids if c not in z)
-        return z[h]
+        return self._decode(self._terminal_mask_set((h,)))
 
     def terminals_below_set(self, hs) -> frozenset[History]:
         """Z(U) for a set of histories."""
-        zs = [self.terminals_below(h) for h in hs]
-        return zs[0] if len(zs) == 1 else frozenset().union(*zs)
+        return self._decode(self._terminal_mask_set(hs))
 
     def terminals_after_action(self, s: InfoSet, action: str) -> frozenset[History]:
         """Z(h_i a_i): terminals reached when the owner picks `action` at s."""
-        key = (s, action)
-        out = self._za_cache.get(key)
-        if out is None:
-            kids = [
-                kid for m in s.members for kid in self._children[m]
-                if (s.owner, action) in kid.moves[-1]
-            ]
-            out = self._za_cache[key] = self.terminals_below_set(kids)
-        return out
+        return self._decode(self._action_mask(s, action))
 
     # -- order and control index ----------------------------------------
 
-    def _earlier_sets(self, s: InfoSet) -> frozenset[InfoSet]:
-        """The information sets with a member strictly before a member of s."""
+    def _earlier_masks(self) -> dict[InfoSet, int]:
+        """For each set s, the information sets with a member strictly
+        before a member of s, as a bitset over positions in `info_sets`."""
         if self._earlier is None:
             self._walk_order()
-        return self._earlier[s]
+        return self._earlier
 
     def _anchored_members(self) -> dict[tuple[InfoSet, History], tuple[History, ...]]:
         """For each (s, anchor) with the anchor strictly before a member of s
@@ -345,25 +359,27 @@ class Structure:
         for s in self.info_sets:
             for m in s.members:
                 sets_at.setdefault(m, []).append(s)
-        earlier: dict[InfoSet, set[InfoSet]] = {s: set() for s in self.info_sets}
+        position = self._position
+        earlier = dict.fromkeys(self.info_sets, 0)
         below: dict[tuple[InfoSet, History], list[History]] = {}
         active = self._active
         path: list[History] = []
-        path_sets: list[list[InfoSet]] = []
+        seen = [0]  # seen[d]: the sets with a member among path[:d]
         unreached = dict(sets_at)
         stack = [ROOT] if ROOT in self._hist_set else []
         while stack:
             h = stack.pop()
             depth = len(h.moves)
-            del path[depth:], path_sets[depth:]
-            here = unreached.pop(h, ())
-            for s in here:
-                earlier[s].update(*path_sets)
+            del path[depth:], seen[depth + 1:]
+            before = here = seen[depth]
+            for s in unreached.pop(h, ()):
+                earlier[s] |= before
+                here |= 1 << position[s]
                 for g in path:
                     if s.owner not in active[g]:
                         below.setdefault((s, g), []).append(h)
             path.append(h)
-            path_sets.append(here)
+            seen.append(here)
             stack.extend(reversed(self._children[h]))
         # Members the walk cannot reach (a malformed tree) are read prefix by
         # prefix, so the index answers for every partition it is given.
@@ -371,24 +387,21 @@ class Structure:
             for n in range(h.length):
                 g = h.prefix(n)
                 for s in here:
-                    earlier[s].update(sets_at.get(g, ()))
+                    for t in sets_at.get(g, ()):
+                        earlier[s] |= 1 << position[t]
                     if self._children.get(g) and s.owner not in active[g]:
                         below.setdefault((s, g), []).append(h)
-        self._earlier = {s: frozenset(e) for s, e in earlier.items()}
+        self._earlier = earlier
         self._below = {k: tuple(v) for k, v in below.items()}
 
-    def _controllers(
-        self, owner: str, z: frozenset[History]
-    ) -> tuple[tuple[InfoSet, str], ...]:
+    def _controllers(self, owner: str, z: int) -> tuple[tuple[InfoSet, str], ...]:
         """The (set, action) pairs of the owner, in set then action order,
-        whose action reaches exactly the terminals z."""
+        whose action reaches exactly the terminals of the mask z."""
         if self._links is None:
-            links: dict[tuple[str, frozenset[History]], list[tuple[InfoSet, str]]] = {}
+            links: dict[tuple[str, int], list[tuple[InfoSet, str]]] = {}
             for s in self.info_sets:
                 for a in self.feasible_at(s):
-                    links.setdefault(
-                        (s.owner, self.terminals_after_action(s, a)), []
-                    ).append((s, a))
+                    links.setdefault((s.owner, self._action_mask(s, a)), []).append((s, a))
             self._links = {k: tuple(v) for k, v in links.items()}
         return self._links.get((owner, z), ())
 
@@ -434,10 +447,11 @@ def relation(structure: Structure, a: InfoSet, b: InfoSet) -> RelationSet:
     """Compute which of <, ~, > hold between two information sets of G."""
     structure.require_info_set(a)
     structure.require_info_set(b)
+    earlier, position = structure._earlier_masks(), structure._position
     return RelationSet(
-        before=a in structure._earlier_sets(b),
+        before=bool(earlier[b] >> position[a] & 1),
         simultaneous=not a.member_set.isdisjoint(b.members),
-        after=b in structure._earlier_sets(a),
+        after=bool(earlier[a] >> position[b] & 1),
     )
 
 
@@ -490,23 +504,21 @@ def sim_classes(structure: Structure) -> tuple[tuple[InfoSet, ...], ...]:
     """Partition all information sets into transitive-simultaneity classes.
 
     All members of one information set land in one history class, so each
-    set belongs to exactly one class.
+    set belongs to exactly one class.  Computed once per structure.
     """
-    idx = _sim_class_index(structure)
-    by_class: dict[int, list[InfoSet]] = {}
-    for s in structure.info_sets:
-        c = idx[s.members[0]]
-        by_class.setdefault(c, []).append(s)
-    ordered = []
-    for c in sorted(
-        by_class,
-        key=lambda c: min(
-            tuple(history_key(m) for m in s.members) for s in by_class[c]
-        ),
-    ):
-        ordered.append(tuple(sorted(
-            by_class[c], key=lambda s: (s.owner, tuple(history_key(m) for m in s.members))
-        )))
-    return tuple(ordered)
+    if structure._sim_classes is None:
+        idx = _sim_class_index(structure)
+        by_class: dict[int, list[InfoSet]] = {}
+        for s in structure.info_sets:
+            by_class.setdefault(idx[s.members[0]], []).append(s)
 
+        def members_key(s: InfoSet):
+            return tuple(history_key(m) for m in s.members)
 
+        structure._sim_classes = tuple(
+            tuple(sorted(group, key=lambda s: (s.owner, members_key(s))))
+            for group in sorted(
+                by_class.values(), key=lambda group: min(map(members_key, group))
+            )
+        )
+    return structure._sim_classes

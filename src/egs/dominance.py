@@ -301,12 +301,12 @@ class BdTrace:
 def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ...]]:
     """For each set h, the sets g with g weakly following h (g >= h in the
     elimination sense: h < g or h ~ g), read from the order index."""
-    sets = structure.info_sets
+    sets, earlier, position = structure.info_sets, structure._earlier_masks(), structure._position
     members = {s: s.member_set for s in sets}
     return {
         s: tuple(
             t for t in sets
-            if s in structure._earlier_sets(t) or not members[s].isdisjoint(t.members)
+            if earlier[t] >> position[s] & 1 or not members[s].isdisjoint(t.members)
         )
         for s in sets
     }

@@ -46,6 +46,15 @@ def _strip_comment(line: str) -> str:
     return _BEFORE_COMMENT.match(line).group()
 
 
+def _action_names(names: list[str], lineno: int) -> list[str]:
+    """The non-empty names, none holding history-label syntax: such an
+    action would give two histories one label."""
+    for a in names:
+        if re.search(r'[/(),="]', a):
+            raise FormatError(lineno, f'action {a!r} contains one of / ( ) , = "')
+    return [a for a in names if a]
+
+
 def _unquote(token: str, lineno: int) -> str:
     if len(token) < 2 or token[0] != '"' or token[-1] != '"':
         raise FormatError(lineno, f"expected a quoted history, got {token}")
@@ -93,7 +102,7 @@ def parse(text: str):
             if pid in actions:
                 raise FormatError(lineno, f"player {pid} declared twice")
             players.append(pid)
-            actions[pid] = {a for a in tokens[3].split(",") if a}
+            actions[pid] = set(_action_names(tokens[3].split(","), lineno))
         elif kind == "node":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: node \"<history>\" pid:a|b ...")
@@ -103,7 +112,7 @@ def parse(text: str):
                 if ":" not in tok:
                     raise FormatError(lineno, f"expected pid:a|b|..., got {tok}")
                 pid, acts = tok.split(":", 1)
-                specs.append((pid, [a for a in acts.split("|") if a]))
+                specs.append((pid, _action_names(acts.split("|"), lineno)))
             if label in nodes:
                 raise FormatError(lineno, f"node {label!r} declared twice")
             nodes[label] = (lineno, specs)

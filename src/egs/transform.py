@@ -145,9 +145,9 @@ def controls(structure: Structure, base: InfoSet, mover: InfoSet) -> str | None:
     structure.require_info_set(mover)
     if base == mover:
         return None
-    target = structure.terminals_below_set(mover.members)
+    target = structure._terminal_mask_set(mover.members)
     for action in structure.feasible_at(base):
-        if structure.terminals_after_action(base, action) == target:
+        if structure._action_mask(base, action) == target:
             return action
     return None
 
@@ -159,7 +159,7 @@ def dictates(structure: Structure, anchor: History, members, owner: str) -> bool
     members = tuple(members)
     if not members:
         return False
-    return structure.terminals_below(anchor) == structure.terminals_below_set(members)
+    return structure._terminal_mask_set((anchor,)) == structure._terminal_mask_set(members)
 
 
 # -- opportunity discovery ----------------------------------------------
@@ -173,7 +173,7 @@ def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
     out = []
     for p in structure.players:
         for mover in structure.partitions.get(p, ()):
-            target = structure.terminals_below_set(mover.members)
+            target = structure._terminal_mask_set(mover.members)
             for base, link in structure._controllers(p, target):
                 if base != mover:
                     out.append(CoalescingOpp(p, base, mover, link))

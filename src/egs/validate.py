@@ -232,16 +232,18 @@ def check_uo(structure: Structure) -> tuple[bool, tuple[InfoSet, InfoSet] | None
     sets = structure.info_sets
     for s in sets:
         structure.require_info_set(s)
-    position = {s: i for i, s in enumerate(sets)}
+    earlier, position = structure._earlier_masks(), structure._position
     for a in sets:
         # Each offending b has a member before one of a's and vice versa;
-        # one placed before a would have been reported with a already.
-        offending = [
-            position[b] for b in structure._earlier_sets(a)
-            if a in structure._earlier_sets(b)
-        ]
-        if offending:
-            return False, (a, sets[min(offending)])
+        # one placed before a would have been reported with a already.  The
+        # bits run in position order, so the first offender is the least.
+        bit, rest = 1 << position[a], earlier[a]
+        while rest:
+            low = rest & -rest
+            b = sets[low.bit_length() - 1]
+            if earlier[b] & bit:
+                return False, (a, b)
+            rest ^= low
     return True, None
 
 

@@ -727,3 +727,27 @@ def recall_violations_reference(structure):
                     ))
                     break
     return tuple(out)
+
+
+def terminals_reference(structure):
+    """Z(h) of every history, by recursion over the children, and Z(h_i a_i)
+    of every feasible action at every set whose members are all histories,
+    as frozensets of terminals."""
+
+    def below(h):
+        kids = structure.children(h)
+        if not kids:
+            return frozenset((h,))
+        return frozenset().union(*(below(k) for k in kids))
+
+    z = {h: below(h) for h in structure.histories}
+    after = {}
+    for s in structure.info_sets:
+        if not all(structure.has_history(m) for m in s.members):
+            continue
+        for a in structure.feasible_at(s):
+            after[(s, a)] = frozenset().union(*(
+                z[k] for m in s.members for k in structure.children(m)
+                if (s.owner, a) in k.moves[-1]
+            ))
+    return z, after

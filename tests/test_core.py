@@ -1,23 +1,29 @@
 import dataclasses
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import egs
 from egs import (
+    CoalescingOpp,
     EgsError,
     History,
     InfoSet,
     ROOT,
     Structure,
+    apply_coalescing,
+    apply_is,
     check_uo,
     is_prefix,
     make_profile,
+    minimize_uo,
     relation,
     sim_classes,
     transitively_simultaneous,
@@ -37,7 +43,13 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import check_uo_pairwise, indices_reference, relation_pairwise
+from egs.transform import _available_reductions
+from oracles import (
+    check_uo_pairwise,
+    indices_reference,
+    relation_pairwise,
+    terminals_reference,
+)
 
 
 def test_prefix_basics():
@@ -333,5 +345,55 @@ def test_indices_match_the_reference_on_malformed_structures():
     ]
     for m in malformed:
         _assert_indices_match(m)
+        _assert_terminals_match(m)
     assert ace in malformed[0].terminals
     assert malformed[1].active(A) == ("1", "2")
+    for query in (
+        lambda m: m.terminals_below(stray),
+        lambda m: m.terminals_below_set((ROOT, stray)),
+    ):
+        with pytest.raises(EgsError, match="'Z' is not a history of this structure"):
+            query(malformed[2])
+    with pytest.raises(EgsError, match="'A' is not a history"):
+        malformed[0].terminals_below(A)
+
+
+def _assert_terminals_match(structure):
+    below, after = terminals_reference(structure)
+    for h, z in below.items():
+        assert structure.terminals_below(h) == z
+    for (s, a), z in after.items():
+        assert structure.terminals_after_action(s, a) == z
+    for s in structure.info_sets:
+        if all(structure.has_history(m) for m in s.members):
+            assert structure.terminals_below_set(s.members) == frozenset().union(
+                *(below[m] for m in s.members)
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_ent())
+@example(g_absent_minded())
+# both players name an action c: a mask must follow the owner's c only
+@example(egs.parse('egs 1\nplayer 1 actions c,d\nplayer 2 actions c,d\nnode "" 1:c|d 2:c|d\n'))
+def test_terminal_sets_match_the_reference(structure):
+    _assert_terminals_match(structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32 - 1))
+def test_terminal_sets_match_the_reference_along_a_minimisation(structure, seed):
+    # every structure of the walk but the first is built by one lift
+    assume(check_uo(structure)[0])
+    rng = random.Random(seed)
+    current = structure
+    while True:
+        _assert_terminals_match(current)
+        opps = _available_reductions(current)
+        if not opps:
+            break
+        opp = opps[rng.randrange(len(opps))]
+        apply = apply_coalescing if isinstance(opp, CoalescingOpp) else apply_is
+        current, _ = apply(current, opp)
+    assert current == minimize_uo(structure, rng=random.Random(seed))

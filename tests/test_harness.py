@@ -103,6 +103,22 @@ def test_parse_unreachable_node():
     assert "reachable" in str(err.value)
 
 
+def test_parse_rejects_an_action_name_with_label_syntax():
+    # "a/b" would be the label of the history a then b: the two collided
+    text = 'egs 1\nplayer 1 actions a,b,c,x\nnode "" 1:a/b|a|x\nnode "a" 1:b|c\n'
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert err.value.line == 3 and "'a/b'" in str(err.value)
+    for ch in '/(),="':
+        with pytest.raises(FormatError) as err:
+            parse(f'egs 1\nplayer 1 actions a,b\nnode "" 1:a|b{ch}c\n')
+        assert err.value.line == 3
+        if ch != ",":  # the player line splits its actions on commas
+            with pytest.raises(FormatError) as err:
+                parse(f'egs 1\nplayer 1 actions a,b{ch}c\nnode "" 1:a|b\n')
+            assert err.value.line == 2
+
+
 def test_parse_bad_rational():
     text = "egs 1\nplayer 1 actions a,b\nnode \"\" 1:a|b\npayoff \"a\" 1=1/0\n"
     with pytest.raises(FormatError):
