@@ -9,14 +9,21 @@ actions, subtree terminal sets, transitive-simultaneity classes) is
 computed once per structure and cached; all values are immutable and safe
 to share across threads.
 
-Terminal sets are int bitsets over positions in `terminals`, filled for
-every history in one pass from the last nonterminal back (a child sorts
-after its parent); the public queries decode them to frozensets.  The
-order-and-control index is derived lazily: one walk from the root records
-each set's earlier sets (those with a member strictly before one of its
-members) as a bitset over positions in `info_sets`, and for each anchor
-strictly before a member at which the set's owner is inactive, the members
-below it.  Each (set, action) terminal mask is filed by (owner, mask).
+Terminal sets are int bitsets with one bit per terminal, in the order
+`_bits`: a fresh build numbers the terminals in history order and fills
+every history's set on first use, from the last nonterminal back (a child
+sorts after its parent); the public queries decode them to frozensets.
+A reduction step edits its predecessor instead (see `_build_indices`): it
+keeps every history, information set and index entry outside the
+rewritten subtrees, gives each terminal's image the terminal's bit, and
+indexes only the images and the histories just above them, so the
+terminal sets of kept histories and the action masks of untouched sets
+carry over unchanged.  The order-and-control index is derived lazily and
+rebuilt by every structure: one walk from the root records each set's
+earlier sets (those with a member strictly before one of its members) as
+a bitset over positions in `info_sets`, and for each anchor strictly
+before a member at which the set's owner is inactive, the members below
+it.  Each (set, action) terminal mask is filed by (owner, mask).
 Order relations, the UO check, coalescing and IS discovery test these bits
 instead of scanning pairs.  Histories and information sets hash once, at
 construction, so every lookup costs O(1) rather than O(depth).
@@ -124,6 +131,8 @@ class InfoSet:
         if not ordered:
             raise EgsError("an information set needs at least one member")
         object.__setattr__(self, "_hash", hash((self.owner, ordered)))
+        # the order of blocks in a partition, kept like the hash
+        object.__setattr__(self, "_members_key", tuple(h.moves for h in ordered))
 
     def __hash__(self) -> int:
         return self._hash
@@ -162,12 +171,18 @@ def history_key(h: History):
     return h.moves
 
 
+def _members_key(s: InfoSet):
+    return s._members_key
+
+
 class Structure:
     """An extensive game structure: players, actions, histories, partitions.
 
     The constructor canonicalises its inputs and builds derived indices
     defensively, so malformed data can still be represented and then
-    reported on by the validator rather than raising here.
+    reported on by the validator rather than raising here.  `_edit` is
+    private to `transform._lift`, which builds a successor by editing its
+    predecessor (see `_build_indices`).
     """
 
     def __init__(
@@ -176,56 +191,15 @@ class Structure:
         actions: dict[str, frozenset[str]],
         histories,
         partitions: dict[str, tuple[InfoSet, ...]] | dict[str, list[InfoSet]],
+        _edit=None,
     ):
         self.players: tuple[str, ...] = tuple(players)
         self.actions: dict[str, frozenset[str]] = {
             p: frozenset(a) for p, a in actions.items()
         }
-        hist = sorted(set(histories), key=history_key)
-        self.histories: tuple[History, ...] = tuple(hist)
-        self._hist_set = frozenset(hist)
         self.partitions: dict[str, tuple[InfoSet, ...]] = {
-            p: tuple(sorted(blocks, key=lambda s: tuple(history_key(m) for m in s.members)))
-            for p, blocks in partitions.items()
+            p: tuple(sorted(blocks, key=_members_key)) for p, blocks in partitions.items()
         }
-        self._build_indices()
-
-    def _build_indices(self) -> None:
-        by_moves = {h.moves: h for h in self.histories}
-        children: dict[History, list[History]] = {h: [] for h in self.histories}
-        for h in self.histories:
-            parent = by_moves.get(h.moves[:-1]) if h.moves else None
-            if parent is not None:
-                children[parent].append(h)
-        # appended in history order, so each child list is already sorted
-        self._children = {h: tuple(c) for h, c in children.items()}
-        self.terminals: tuple[History, ...] = tuple(
-            h for h in self.histories if not self._children[h]
-        )
-        self.nonterminals: tuple[History, ...] = tuple(
-            h for h in self.histories if self._children[h]
-        )
-        self._terminal_set = frozenset(self.terminals)
-        # Active players at h: every player in a child's last move, with the
-        # actions taken there.  The validator checks that all children agree.
-        active: dict[History, tuple[str, ...]] = {}
-        feasible: dict[tuple[History, str], tuple[str, ...]] = {}
-        for h in self.nonterminals:
-            taken: dict[str, set[str]] = {}
-            for kid in self._children[h]:
-                for p, a in kid.moves[-1]:
-                    taken.setdefault(p, set()).add(a)
-            active[h] = tuple(sorted(taken))
-            for p, acts in taken.items():
-                feasible[(h, p)] = tuple(sorted(acts))
-        self._active = active
-        self._feasible = feasible
-        index: dict[tuple[str, History], InfoSet] = {}
-        for p, blocks in self.partitions.items():
-            for block in blocks:
-                for m in block.members:
-                    index[(p, m)] = block
-        self._infoset_index = index
         self.info_sets: tuple[InfoSet, ...] = tuple(
             s for p in self.players for s in self.partitions.get(p, ())
         )
@@ -233,13 +207,159 @@ class Structure:
             s for p, blocks in self.partitions.items() for s in blocks if s.owner == p
         )
         self._position = {s: i for i, s in enumerate(self.info_sets)}
-        self._z: dict[History, int] | None = None
-        self._za_cache: dict[InfoSet, dict[str, int]] = {}
         self._earlier: dict[InfoSet, int] | None = None
         self._below: dict[tuple[InfoSet, History], tuple[History, ...]] | None = None
         self._links: dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]] | None = None
         self._sim_classes: tuple[tuple[InfoSet, ...], ...] | None = None
         self._plan_space = None  # strategy.plan_space fills it on first use
+        histories = set(histories)
+        if _edit is None or not self._build_indices(histories, *_edit):
+            self._build_indices(histories)
+
+    def _build_indices(self, histories: set, pred=None, region=None, forward=None) -> bool:
+        """Index the histories and information sets: history order, child
+        lists, active players, feasible actions, Z(h) masks and the set of
+        each (player, member).
+
+        With no predecessor every history and set is new, and a terminal's
+        bit is its position in `terminals`.  An edit (`_lift` passes its
+        predecessor; the region, which maps each rewritten history, whole
+        subtrees, to the kept top above it; and forward) keeps every entry
+        outside the region and indexes only the region's images and the
+        tops, each image terminal taking the bit of the terminal it replaces.
+        It returns False, and the caller builds afresh, where it could not
+        give what a fresh build gives: an image equal to a kept history, an
+        image whose parent is neither an image nor a top, a terminal without
+        one terminal image of its own, overlapping blocks, or a predecessor
+        that is not a tree.
+        """
+        if pred is None:
+            new, tops, region = sorted(histories, key=history_key), (), {}
+            children, active, feasible, index = {}, {}, {}, {}
+            blocks = [(p, s) for p, bs in self.partitions.items() for s in bs]
+        else:
+            images = {h for g in region for h in forward[g]}
+            tops = set(region.values())
+            if (
+                not pred._regular
+                or len(histories) != len(pred.histories) - len(region) + len(images)
+                or not region.keys().isdisjoint(tops)
+            ):
+                return False
+            new = sorted(images, key=history_key)
+            children, active, feasible = (
+                dict(pred._children), dict(pred._active), dict(pred._feasible)
+            )
+            z, bits, bit_of = dict(pred._terminal_masks()), list(pred._bits), {}
+            # A top's entries are recomputed below.  Its players all stay
+            # active (the region's roots gain only the owner), so none of its
+            # entries goes stale.
+            for g in region:
+                mask = z.pop(g)
+                if children.pop(g):
+                    for p in active.pop(g):
+                        del feasible[(g, p)]
+                    continue
+                img = forward[g]
+                if len(img) != 1 or img[0] in bit_of:
+                    return False
+                bit_of[img[0]] = mask
+                bits[mask.bit_length() - 1] = img[0]
+            # the blocks the lift kept are the same objects; the rest are new
+            index, blocks = dict(pred._infoset_index), []
+            gone = {(p, id(s)): s for p, bs in pred.partitions.items() for s in bs}
+            for p, bs in self.partitions.items():
+                for s in bs:
+                    if gone.pop((p, id(s)), None) is None:
+                        blocks.append((p, s))
+            for (p, _), s in gone.items():
+                for m in s.members:
+                    del index[(p, m)]
+        # Child lists of the new histories and the tops, found by moves.
+        kids = [[] for _ in new]
+        by_moves = dict(zip([h.moves for h in new], kids))
+        for t in tops:
+            by_moves[t.moves] = [c for c in children[t] if c not in region]
+        regular = True
+        for h in new:
+            if h.moves:
+                siblings = by_moves.get(h.moves[:-1])
+                if siblings is not None:
+                    siblings.append(h)
+                elif pred is None:
+                    regular = False
+                else:
+                    return False
+        changed = list(zip(new, map(tuple, kids)))  # appended in order: sorted
+        changed.extend((t, tuple(sorted(by_moves[t.moves], key=history_key))) for t in tops)
+        # Active players at h: every player in a child's last move, with the
+        # actions taken there.  The validator checks that all children agree.
+        for h, c in changed:
+            children[h] = c
+            if not c:
+                continue
+            taken: dict[str, set[str]] = {}
+            for kid in c:
+                for p, a in kid.moves[-1]:
+                    taken.setdefault(p, set()).add(a)
+            active[h] = tuple(sorted(taken))
+            for p, acts in taken.items():
+                feasible[(h, p)] = tuple(sorted(acts))
+        new_terminals = [h for h, c in changed if not c]
+        if pred is None:
+            order, terminals = new, new_terminals
+            nonterminals = [h for h, c in changed if c]
+            z = None  # filled on first use
+        else:
+            if len(new_terminals) != len(bit_of) or not bit_of.keys() >= set(new_terminals):
+                return False
+            z.update(bit_of)
+            # the child lists are sorted, so the preorder is the history order
+            order, terminals, nonterminals, stack = [], [], [], [ROOT]
+            while stack:
+                h = stack.pop()
+                order.append(h)
+                c = children[h]
+                if c:
+                    nonterminals.append(h)
+                    stack.extend(reversed(c))
+                else:
+                    terminals.append(h)
+            for h, c in reversed(changed[:len(new)]):
+                if c:
+                    z[h] = sum(z[k] for k in c)
+        size = len(index)
+        for p, s in blocks:
+            size += len(s.members)
+            for m in s.members:
+                index[(p, m)] = s
+        if size != len(index):
+            if pred is not None:
+                return False
+            regular = False  # overlapping blocks: the last one wins
+        self.histories: tuple[History, ...] = tuple(order)
+        self._hist_set = (
+            frozenset(histories) if pred is None
+            else pred._hist_set.difference(region).union(images)
+        )
+        self._children, self._active, self._feasible = children, active, feasible
+        self.terminals: tuple[History, ...] = tuple(terminals)
+        self.nonterminals: tuple[History, ...] = tuple(nonterminals)
+        self._terminal_set = (
+            frozenset(terminals) if pred is None
+            else pred._terminal_set.difference(region).union(new_terminals)
+        )
+        self._z: dict[History, int] | None = z
+        # the terminal of each bit: a fresh build's are in history order
+        self._bits: tuple[History, ...] = self.terminals if pred is None else tuple(bits)
+        self._infoset_index: dict[tuple[str, History], InfoSet] = index
+        self._regular = regular
+        # a set's action masks hold while no member is rewritten or a top
+        touched = region.keys() | tops
+        self._za_cache: dict[InfoSet, dict[str, int]] = {} if pred is None else {
+            s: masks for s, masks in pred._za_cache.items() if touched.isdisjoint(s.members)
+        }
+        return True
 
     # -- basic queries -------------------------------------------------
 
@@ -287,13 +407,14 @@ class Structure:
     # -- subtree terminal sets ------------------------------------------
 
     def _terminal_masks(self) -> dict[History, int]:
-        """Z(h) of every history as a bitset over positions in `terminals`,
-        filled from the last nonterminal back: a child sorts after its
-        parent."""
+        """Z(h) of every history as a bitset in the bit order `_bits`: an
+        edit carries its predecessor's and sums the images'; a fresh build
+        fills them on first use.  Filled from the last history back, a child
+        before its parent; the children's subtrees are disjoint, so their
+        sum is their union."""
         if self._z is None:
             z = {t: 1 << i for i, t in enumerate(self.terminals)}
             for h in reversed(self.nonterminals):
-                # the children's subtrees are disjoint, so their sum is their union
                 z[h] = sum(z[c] for c in self._children[h])
             self._z = z
         return self._z
@@ -322,7 +443,7 @@ class Structure:
         return masks.get(action, 0)
 
     def _decode(self, mask: int) -> frozenset[History]:
-        return frozenset(t for i, t in enumerate(self.terminals) if mask >> i & 1)
+        return frozenset(t for i, t in enumerate(self._bits) if mask >> i & 1)
 
     def terminals_below(self, h: History) -> frozenset[History]:
         """Z(h): terminals reachable from h."""

@@ -8,13 +8,16 @@ information set with a predecessor history.  Both are one rewrite,
 or the anchor), histories strictly inside the affected region up to the
 mover's members are replicated once per mover action, and histories past
 them carry the action taken there up and drop the vacated move when
-nobody else acted in it.  On top of these two operators sit UO-preserving
-minimization, complete immediate compactification opportunities, the
-equal-length-preserving synthesized opportunities for von Neumann
-structures, and the backward (leaves-to-root) compactification.  The
-composed transformations of both kinds of opportunity, τ and φ, run one
-loop, `_compose`: IS pieces at every image of their anchors, then
-coalescings, each re-found on the current structure.
+nobody else acted in it.  The lift hands the constructor its predecessor
+with the rewritten region and forward, and the new structure edits the
+predecessor's indices instead of rebuilding them.  On top of these two
+operators sit UO-preserving minimization, complete immediate
+compactification opportunities, the equal-length-preserving synthesized
+opportunities for von Neumann structures, and the backward
+(leaves-to-root) compactification.  The composed transformations of both
+kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
+every image of their anchors, then coalescings, each re-found on the
+current structure.
 """
 
 from __future__ import annotations
@@ -113,12 +116,14 @@ class CompositeMap:
         )
 
     def extend(self, step: HistoryMap) -> "CompositeMap":
-        forward = {
-            h: tuple(sorted(
-                {img for mid in mids for img in step.forward[mid]}, key=history_key
-            ))
-            for h, mids in self.forward.items()
-        }
+        forward = {}
+        for h, mids in self.forward.items():
+            if len(mids) == 1 and len(step.forward[mids[0]]) == 1:
+                forward[h] = step.forward[mids[0]]
+            else:
+                forward[h] = tuple(sorted(
+                    {img for mid in mids for img in step.forward[mid]}, key=history_key
+                ))
         infosets = {s: step.infoset_map[cur] for s, cur in self.infoset_map.items()}
         return CompositeMap(forward, infosets, self.steps + (step,))
 
@@ -248,12 +253,8 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
     histories its members move up to.
     """
     mover_actions = structure.feasible_at(mover)
-    forward: dict[History, tuple[History, ...]] = {}
-    for g in structure.histories:
-        t = top.get(g)
-        if t is None:
-            forward[g] = (g,)
-            continue
+    forward: dict[History, tuple[History, ...]] = {g: (g,) for g in structure.histories}
+    for g, t in top.items():
         first = dict(g.move_at(t.length))
         m = below.get(g)
         if m is None:
@@ -273,7 +274,9 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
                 + g.moves[m.length + 1:]
             forward[g] = (History(t.moves + (make_profile({**first, owner: taken}),) + tail),)
 
-    new_histories = {h for imgs in forward.values() for h in imgs}
+    new_histories = structure._hist_set.difference(top).union(
+        *(forward[g] for g in top)
+    )
     infoset_map: dict[InfoSet, InfoSet] = {}
     partitions: dict[str, list[InfoSet]] = {p: [] for p in structure.players}
     for p in structure.players:
@@ -283,14 +286,20 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
                 if mover_block is None:
                     continue
                 members = mover_block
+            elif block.owner == p and top.keys().isdisjoint(members):
+                partitions[p].append(block)
+                infoset_map[block] = block
+                continue
             new_block = InfoSet(p, tuple(h for m in members for h in forward[m]))
             partitions[p].append(new_block)
             infoset_map[block] = new_block
     if mover_block is None:
         infoset_map[mover] = infoset_map[structure.info_set_of(owner, top[mover.members[0]])]
+    # one constructor call that edits the predecessor's indices
     new_structure = Structure(
         structure.players, structure.actions, new_histories,
         {p: tuple(blocks) for p, blocks in partitions.items()},
+        _edit=(structure, top, forward),
     )
     return new_structure, forward, infoset_map
 
@@ -389,8 +398,10 @@ def transport_plan_through(plan: Plan, comp: CompositeMap) -> Plan:
 # -- minimization ---------------------------------------------------------
 
 
-def _available_reductions(structure: Structure):
-    opps: list = list(find_coalescing(structure))
+def _available_reductions(structure: Structure, coalescings=None):
+    """Every coalescing and every non-crossing IS, the coalescings first;
+    coalescings already found may be passed in."""
+    opps: list = list(find_coalescing(structure) if coalescings is None else coalescings)
     opps.extend(o for o in find_is(structure) if is_non_crossing(structure, o))
     return opps
 
@@ -398,13 +409,17 @@ def _available_reductions(structure: Structure):
 def minimize_uo(structure: Structure, rng=None) -> Structure:
     """Iterate coalescings and non-crossing ISs until none remains.  The
     endpoint is unique up to structure isomorphism whatever the order, so a
-    seeded rng may pick arbitrary reduction orders for testing."""
+    seeded rng may pick arbitrary reduction orders for testing.  Without
+    one, the first coalescing goes first, and ISs are sought only when no
+    coalescing is left."""
     ok, witness = check_uo(structure)
     if not ok:
         raise EgsError(f"minimization requires UO; offending pair {witness}")
     current = structure
     while True:
-        opps = _available_reductions(current)
+        opps = find_coalescing(current)
+        if rng is not None or not opps:
+            opps = _available_reductions(current, opps)
         if not opps:
             return current
         opp = opps[0] if rng is None else opps[rng.randrange(len(opps))]

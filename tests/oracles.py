@@ -11,6 +11,7 @@ from egs import (
     CoalescingOpp,
     DecisionProblem,
     DominanceError,
+    EgsError,
     History,
     HistoryMap,
     InfoSet,
@@ -19,10 +20,15 @@ from egs import (
     RelationSet,
     Structure,
     TransformError,
+    apply_coalescing,
+    apply_is,
     apply_tau,
     check_uo,
     controls,
     dictates,
+    find_coalescing,
+    find_is,
+    is_non_crossing,
     make_profile,
     plans,
     play,
@@ -751,3 +757,93 @@ def terminals_reference(structure):
                 if (s.owner, a) in k.moves[-1]
             ))
     return z, after
+
+
+# -- the lift as a rebuild -----------------------------------------------------
+#
+# `transform._lift` as the library wrote it before a lift edited its
+# predecessor: every history is rewritten, every block is made anew, and the
+# successor is a fresh `Structure` of the new history set, so images that
+# equal kept histories merge as the set merges them.  `CompositeMap.extend`
+# as it was before single images were reused.  The tests require the edit to
+# give equal structures, indices and maps.
+
+
+def lift_rebuild(structure, owner, top, below, mover, mover_block):
+    """The successor, forward and infoset_map of one lift, built afresh."""
+    mover_actions = structure.feasible_at(mover)
+    forward = {}
+    for g in structure.histories:
+        t = top.get(g)
+        if t is None:
+            forward[g] = (g,)
+            continue
+        first = dict(g.move_at(t.length))
+        m = below.get(g)
+        if m is None:
+            forward[g] = tuple(sorted(
+                (History(t.moves
+                         + (make_profile({**first, owner: c}),)
+                         + g.moves[t.length + 1:])
+                 for c in mover_actions),
+                key=history_key,
+            ))
+        else:
+            rest = dict(g.move_at(m.length))
+            taken = rest.pop(owner)
+            tail = g.moves[t.length + 1:m.length] \
+                + ((make_profile(rest),) if rest else ()) \
+                + g.moves[m.length + 1:]
+            forward[g] = (History(t.moves + (make_profile({**first, owner: taken}),) + tail),)
+    new_histories = {h for imgs in forward.values() for h in imgs}
+    infoset_map = {}
+    partitions = {p: [] for p in structure.players}
+    for p in structure.players:
+        for block in structure.partitions.get(p, ()):
+            members = block.members
+            if block == mover:
+                if mover_block is None:
+                    continue
+                members = mover_block
+            new_block = InfoSet(p, tuple(h for m in members for h in forward[m]))
+            partitions[p].append(new_block)
+            infoset_map[block] = new_block
+    if mover_block is None:
+        infoset_map[mover] = infoset_map[structure.info_set_of(owner, top[mover.members[0]])]
+    new_structure = Structure(
+        structure.players, structure.actions, new_histories,
+        {p: tuple(blocks) for p, blocks in partitions.items()},
+    )
+    return new_structure, forward, infoset_map
+
+
+def minimize_uo_reference(structure, rng=None):
+    """The minimization loop before the default order skipped IS discovery
+    while a coalescing was left: every step lists all coalescings and all
+    non-crossing ISs, and takes the first or, with an rng, a random one."""
+    ok, witness = check_uo(structure)
+    if not ok:
+        raise EgsError(f"minimization requires UO; offending pair {witness}")
+    current = structure
+    while True:
+        opps = list(find_coalescing(current))
+        opps.extend(o for o in find_is(current) if is_non_crossing(current, o))
+        if not opps:
+            return current
+        opp = opps[0] if rng is None else opps[rng.randrange(len(opps))]
+        if isinstance(opp, CoalescingOpp):
+            current, _ = apply_coalescing(current, opp)
+        else:
+            current, _ = apply_is(current, opp)
+
+
+def composite_extend_reference(comp, step):
+    """The forward and infoset maps of comp followed by step."""
+    forward = {
+        h: tuple(sorted(
+            {img for mid in mids for img in step.forward[mid]}, key=history_key
+        ))
+        for h, mids in comp.forward.items()
+    }
+    infosets = {s: step.infoset_map[cur] for s, cur in comp.infoset_map.items()}
+    return forward, infosets

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import os
 import pickle
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +22,10 @@ from egs import (
     Structure,
     apply_coalescing,
     apply_is,
+    apply_phi,
+    backward_compactify,
     check_uo,
+    find_synthesized,
     is_prefix,
     make_profile,
     minimize_uo,
@@ -29,7 +34,7 @@ from egs import (
     transitively_simultaneous,
 )
 
-from corpus import seeded_structures
+from corpus import seeded_structures, vnm_corpus
 from fixtures import (
     A,
     B,
@@ -43,10 +48,13 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from egs.transform import _available_reductions
+from egs import transform
+from egs.transform import CompositeMap, _available_reductions
 from oracles import (
     check_uo_pairwise,
+    composite_extend_reference,
     indices_reference,
+    lift_rebuild,
     relation_pairwise,
     terminals_reference,
 )
@@ -397,3 +405,159 @@ def test_terminal_sets_match_the_reference_along_a_minimisation(structure, seed)
         apply = apply_coalescing if isinstance(opp, CoalescingOpp) else apply_is
         current, _ = apply(current, opp)
     assert current == minimize_uo(structure, rng=random.Random(seed))
+
+
+# -- the lift edits its predecessor -------------------------------------------
+
+
+def _assert_same_indices(edited, rebuilt):
+    assert edited == rebuilt
+    assert edited.histories == rebuilt.histories
+    assert edited.terminals == rebuilt.terminals
+    assert edited.nonterminals == rebuilt.nonterminals
+    assert edited._children == rebuilt._children
+    assert edited._active == rebuilt._active
+    assert edited._feasible == rebuilt._feasible
+    assert edited.info_sets == rebuilt.info_sets
+    assert edited._infoset_index == rebuilt._infoset_index
+    for p in rebuilt.players:
+        for h in rebuilt.histories:
+            try:
+                expected = rebuilt.info_set_of(p, h)
+            except EgsError:
+                with pytest.raises(EgsError):
+                    edited.info_set_of(p, h)
+            else:
+                assert edited.info_set_of(p, h) == expected
+    for h in rebuilt.histories:
+        assert edited.terminals_below(h) == rebuilt.terminals_below(h)
+    for s in rebuilt.info_sets:
+        assert edited.terminals_below_set(s.members) == rebuilt.terminals_below_set(s.members)
+        for a in rebuilt.feasible_at(s):
+            assert edited.terminals_after_action(s, a) == rebuilt.terminals_after_action(s, a)
+
+
+@contextlib.contextmanager
+def _lifts_checked_against_the_rebuild():
+    """Every lift inside the block must give what the rebuild gives, and
+    every composite map what the old composition gives; yields the list of
+    checked successors."""
+    lift, extend = transform._lift, CompositeMap.extend
+    checked = []
+
+    def checked_lift(structure, owner, top, below, mover, mover_block):
+        # the predecessor's action masks are filled first, so that the edit
+        # has masks to carry
+        for s in structure.info_sets:
+            for a in structure.feasible_at(s):
+                structure.terminals_after_action(s, a)
+        new, forward, infoset_map = lift(structure, owner, top, below, mover, mover_block)
+        ref, ref_forward, ref_map = lift_rebuild(structure, owner, top, below, mover, mover_block)
+        assert forward == ref_forward
+        assert infoset_map == ref_map
+        _assert_same_indices(new, ref)
+        checked.append(new)
+        return new, forward, infoset_map
+
+    def checked_extend(comp, step):
+        out = extend(comp, step)
+        assert (out.forward, out.infoset_map) == composite_extend_reference(comp, step)
+        return out
+
+    with mock.patch.object(transform, "_lift", checked_lift), \
+            mock.patch.object(CompositeMap, "extend", checked_extend):
+        yield checked
+
+
+# Player 1 names an action R at the root and again one move later, so the
+# coalescing of the later set into the root's replicates L under the name R:
+# the replica equals the kept history R, and the set merges the two.
+SHARED_NAME = egs.parse(
+    'egs 1\nplayer 1 actions L,R,X\nplayer 2 actions c,d\n'
+    'node "" 1:L|R\nnode "L" 1:R|X\nnode "R" 2:c|d\n'
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32 - 1))
+@example(SHARED_NAME, 0)
+@example(g_red1(), 1)
+@example(g_ent(), 2)
+def test_each_lift_equals_the_rebuild(structure, seed):
+    assume(check_uo(structure)[0])
+    with _lifts_checked_against_the_rebuild() as checked:
+        minimize_uo(structure)
+        minimize_uo(structure, rng=random.Random(seed))
+        backward_compactify(structure)
+    if structure == SHARED_NAME:
+        assert checked and checked[0].has_history(path({"1": "R"}))
+
+
+def _is_at_the_root(g):
+    mover = g.partitions["1"][0]
+    return apply_is, egs.IsOpp("1", ROOT, mover.members, mover)
+
+
+def _first_coalescing(g):
+    return apply_coalescing, egs.find_coalescing(g)[0]
+
+
+def _with_history(text, label):
+    g = egs.parse(text)
+    extra = History(tuple(make_profile({"1": a}) for a in label.split("/")))
+    return Structure(g.players, g.actions, g.histories + (extra,), g.partitions)
+
+
+HEAD = "egs 1\nplayer 1 actions L,R,a,b,c,d,e\nplayer 2 actions u,v,x,y\n"
+
+# Lifts of malformed structures, each of which one check of the edit
+# refuses, so the successor is built afresh.
+CANNOT_CARRY = {
+    # y is a terminal in 1's set: the IS gives it one image per action
+    "a terminal with two images": (_is_at_the_root, egs.parse(
+        HEAD + 'node "" 2:x|y\nnode "x" 1:a|b\ninfoset 1 {"x","y"}\n'
+    )),
+    # b is not feasible at y: the replica of y for b is a new terminal
+    "a terminal with no preimage": (_is_at_the_root, egs.parse(
+        HEAD + 'node "" 2:x|y\nnode "x" 1:a|b\nnode "y" 1:a\ninfoset 1 {"x","y"}\n'
+    )),
+    # the base {'', c} is absent-minded and the mover acts c as well: the
+    # replica of L for c is the top c, whose terminal set grows
+    "an image equal to a top": (_first_coalescing, egs.parse(
+        HEAD + 'node "" 1:L|c\nnode "c" 1:L|c\nnode "L" 1:c|d\nnode "c/L" 1:c|d\n'
+        'infoset 1 {"","c"}\ninfoset 1 {"L","c/L"}\n'
+    )),
+    # e is feasible at L/v only, so the image e/v of L/v/e has no parent
+    "an image without a parent": (_first_coalescing, egs.parse(
+        HEAD + 'node "" 1:L|R\nnode "L" 2:u|v\nnode "L/u" 1:a|b\nnode "L/v" 1:a|b|e\n'
+        'infoset 1 {"L/u","L/v"}\n'
+    )),
+    # the history a/c lacks its parent until the replica a of L appears
+    "a kept history whose parent is an image": (_first_coalescing, _with_history(
+        HEAD + 'node "" 1:L|R\nnode "L" 1:a|b\n', "a/c"
+    )),
+    # the base {'', L} is absent-minded: its member L lies in the region of ''
+    "a top in the region": (_first_coalescing, egs.parse(
+        HEAD + 'node "" 1:L|R\nnode "L" 1:L|R\nnode "L/L" 1:a|b\nnode "L/R" 1:a|b\n'
+        'infoset 1 {"","L"}\ninfoset 1 {"L/L","L/R"}\n'
+    )),
+}
+
+
+@pytest.mark.parametrize("case", CANNOT_CARRY)
+def test_a_lift_the_edit_refuses_equals_the_rebuild(case):
+    opportunity, g = CANNOT_CARRY[case]
+    apply, opp = opportunity(g)
+    with _lifts_checked_against_the_rebuild() as checked:
+        apply(g, opp)
+    assert len(checked) == 1
+
+
+def test_each_lift_of_a_synthesized_opportunity_equals_the_rebuild():
+    lifts = 0
+    for structure in vnm_corpus(30, seed=5):
+        with _lifts_checked_against_the_rebuild() as checked:
+            for opp in find_synthesized(structure):
+                apply_phi(structure, opp)
+        lifts += len(checked)
+    assert lifts > 0

@@ -49,6 +49,7 @@ from oracles import (
     controls_pairwise,
     find_coalescing_pairwise,
     find_is_pairwise,
+    minimize_uo_reference,
 )
 
 
@@ -291,6 +292,16 @@ def test_minimize_confluence_red1():
     endpoints = [minimize_uo(g, rng=random.Random(k)) for k in range(10)]
     for other in endpoints[1:]:
         assert structure_isomorphic(endpoints[0], other) is not None
+
+
+def test_minimize_matches_the_loop_that_lists_every_reduction():
+    # the default order takes the first coalescing without seeking ISs;
+    # the seeded order still draws from every reduction
+    for structure in uo_corpus(40, seed=44):
+        assert minimize_uo(structure) == minimize_uo_reference(structure)
+        assert minimize_uo(structure, rng=random.Random(7)) == minimize_uo_reference(
+            structure, rng=random.Random(7)
+        )
 
 
 def test_minimize_requires_uo():
