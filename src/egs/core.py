@@ -171,8 +171,14 @@ def history_key(h: History):
     return h.moves
 
 
-def _members_key(s: InfoSet):
-    return s._members_key
+def bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits of a bitset, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class Structure:
@@ -198,7 +204,8 @@ class Structure:
             p: frozenset(a) for p, a in actions.items()
         }
         self.partitions: dict[str, tuple[InfoSet, ...]] = {
-            p: tuple(sorted(blocks, key=_members_key)) for p, blocks in partitions.items()
+            p: tuple(sorted(blocks, key=lambda s: s._members_key))
+            for p, blocks in partitions.items()
         }
         self.info_sets: tuple[InfoSet, ...] = tuple(
             s for p in self.players for s in self.partitions.get(p, ())
@@ -210,13 +217,14 @@ class Structure:
         self._earlier: dict[InfoSet, int] | None = None
         self._below: dict[tuple[InfoSet, History], tuple[History, ...]] | None = None
         self._links: dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]] | None = None
+        self._sim_index: dict[History, int] | None = None
         self._sim_classes: tuple[tuple[InfoSet, ...], ...] | None = None
         self._plan_space = None  # strategy.plan_space fills it on first use
-        histories = set(histories)
+        histories = frozenset(histories)
         if _edit is None or not self._build_indices(histories, *_edit):
             self._build_indices(histories)
 
-    def _build_indices(self, histories: set, pred=None, region=None, forward=None) -> bool:
+    def _build_indices(self, histories: frozenset, pred=None, region=None, forward=None) -> bool:
         """Index the histories and information sets: history order, child
         lists, active players, feasible actions, Z(h) masks and the set of
         each (player, member).
@@ -338,10 +346,7 @@ class Structure:
                 return False
             regular = False  # overlapping blocks: the last one wins
         self.histories: tuple[History, ...] = tuple(order)
-        self._hist_set = (
-            frozenset(histories) if pred is None
-            else pred._hist_set.difference(region).union(images)
-        )
+        self._hist_set = histories
         self._children, self._active, self._feasible = children, active, feasible
         self.terminals: tuple[History, ...] = tuple(terminals)
         self.nonterminals: tuple[History, ...] = tuple(nonterminals)
@@ -578,47 +583,35 @@ def relation(structure: Structure, a: InfoSet, b: InfoSet) -> RelationSet:
 
 def _sim_class_index(structure: Structure) -> dict[History, int]:
     """Union-find over non-terminal histories: one class per transitive-
-    simultaneity component (co-membership in some information set)."""
-    parent: dict[History, History] = {}
+    simultaneity component (co-membership in some information set),
+    numbered in history order.  Computed once per structure."""
+    if structure._sim_index is None:
+        parent = {h: h for h in structure.nonterminals}
 
-    def find(x: History) -> History:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        def find(x: History) -> History:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]  # path halving
+            return x
 
-    for h in structure.nonterminals:
-        parent[h] = h
-    for s in structure.info_sets:
-        first = s.members[0]
-        if first not in parent:
-            continue
-        for m in s.members[1:]:
-            if m in parent:
-                ra, rb = find(first), find(m)
-                if ra != rb:
-                    parent[rb] = ra
-    reps: dict[History, int] = {}
-    out: dict[History, int] = {}
-    for h in structure.nonterminals:
-        r = find(h)
-        if r not in reps:
-            reps[r] = len(reps)
-        out[h] = reps[r]
-    return out
+        for s in structure.info_sets:
+            if s.members[0] in parent:
+                for m in s.members[1:]:
+                    if m in parent:
+                        parent[find(m)] = find(s.members[0])
+        reps: dict[History, int] = {}
+        structure._sim_index = {
+            h: reps.setdefault(find(h), len(reps)) for h in structure.nonterminals
+        }
+    return structure._sim_index
 
 
 def transitively_simultaneous(structure: Structure, a: InfoSet, b: InfoSet) -> bool:
     """True iff the member histories of a and b are linked by a chain of
     co-memberships (the reflexive-symmetric-transitive closure of ~)."""
     idx = _sim_class_index(structure)
-    classes_a = {idx[m] for m in a.members if m in idx}
-    classes_b = {idx[m] for m in b.members if m in idx}
-    if a == b:
-        return True
-    return bool(classes_a & classes_b)
+    return a == b or not {idx[m] for m in a.members if m in idx}.isdisjoint(
+        idx[m] for m in b.members if m in idx
+    )
 
 
 def sim_classes(structure: Structure) -> tuple[tuple[InfoSet, ...], ...]:
@@ -632,14 +625,10 @@ def sim_classes(structure: Structure) -> tuple[tuple[InfoSet, ...], ...]:
         by_class: dict[int, list[InfoSet]] = {}
         for s in structure.info_sets:
             by_class.setdefault(idx[s.members[0]], []).append(s)
-
-        def members_key(s: InfoSet):
-            return tuple(history_key(m) for m in s.members)
-
         structure._sim_classes = tuple(
-            tuple(sorted(group, key=lambda s: (s.owner, members_key(s))))
+            tuple(sorted(group, key=lambda s: (s.owner, s._members_key)))
             for group in sorted(
-                by_class.values(), key=lambda group: min(map(members_key, group))
+                by_class.values(), key=lambda group: min(s._members_key for s in group)
             )
         )
     return structure._sim_classes

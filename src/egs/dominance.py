@@ -48,9 +48,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import EgsError, History, InfoSet, ROOT, Structure
+from .core import EgsError, History, InfoSet, ROOT, Structure, bit_indices
 from .lp import maximize
-from .strategy import Plan, PlanSpace, bit_indices, plan_space
+from .strategy import Plan, PlanSpace, plan_space
 from .transform import CompositeMap, Ico, apply_tau, transport_plan_through
 from .validate import check_uo
 
@@ -300,16 +300,24 @@ class BdTrace:
 
 def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ...]]:
     """For each set h, the sets g with g weakly following h (g >= h in the
-    elimination sense: h < g or h ~ g), read from the order index."""
+    elimination sense: h < g or h ~ g), in `info_sets` order.  The later
+    sets are the earlier masks transposed, and the simultaneous ones those
+    sharing a member history; both are bitsets over `info_sets` indices."""
     sets, earlier, position = structure.info_sets, structure._earlier_masks(), structure._position
-    members = {s: s.member_set for s in sets}
-    return {
-        s: tuple(
-            t for t in sets
-            if earlier[t] >> position[s] & 1 or not members[s].isdisjoint(t.members)
-        )
-        for s in sets
-    }
+    later = [0] * len(sets)
+    sharing: dict[History, int] = {}
+    for i, t in enumerate(sets):
+        for k in bit_indices(earlier[t]):
+            later[k] |= 1 << i
+        for m in t.members:
+            sharing[m] = sharing.get(m, 0) | 1 << i
+    out = {}
+    for s in sets:
+        mask = later[position[s]]
+        for m in s.members:
+            mask |= sharing[m]
+        out[s] = tuple(sets[i] for i in bit_indices(mask))
+    return out
 
 
 def bd(game: Game) -> BdTrace:

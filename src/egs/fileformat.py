@@ -55,6 +55,20 @@ def _action_names(names: list[str], lineno: int) -> list[str]:
     return [a for a in names if a]
 
 
+# What a player id or an action name cannot hold, besides whitespace: the
+# format reads it as syntax, and '#' starts a comment.
+_ID_SYNTAX = re.compile(r"[\s:=,#]")
+_ACTION_SYNTAX = re.compile(r'[\s/(),="|#]')
+
+
+def _writable(kind: str, name: str, syntax: re.Pattern) -> str:
+    found = syntax.search(name)
+    if found or not name:
+        what = f"contains {found.group()!r}" if found else "is empty"
+        raise EgsError(f"{kind} {name!r} {what}, which the format cannot carry")
+    return name
+
+
 def _unquote(token: str, lineno: int) -> str:
     if len(token) < 2 or token[0] != '"' or token[-1] != '"':
         raise FormatError(lineno, f"expected a quoted history, got {token}")
@@ -99,6 +113,8 @@ def parse(text: str):
             if len(tokens) != 4 or tokens[2] != "actions":
                 raise FormatError(lineno, "expected: player <id> actions a,b,...")
             pid = tokens[1]
+            if re.search(r"[:=]", pid):
+                raise FormatError(lineno, f"player id {pid!r} contains one of : =")
             if pid in actions:
                 raise FormatError(lineno, f"player {pid} declared twice")
             players.append(pid)
@@ -217,12 +233,15 @@ def _quote(label: str) -> str:
 
 
 def serialize(obj) -> str:
-    """Deterministic text form; parse(serialize(x)) == x."""
+    """Deterministic text form; parse(serialize(x)) == x.  Raises EgsError
+    for a player id or action name the format cannot carry."""
     game = obj if isinstance(obj, Game) else None
     structure: Structure = game.structure if game else obj
     lines = ["egs 1"]
+    # a valid structure's node lines use only the names declared here
     for p in structure.players:
-        lines.append(f"player {p} actions {','.join(sorted(structure.actions[p]))}")
+        acts = (_writable("action", a, _ACTION_SYNTAX) for a in sorted(structure.actions[p]))
+        lines.append(f"player {_writable('player id', p, _ID_SYNTAX)} actions {','.join(acts)}")
     for h in structure.histories:
         if structure.is_terminal(h):
             continue

@@ -4,6 +4,8 @@ A plan assigns actions only to the own information sets that remain
 reachable given the player's earlier own choices: it must cover every
 minimal own set, and a non-minimal set is in the domain exactly when its
 unique immediate own predecessor is and the choice there leads to it.
+Sets and choices go in block order, the sort key each information set
+keeps; a set's own predecessor is found scanning back from its first member.
 
 Each structure keeps one plan space, built on first use the way the order
 index is: every player's plans under integer indices, and per history the
@@ -12,8 +14,9 @@ normal forms, the equivalence route and games read it; `play` remains the
 reference for what a single profile reaches.
 
 Behavioral equivalence of two structures is an isomorphism of their
-reduced normal forms, decided on the plan-terminal incidence found in one
-root walk rather than on the tabulated forms; for structures with
+reduced normal forms.  The rnf route hands both plan spaces to the
+isomorphism engine as they are: their bitsets at the terminals are the
+plan-terminal incidence, so no form is tabulated.  For structures with
 unambiguous orderings it can also be certified by comparing unique
 minimal forms.
 """
@@ -25,9 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
-from .core import EgsError, History, InfoSet, Structure, history_key
+from .core import EgsError, History, InfoSet, Structure, bit_indices
 from .isomorph import _isomorphism
-from .validate import check_uo, experience
+from .validate import check_uo
 
 
 class PlanError(EgsError):
@@ -42,10 +45,7 @@ class Plan:
     choices: tuple[tuple[InfoSet, str], ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(
-            self.choices,
-            key=lambda c: tuple(history_key(m) for m in c[0].members),
-        ))
+        ordered = tuple(sorted(self.choices, key=lambda c: c[0]._members_key))
         object.__setattr__(self, "choices", ordered)
         object.__setattr__(self, "_hash", hash((self.owner, ordered)))
 
@@ -73,14 +73,18 @@ class Plan:
         return f"Plan({self.owner}:{self.label()})"
 
 
-def _infoset_key(s: InfoSet):
-    return tuple(history_key(m) for m in s.members)
-
-
 def own_predecessor(structure: Structure, s: InfoSet) -> tuple[InfoSet, str] | None:
     """The unique immediate own predecessor of s and the action leading to
-    s, or None when s is minimal.  Well-defined under perfect recall."""
-    return experience(structure, s.owner, s.members[0]).last
+    s, or None when s is minimal.  Well-defined under perfect recall.  The
+    scan runs back from the first member, building one prefix per own move."""
+    h = s.members[0]
+    if not structure.has_history(h):
+        raise EgsError(f"{h.label()!r} is not a history of this structure")
+    for n in range(h.length - 1, -1, -1):
+        action = dict(h.moves[n]).get(s.owner)
+        if action is not None and s.owner in structure.active(g := h.prefix(n)):
+            return structure.info_set_of(s.owner, g), action
+    return None
 
 
 def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
@@ -88,7 +92,7 @@ def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
     information set and then action."""
     if player not in structure.players:
         raise EgsError(f"unknown player {player}")
-    # The partition is in _infoset_key order, and so is every list below.
+    # The partition is in block order, and so is every list below.
     minimal: list[InfoSet] = []
     successors: dict[tuple[InfoSet, str], list[InfoSet]] = {}
     for s in structure.partitions.get(player, ()):
@@ -111,7 +115,8 @@ def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
         head, rest = frontier[0], frontier[1:]
         for action in reversed(structure.feasible_at(head)):
             grown = tuple(sorted(
-                rest + tuple(successors.get((head, action), ())), key=_infoset_key
+                rest + tuple(successors.get((head, action), ())),
+                key=lambda s: s._members_key,
             ))
             stack.append((grown, choices + ((head, action),)))
     return tuple(out)
@@ -135,16 +140,6 @@ def play(structure: Structure, profile: dict[str, Plan]) -> History:
         if not structure.has_history(h):
             raise PlanError(f"play left the tree at {h.label()!r}")
     return h
-
-
-def bit_indices(bits: int) -> list[int]:
-    """The positions of the set bits of a bitset, in increasing order."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
 
 
 class PlanSpace:
@@ -199,11 +194,8 @@ class PlanSpace:
                 if all(grown):
                     stack.append((kid, tuple(grown)))
         self.reach = reach
-        self.terminals = tuple(sorted(structure.terminals, key=history_key))
-        reached = sum(
-            prod(c.bit_count() for c in reach[z]) for z in self.terminals if z in reach
-        )
-        if reached != self.profile_count:
+        self.terminals = structure.terminals  # in history order
+        if sum(self.multiplicities()) != self.profile_count:
             raise PlanError("some plan profile reaches no terminal")
         self._outcomes: list[int] | None = None
         self._index: tuple[dict[Plan, int], ...] | None = None
@@ -225,6 +217,22 @@ class PlanSpace:
                     table[r] = t
             self._outcomes = table
         return self._outcomes
+
+    def multiplicities(self) -> list[int]:
+        """The size Πᵢ |Cᵢ(z)| of each reached terminal's preimage."""
+        return [
+            prod(c.bit_count() for c in self.reach[z])
+            for z in self.terminals if z in self.reach
+        ]
+
+    def edges(self, ends, colours: list, adj: list) -> None:
+        """The plan-terminal incidence: each terminal joined to the plans
+        consistent with it, for `_plan_isomorphism`."""
+        for t, z in zip(ends[-1], self.terminals):
+            for vs, c in zip(ends, self.reach.get(z, ())):
+                for k in bit_indices(c):
+                    adj[vs[k]].append(t)
+                    adj[t].append(vs[k])
 
     def index(self, seat: int) -> dict[Plan, int]:
         """Plan -> index for the player in the given seat."""
@@ -286,7 +294,7 @@ class RnfIsomorphism:
 
 def _plan_vertices(form, by_name: bool, colours: list, adj: list):
     """Append a vertex per player, per plan and per terminal of a reduced
-    normal form (or of a plan-terminal incidence) to colours and adj, each
+    normal form (or of a plan space) to colours and adj, each
     plan joined to its player.  Returns the vertices of each player's plans
     and then of the terminals, in list order."""
     base = len(adj)
@@ -366,44 +374,6 @@ def rnf_isomorphic(
     )
 
 
-@dataclass(frozen=True)
-class _Incidence:
-    """Which plans are consistent with which terminals: consistent[t][i]
-    is the bitset Cᵢ(z), over the indices of plan_lists[i], of player i's
-    plans that make i's choices along terminal z = terminals[t]."""
-
-    players: tuple[str, ...]
-    plan_lists: tuple[tuple[Plan, ...], ...]
-    terminals: tuple[History, ...]
-    consistent: tuple[tuple[int, ...], ...]
-
-    def multiplicities(self) -> list[int]:
-        counts = (prod(c.bit_count() for c in cs) for cs in self.consistent)
-        return [k for k in counts if k]
-
-    def edges(self, ends, colours: list, adj: list) -> None:
-        for t, cs in zip(ends[-1], self.consistent):
-            for vs, c in zip(ends, cs):
-                while c:
-                    low = c & -c
-                    v = vs[low.bit_length() - 1]
-                    adj[v].append(t)
-                    adj[t].append(v)
-                    c ^= low
-
-
-def _incidence(structure: Structure) -> _Incidence:
-    """The plan-terminal incidence of a structure: its plan space at the
-    terminals, each terminal no profile reaches with all its sets empty.
-    Raises PlanError when some plan profile reaches no terminal."""
-    space = plan_space(structure)
-    empty = (0,) * len(space.players)
-    return _Incidence(
-        space.players, space.plan_lists, space.terminals,
-        tuple(space.reach.get(z, empty) for z in space.terminals),
-    )
-
-
 def behaviorally_equivalent(
     g1: Structure,
     g2: Structure,
@@ -442,8 +412,8 @@ def behaviorally_equivalent(
     flag_rnf = None
     if route in ("rnf", "both"):
         iso = _plan_isomorphism(
-            _incidence(g1), _incidence(g2), allow_player_permutation,
-            _Incidence.multiplicities, _Incidence.edges,
+            plan_space(g1), plan_space(g2), allow_player_permutation,
+            PlanSpace.multiplicities, PlanSpace.edges,
         )
         flag_rnf = iso is not None
         cert["rnf"] = iso

@@ -43,6 +43,12 @@ class TransformError(EgsError):
     pass
 
 
+# Opportunity searches try every subset of their atoms; past these counts
+# they refuse the instance instead.
+_MAX_ICO_ATOMS = 16
+_MAX_SYNTH_ATOMS = 14
+
+
 @dataclass(frozen=True)
 class CoalescingOpp:
     """base is controlled by mover via the link action: choosing the link
@@ -171,7 +177,7 @@ def dictates(structure: Structure, anchor: History, members, owner: str) -> bool
 
 
 def _infoset_key(s: InfoSet):
-    return (s.owner, tuple(history_key(m) for m in s.members))
+    return (s.owner, s._members_key)
 
 
 def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
@@ -367,11 +373,7 @@ def transport_plan(plan: Plan, step: HistoryMap) -> Plan:
     mover's choice into the base: plans that chose the link at the base now
     choose the mover's action there instead.
     """
-    if step.kind == "is":
-        return Plan(plan.owner, tuple(
-            (step.infoset_map[s], a) for s, a in plan.choices
-        ))
-    if plan.owner != step.owner:
+    if step.kind == "is" or plan.owner != step.owner:
         return Plan(plan.owner, tuple(
             (step.infoset_map[s], a) for s, a in plan.choices
         ))
@@ -475,10 +477,7 @@ def _class_atoms(structure: Structure):
     """Immediate atoms grouped by the transitive-simultaneity class of
     their mover information set."""
     classes = sim_classes(structure)
-    class_of: dict[InfoSet, int] = {}
-    for idx, group in enumerate(classes):
-        for s in group:
-            class_of[s] = idx
+    class_of = {s: idx for idx, group in enumerate(classes) for s in group}
     atoms: dict[int, list] = {idx: [] for idx in range(len(classes))}
     for opp in find_coalescing(structure):
         if is_immediate_coalescing(structure, opp):
@@ -490,58 +489,51 @@ def _class_atoms(structure: Structure):
 
 
 def _complete_in_class(structure: Structure, class_sets, atoms) -> list[Ico]:
-    """All complete ICOs built from the class's immediate atoms: every set
-    in the class participates, the named parts are pairwise distinct, and
-    every overlap of two participants is exactly the intersection of two
-    named parts (so overlaps move as a whole)."""
-    if len(atoms) > 16:
+    """All complete ICOs built from the class's immediate atoms."""
+    if len(atoms) > _MAX_ICO_ATOMS:
         raise TransformError(
             f"too many immediate atoms in one class ({len(atoms)}); instance too large"
         )
+    class_sets = frozenset(class_sets)
     out: list[Ico] = []
     for chosen in _subsets(atoms):
-        coal = tuple(a for a in chosen if isinstance(a, CoalescingOpp))
-        isps = tuple(a for a in chosen if isinstance(a, IsOpp))
-        ico = Ico(coal, isps)
-        elements = ico.elements()
-        if len(set(elements)) != len(elements):
-            continue
-        participants = set(ico.participants())
-        if participants != set(class_sets):
-            continue
-        if _overlaps_covered(ico):
+        ico = Ico(
+            tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
+            tuple(a for a in chosen if isinstance(a, IsOpp)),
+        )
+        if _incompleteness(ico, class_sets) is None:
             out.append(ico)
     return out
+
+
+def _incompleteness(ico: Ico, class_sets: frozenset) -> str | None:
+    """Why the ICO is not complete for its transitive-simultaneity class,
+    or None: the named parts must be pairwise distinct, every set of the
+    class must participate and no other, and every overlap of two
+    participants must be exactly the intersection of two named parts, one
+    inside each (so overlaps move as a whole)."""
+    elements = ico.elements()
+    if len(set(elements)) != len(elements):
+        return "the named parts of the ICO are not distinct"
+    participants = ico.participants()
+    if set(participants) != class_sets:
+        return "incomplete ICO: some transitively simultaneous set does not participate"
+    for f, e in itertools.combinations(participants, 2):
+        fs, es = f.member_set, e.member_set
+        overlap = fs & es
+        if overlap and not any(
+            b & c == overlap
+            for owner_b, b in elements if owner_b == f.owner and b <= fs
+            for owner_c, c in elements if owner_c == e.owner and c <= es
+        ):
+            return "incomplete ICO: an overlap does not move as a whole"
+    return None
 
 
 def _subsets(atoms):
     """Every non-empty subset of atoms, smallest first, each in list order."""
     for r in range(1, len(atoms) + 1):
         yield from itertools.combinations(atoms, r)
-
-
-def _overlaps_covered(ico: Ico) -> bool:
-    elements = ico.elements()
-    participants = ico.participants()
-    for f, e in itertools.combinations(participants, 2):
-        overlap = f.member_set & e.member_set
-        if not overlap:
-            continue
-        found = False
-        for owner_b, members_b in elements:
-            if owner_b != f.owner or not members_b <= f.member_set:
-                continue
-            for owner_c, members_c in elements:
-                if owner_c != e.owner or not members_c <= e.member_set:
-                    continue
-                if members_b & members_c == overlap:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
 
 
 def find_complete_icos(structure: Structure) -> list[Ico]:
@@ -569,18 +561,12 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
             raise TransformError(f"stale IS part {opp!r}")
         if not is_immediate_is(structure, opp):
             raise TransformError(f"IS part {opp!r} is not immediate")
-    elements = ico.elements()
-    if len(set(elements)) != len(elements):
-        raise TransformError("the named parts of the ICO are not distinct")
-    participants = set(ico.participants())
-    classes = sim_classes(structure)
-    for group in classes:
-        if participants & set(group) and participants != set(group):
-            raise TransformError(
-                "incomplete ICO: some transitively simultaneous set does not participate"
-            )
-    if not _overlaps_covered(ico):
-        raise TransformError("incomplete ICO: an overlap does not move as a whole")
+    # the participants, checked above, must make up the class of the first
+    first = ico.participants()[:1]
+    home = next((g for g in sim_classes(structure) if first[0] in g), ()) if first else ()
+    fault = _incompleteness(ico, frozenset(home))
+    if fault is not None:
+        raise TransformError(fault)
 
 
 def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, CompositeMap]:
@@ -635,29 +621,18 @@ def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
     schedule: list[Ico] = []
     while True:
         classes, atoms = _class_atoms(current)
-
-        def class_depth(group) -> int:
-            return max(m.length for s in group for m in s.members)
-
-        def class_tiebreak(group):
-            return min(history_key(m) for s in group for m in s.members)
-
+        # a stable sort: sim_classes lists the classes by smallest member
         order = sorted(
             range(len(classes)),
-            key=lambda idx: (-class_depth(classes[idx]), class_tiebreak(classes[idx])),
+            key=lambda idx: -max(m.length for s in classes[idx] for m in s.members),
         )
-        applied = False
         for idx in order:
-            if not atoms[idx]:
-                continue
-            icos = _complete_in_class(current, classes[idx], atoms[idx])
+            icos = _complete_in_class(current, classes[idx], atoms[idx]) if atoms[idx] else []
             if icos:
-                ico = icos[0]
-                current, _ = apply_tau(current, ico)
-                schedule.append(ico)
-                applied = True
+                current, _ = apply_tau(current, icos[0])
+                schedule.append(icos[0])
                 break
-        if not applied:
+        else:
             return current, schedule
 
 
@@ -710,14 +685,9 @@ def _complete_controls_for(structure: Structure, mover: InfoSet, opps: list[IsOp
             for a, b in itertools.combinations(anchors, 2)
         ):
             continue
-        covered: set[History] = set()
-        disjoint = True
-        for o in chosen:
-            if covered & o.submover_set:
-                disjoint = False
-                break
-            covered |= o.submover_set
-        if not disjoint or covered != mover.member_set:
+        # the pieces are disjoint exactly when their sizes add up
+        covered = frozenset().union(*(o.submover for o in chosen))
+        if sum(len(o.submover) for o in chosen) != len(covered) or covered != mover.member_set:
             continue
         out.append(CompleteControl(
             mover.owner, mover,
@@ -750,7 +720,7 @@ def _uniform_shift(structure: Structure, movers: frozenset[InfoSet]) -> bool:
     return True
 
 
-def find_synthesized(structure: Structure, atom_cap: int = 14) -> list[SynthOpp]:
+def find_synthesized(structure: Structure) -> list[SynthOpp]:
     ok, witness = check_vnm(structure)
     if not ok:
         raise EgsError(f"synthesized opportunities require a vNM structure; see {witness!r}")
@@ -765,7 +735,7 @@ def find_synthesized(structure: Structure, atom_cap: int = 14) -> list[SynthOpp]
                 _complete_controls_for(structure, mover, is_by_mover[mover])
             )
     atoms: list = list(coal_atoms) + control_atoms
-    if len(atoms) > atom_cap:
+    if len(atoms) > _MAX_SYNTH_ATOMS:
         raise TransformError(
             f"too many candidate atoms ({len(atoms)}); instance too large"
         )

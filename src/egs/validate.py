@@ -18,6 +18,7 @@ from .core import (
     InfoSet,
     ROOT,
     Structure,
+    bit_indices,
     history_key,
 )
 
@@ -89,12 +90,11 @@ def validate_structure(structure: Structure) -> ValidationReport:
 
     # Tree shape.
     tree_ok = True
-    if ROOT not in set(structure.histories):
+    if not structure.has_history(ROOT):
         out.append(Violation("root", "the empty history is missing"))
         tree_ok = False
-    hist_set = set(structure.histories)
     for h in structure.histories:
-        if h.length and h.parent not in hist_set:
+        if h.length and not structure.has_history(h.parent):
             out.append(Violation(
                 "prefix-closure", f"{_label(h)} present but its predecessor is not"
             ))
@@ -201,10 +201,10 @@ def validate_structure(structure: Structure) -> ValidationReport:
         for i, a in enumerate(blocks):
             fa = set(structure.feasible_at(a))
             for b in blocks[i + 1:]:
-                if fa & set(structure.feasible_at(b)):
+                shared = fa.intersection(structure.feasible_at(b))
+                if shared:
                     out.append(Violation(
-                        "own-disjoint",
-                        f"{a!r} and {b!r} share actions {sorted(fa & set(structure.feasible_at(b)))}",
+                        "own-disjoint", f"{a!r} and {b!r} share actions {sorted(shared)}"
                     ))
     if out:
         return ValidationReport(tuple(out))
@@ -237,13 +237,10 @@ def check_uo(structure: Structure) -> tuple[bool, tuple[InfoSet, InfoSet] | None
         # Each offending b has a member before one of a's and vice versa;
         # one placed before a would have been reported with a already.  The
         # bits run in position order, so the first offender is the least.
-        bit, rest = 1 << position[a], earlier[a]
-        while rest:
-            low = rest & -rest
-            b = sets[low.bit_length() - 1]
-            if earlier[b] & bit:
-                return False, (a, b)
-            rest ^= low
+        bit = 1 << position[a]
+        for i in bit_indices(earlier[a]):
+            if earlier[sets[i]] & bit:
+                return False, (a, sets[i])
     return True, None
 
 

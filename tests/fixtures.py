@@ -95,6 +95,29 @@ def red1_infosets(structure: Structure):
     return h11, h12, h21, h22
 
 
+STRAY = path({"1": "Z"})
+
+
+def malformed_red1() -> list[Structure]:
+    """Three malformed variants of g_red1 that the constructor still
+    indexes: A dropped, though its children stay; A/E added beside the
+    children A/(E,c), so A's children disagree on who moves; and a block of
+    player 2 whose member STRAY lies outside the tree."""
+    g = g_red1()
+    h11, h12, h21, h22 = red1_infosets(g)
+    return [
+        Structure(g.players, g.actions, [h for h in g.histories if h != A], g.partitions),
+        Structure(
+            g.players, g.actions, g.histories + (A.extend(make_profile({"1": "E"})),),
+            g.partitions,
+        ),
+        Structure(
+            g.players, g.actions, g.histories,
+            {**g.partitions, "2": (h21, InfoSet("2", (STRAY,)))},
+        ),
+    ]
+
+
 def g_red2() -> Structure:
     """The behaviorally equivalent coalesced variant of g_red1."""
     structure = g_red1()

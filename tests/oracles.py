@@ -16,6 +16,7 @@ from egs import (
     HistoryMap,
     InfoSet,
     IsOpp,
+    Plan,
     ReducedNormalForm,
     RelationSet,
     Structure,
@@ -671,18 +672,28 @@ def indices_reference(structure):
     }
 
 
+def own_predecessor_reference(structure, s):
+    """The last (own set, action) pair of the owner's experience at the
+    set's first member."""
+    from egs.validate import experience
+
+    return experience(structure, s.owner, s.members[0]).last
+
+
+def _block_key(s):
+    return tuple(m.moves for m in s.members)
+
+
 def plans_reference(structure, player):
     """The recursive enumeration, lexicographic by set and then action."""
-    from egs.strategy import Plan, _infoset_key, own_predecessor
-
     blocks = structure.partitions.get(player, ())
     successors = {}
     for s in blocks:
-        pred = own_predecessor(structure, s)
+        pred = own_predecessor_reference(structure, s)
         if pred is not None:
             successors.setdefault(pred, []).append(s)
     for v in successors.values():
-        v.sort(key=_infoset_key)
+        v.sort(key=_block_key)
 
     def expand(frontier):
         if not frontier:
@@ -691,13 +702,14 @@ def plans_reference(structure, player):
         head, rest = frontier[0], frontier[1:]
         for action in structure.feasible_at(head):
             grown = tuple(sorted(
-                rest + tuple(successors.get((head, action), ())), key=_infoset_key
+                rest + tuple(successors.get((head, action), ())), key=_block_key
             ))
             for tail in expand(grown):
                 yield ((head, action),) + tail
 
     start = tuple(sorted(
-        (s for s in blocks if own_predecessor(structure, s) is None), key=_infoset_key
+        (s for s in blocks if own_predecessor_reference(structure, s) is None),
+        key=_block_key,
     ))
     return tuple(Plan(player, choices) for choices in expand(start))
 
@@ -847,3 +859,40 @@ def composite_extend_reference(comp, step):
     }
     infosets = {s: step.infoset_map[cur] for s, cur in comp.infoset_map.items()}
     return forward, infosets
+
+
+def transitively_simultaneous_reference(structure, a, b):
+    """The union-find over non-terminal histories, run afresh on every call."""
+    parent = {h: h for h in structure.nonterminals}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in structure.info_sets:
+        first = s.members[0]
+        if first not in parent:
+            continue
+        for m in s.members[1:]:
+            if m in parent:
+                parent[find(m)] = find(first)
+    if a == b:
+        return True
+    classes_a = {find(m) for m in a.members if m in parent}
+    return any(find(m) in classes_a for m in b.members if m in parent)
+
+
+def weak_follow_pairwise(structure):
+    """For each set s, every set t with s before t or s ~ t, in `info_sets`
+    order, each pair of sets compared member by member."""
+    sets = structure.info_sets
+    out = {}
+    for s in sets:
+        follows = []
+        for t in sets:
+            r = relation_pairwise(structure, s, t)
+            if r.before or r.simultaneous:
+                follows.append(t)
+        out[s] = tuple(follows)
+    return out

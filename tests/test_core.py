@@ -39,12 +39,14 @@ from fixtures import (
     A,
     B,
     O,
+    STRAY,
     g_absent_minded,
     g_chain,
     g_ent,
     g_kms,
     g_red1,
     g_sim3,
+    malformed_red1,
     path,
     red1_infosets,
 )
@@ -57,6 +59,7 @@ from oracles import (
     lift_rebuild,
     relation_pairwise,
     terminals_reference,
+    transitively_simultaneous_reference,
 )
 
 
@@ -251,6 +254,37 @@ def test_simultaneous_implies_transitively_simultaneous():
                     assert transitively_simultaneous(structure, a, b)
 
 
+def _assert_transitive_simultaneity_matches(structure):
+    # the blocks, and sets that are no block: the first members of two
+    # neighbouring blocks, terminals, and a history outside the tree
+    sets = list(structure.info_sets)
+    sets += [InfoSet(a.owner, (a.members[0], b.members[0])) for a, b in zip(sets, sets[1:])]
+    sets += [InfoSet("1", (z,)) for z in structure.terminals[:3]]
+    sets.append(InfoSet("1", (STRAY,)))
+    for a in sets:
+        for b in sets:
+            assert transitively_simultaneous(structure, a, b) == (
+                transitively_simultaneous_reference(structure, a, b)
+            )
+    # the classes are found once per structure, not once per call
+    index = structure._sim_index
+    transitively_simultaneous(structure, sets[0], sets[-1])
+    assert structure._sim_index is index
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_absent_minded())
+@example(g_sim3())
+def test_transitively_simultaneous_matches_the_per_call_union_find(structure):
+    _assert_transitive_simultaneity_matches(structure)
+
+
+def test_transitively_simultaneous_matches_the_union_find_on_malformed_structures():
+    for m in malformed_red1():
+        _assert_transitive_simultaneity_matches(m)
+
+
 def test_relation_matches_descendant_set_oracle():
     from corpus import uo_corpus
 
@@ -333,32 +367,16 @@ def test_indices_match_the_reference(structure):
 
 
 def test_indices_match_the_reference_on_malformed_structures():
-    g = g_red1()
     ace = A.extend(make_profile({"1": "E", "2": "c"}))
-    h11, h12, h21, h22 = red1_infosets(g)
-    stray = path({"1": "Z"})
-    malformed = [
-        # a missing parent: A's children stay, A does not
-        Structure(g.players, g.actions, [h for h in g.histories if h != A], g.partitions),
-        # children that disagree on who moves: A/E alone, beside A/(E,c)
-        Structure(
-            g.players, g.actions, g.histories + (A.extend(make_profile({"1": "E"})),),
-            g.partitions,
-        ),
-        # a partition member outside the tree
-        Structure(
-            g.players, g.actions, g.histories,
-            {**g.partitions, "2": (h21, InfoSet("2", (stray,)))},
-        ),
-    ]
+    malformed = malformed_red1()
     for m in malformed:
         _assert_indices_match(m)
         _assert_terminals_match(m)
     assert ace in malformed[0].terminals
     assert malformed[1].active(A) == ("1", "2")
     for query in (
-        lambda m: m.terminals_below(stray),
-        lambda m: m.terminals_below_set((ROOT, stray)),
+        lambda m: m.terminals_below(STRAY),
+        lambda m: m.terminals_below_set((ROOT, STRAY)),
     ):
         with pytest.raises(EgsError, match="'Z' is not a history of this structure"):
             query(malformed[2])

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egs import (
@@ -12,6 +12,7 @@ from egs import (
     EgsError,
     Game,
     IsOpp,
+    Structure,
     apply_is,
     bd,
     check_monotonic,
@@ -28,11 +29,22 @@ from egs import (
     transport_game,
     transport_plan,
 )
+from egs.dominance import _weak_follow_matrix
 from egs.transform import CompositeMap
 
 import fixtures
 from corpus import ico_corpus, profile_count, seeded_structures, uo_corpus
-from fixtures import data_pair, g_kms, g_nul, g_red1, game_nul, path, red1_infosets
+from fixtures import (
+    data_pair,
+    g_absent_minded,
+    g_kms,
+    g_nul,
+    g_red1,
+    game_nul,
+    malformed_red1,
+    path,
+    red1_infosets,
+)
 from oracles import (
     GameReference,
     bd_reference,
@@ -40,6 +52,7 @@ from oracles import (
     reaching_reference,
     reduced_normal_form_reference,
     strictly_dominated_reference,
+    weak_follow_pairwise,
 )
 
 
@@ -439,3 +452,24 @@ def test_bd_at_scale_settles_most_rows_without_an_lp(capsys, monkeypatch):
         "1": ["a1e1m1g1p1s1d1i1", "a1e1m1g1p1s1d1j1y1", "b1k1g1p1v1", "b1l1g1p1v1aa1"],
         "2": ["a2d2e2", "b2k2r2s2h2w2", "b2k2r2t2h2w2"],
     }
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_absent_minded())
+@example(g_kms())
+def test_weak_follow_matrix_matches_the_pairwise_scan(structure):
+    # the same sets in the same order, read off the transposed order index
+    got = _weak_follow_matrix(structure)
+    assert list(got.items()) == list(weak_follow_pairwise(structure).items())
+
+
+def test_weak_follow_matrix_matches_the_pairwise_scan_on_malformed_structures():
+    g = g_red1()
+    h11, h12, h21, h22 = red1_infosets(g)
+    # a block filed twice: info_sets holds it twice, and so must each tuple
+    twice = Structure(
+        g.players, g.actions, g.histories, {**g.partitions, "2": (h21, h22, h21)}
+    )
+    for m in malformed_red1() + [twice]:
+        assert list(_weak_follow_matrix(m).items()) == list(weak_follow_pairwise(m).items())

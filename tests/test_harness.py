@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from egs import (
     ROOT,
+    EgsError,
     FormatError,
     Game,
     InfoSet,
@@ -117,6 +118,48 @@ def test_parse_rejects_an_action_name_with_label_syntax():
             with pytest.raises(FormatError) as err:
                 parse(f'egs 1\nplayer 1 actions a,b{ch}c\nnode "" 1:a|b\n')
             assert err.value.line == 2
+
+
+def _one_choice(pid: str, actions: tuple[str, ...]) -> Structure:
+    """Player pid picks one of the actions at the root."""
+    kids = [ROOT.extend(make_profile({pid: a})) for a in actions]
+    return Structure(
+        (pid,), {pid: frozenset(actions)}, [ROOT, *kids], {pid: (InfoSet(pid, (ROOT,)),)}
+    )
+
+
+@pytest.mark.parametrize("pid, action, name, ch", [
+    ("1", "a#b", "a#b", "#"),     # parsed back as the one action a
+    ("1", "a|b", "a|b", "|"),     # parsed back as two histories
+    ("1", "a b", "a b", " "),     # did not parse
+    ("1", "a/b", "a/b", "/"),     # parse refuses it
+    ("1", "", "", "is empty"),    # parsed back without it
+    ("x:y", "a", "x:y", ":"),     # parsed back as a different structure
+    ("x#y", "a", "x#y", "#"),     # did not parse
+    ("x y", "a", "x y", " "),
+    ("x,y", "a", "x,y", ","),
+])
+def test_serialize_refuses_a_name_the_format_cannot_carry(pid, action, name, ch):
+    g = _one_choice(pid, (action, "c"))
+    with pytest.raises(EgsError) as err:
+        serialize(g)
+    assert repr(name) in str(err.value)
+    assert (ch if name == "" else repr(ch)) in str(err.value)
+
+
+def test_serialize_refuses_a_game_whose_player_id_holds_an_equals_sign():
+    # the payoff line "x=y=1/1" failed to parse
+    g = _one_choice("x=y", ("a", "b"))
+    game = Game(g, {"x=y": {z: Fraction(1) for z in g.terminals}})
+    with pytest.raises(EgsError, match="'x=y' contains '='"):
+        serialize(game)
+
+
+def test_parse_refuses_a_player_id_holding_a_colon_or_an_equals_sign():
+    for pid in ("x:y", "x=y"):
+        with pytest.raises(FormatError) as err:
+            parse(f'egs 1\nplayer {pid} actions a,b\nnode "" {pid}:a|b\n')
+        assert err.value.line == 2 and repr(pid) in str(err.value)
 
 
 def test_parse_bad_rational():

@@ -118,6 +118,25 @@ def test_apply_tau_rejects_incomplete():
         apply_tau(g, partial)
 
 
+def test_apply_tau_names_why_an_ico_is_incomplete():
+    g = g_uom()
+    theta = [i for i in find_complete_icos(g) if len(i.is_parts) == 2][0]
+    first = theta.is_parts[0]
+    for ico, reason in (
+        (Ico((), (first, first)), "the named parts of the ICO are not distinct"),
+        (Ico((), (first,)), "some transitively simultaneous set does not participate"),
+    ):
+        with pytest.raises(TransformError, match=reason):
+            apply_tau(g, ico)
+    # the whole class of players 4 and 5 participates, but the overlap
+    # A/C of their sets is no intersection of two named parts
+    g = g_ovlp()
+    part4 = [o for o in find_is(g) if o.owner == "4"]
+    part5 = [o for o in find_is(g) if o.owner == "5" and o.anchor.length == 2]
+    with pytest.raises(TransformError, match="an overlap does not move as a whole"):
+        apply_tau(g, Ico((), (part4[0], part5[0])))
+
+
 def test_nul_sigma_alone_not_complete():
     g = g_nul()
     icos = find_complete_icos(g)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import os
 import pickle
@@ -10,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import egs
@@ -18,6 +19,7 @@ from egs import (
     ROOT,
     EgsError,
     GenParams,
+    History,
     Plan,
     PlanError,
     behaviorally_equivalent,
@@ -39,6 +41,7 @@ from corpus import (
     shuffled_rnf,
     uo_corpus,
 )
+import fixtures
 from fixtures import (
     A,
     B,
@@ -52,10 +55,16 @@ from fixtures import (
     g_red1,
     g_red2,
     g_sim,
+    malformed_red1,
     path,
     red1_infosets,
 )
-from oracles import plans_reference, rnf_certificate_ok, rnf_isomorphic_brute
+from oracles import (
+    own_predecessor_reference,
+    plans_reference,
+    rnf_certificate_ok,
+    rnf_isomorphic_brute,
+)
 
 
 def brute_force_plans(structure, player):
@@ -163,6 +172,54 @@ def test_plans_match_brute_force_on_fixtures_and_corpus():
 def test_plans_match_the_recursive_reference(structure):
     for p in structure.players:
         assert plans(structure, p) == plans_reference(structure, p)
+
+
+def _assert_own_predecessor_matches(structure):
+    for s in structure.info_sets:
+        try:
+            want = own_predecessor_reference(structure, s)
+        except EgsError as error:
+            with pytest.raises(EgsError) as raised:
+                own_predecessor(structure, s)
+            assert str(raised.value) == str(error)
+        else:
+            assert own_predecessor(structure, s) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_absent_minded())
+def test_own_predecessor_matches_the_experience(structure):
+    _assert_own_predecessor_matches(structure)
+
+
+def test_own_predecessor_matches_the_experience_on_fixtures_and_malformed_structures():
+    for name, builder in sorted(vars(fixtures).items()):
+        if name.startswith("g_") and not inspect.signature(builder).parameters:
+            _assert_own_predecessor_matches(builder())
+    for m in malformed_red1():
+        _assert_own_predecessor_matches(m)
+    # a set whose member is no history of the structure
+    with pytest.raises(EgsError, match="'Z' is not a history of this structure"):
+        own_predecessor(g_red1(), egs.InfoSet("1", (fixtures.STRAY,)))
+
+
+def test_plans_of_a_deep_chain_build_one_prefix_per_set(monkeypatch):
+    # each set's own predecessor is read off one prefix of its first
+    # member, not off the whole experience (a prefix per move)
+    g = g_deep_chain(200)
+    calls = []
+    prefix = History.prefix
+
+    def counting(self, n):
+        calls.append(n)
+        return prefix(self, n)
+
+    monkeypatch.setattr(History, "prefix", counting)
+    got = plans(g, "1")
+    monkeypatch.undo()
+    assert len(calls) <= len(g.partitions["1"])
+    assert got == plans_reference(g, "1")
 
 
 def _stack_depth() -> int:
