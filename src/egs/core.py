@@ -6,8 +6,13 @@ component ordering.  A structure bundles the player set, the per-player
 action alphabets, a prefix-closed history set, and per-player information
 partitions.  Everything derived (terminals, active players, feasible
 actions, subtree terminal sets, transitive-simultaneity classes) is
-computed once per structure and cached; all values are immutable and safe
-to share across threads.
+computed once per structure: the indices every query needs at
+construction, and each fact derived lazily as a cached property of the
+structure (`cached_property`, a `functools.cached_property`), which the
+first reader computes and every later reader gets as the same object.
+All values are immutable and safe to share across threads; two threads
+racing on a first read may each compute the fact, and they compute equal
+values.
 
 Terminal sets are int bitsets with one bit per terminal, in the order
 `_bits`: a fresh build numbers the terminals in history order and fills
@@ -18,24 +23,41 @@ keeps every history, information set and index entry outside the
 rewritten subtrees, gives each terminal's image the terminal's bit, and
 indexes only the images and the histories just above them, so the
 terminal sets of kept histories and the action masks of untouched sets
-carry over unchanged.  The order-and-control index is derived lazily and
-rebuilt by every structure: one walk from the root records each set's
-earlier sets (those with a member strictly before one of its members) as
-a bitset over positions in `info_sets`, and for each anchor strictly
-before a member at which the set's owner is inactive, the members below
-it.  Each (set, action) terminal mask is filed by (owner, mask).
-Order relations, the UO check, coalescing and IS discovery test these bits
-instead of scanning pairs.  Histories and information sets hash once, at
-construction, so every lookup costs O(1) rather than O(depth).
+carry over unchanged.  The order-and-control index is derived lazily by
+every structure: one walk from the root records each set's earlier sets
+(those with a member strictly before one of its members) as a bitset over
+positions in `info_sets`, and for each anchor strictly before a member at
+which the set's owner is inactive, the members below it.  Each (set,
+action) terminal mask is filed by (owner, mask).  Order relations, the UO
+check, coalescing and IS discovery test these bits instead of scanning
+pairs.  Histories and information sets hash once, at construction, so
+every lookup costs O(1) rather than O(depth).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 
 class EgsError(Exception):
     """Base error for this package."""
+
+
+class cached_property(functools.cached_property):
+    """`functools.cached_property`, storing the value as assigning the
+    attribute would.  The standard one stores it through the instance's
+    `__dict__`, and on CPython 3.11 and 3.12 an instance whose `__dict__`
+    has been read keeps its attributes in that dict from then on, where
+    every later read of them is slower: a few percent of a `dominance`
+    item, spent on reads of the game, its plan space and its structures."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
 
 
 Profile = tuple[tuple[str, str], ...]  # ((player, action), ...) sorted by player
@@ -126,23 +148,24 @@ class InfoSet:
     members: tuple[History, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(set(self.members), key=lambda h: h.moves))
+        member_set = frozenset(self.members)
+        ordered = tuple(sorted(member_set, key=lambda h: h.moves))
         object.__setattr__(self, "members", ordered)
         if not ordered:
             raise EgsError("an information set needs at least one member")
         object.__setattr__(self, "_hash", hash((self.owner, ordered)))
-        # the order of blocks in a partition, kept like the hash
+        # The order of blocks in a partition and the members as a set, kept
+        # like the hash: set later, an attribute no longer fits the keys the
+        # class's many instances share, and on CPython 3.11 and 3.12 the
+        # instance then reads its fields from a dict of its own, more slowly.
         object.__setattr__(self, "_members_key", tuple(h.moves for h in ordered))
+        object.__setattr__(self, "member_set", member_set)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self):
         return InfoSet, (self.owner, self.members)
-
-    @property
-    def member_set(self) -> frozenset[History]:
-        return frozenset(self.members)
 
     def __repr__(self) -> str:
         names = ",".join(h.label() or "''" for h in self.members)
@@ -213,13 +236,6 @@ class Structure:
         self._info_set_set = frozenset(
             s for p, blocks in self.partitions.items() for s in blocks if s.owner == p
         )
-        self._position = {s: i for i, s in enumerate(self.info_sets)}
-        self._earlier: dict[InfoSet, int] | None = None
-        self._below: dict[tuple[InfoSet, History], tuple[History, ...]] | None = None
-        self._links: dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]] | None = None
-        self._sim_index: dict[History, int] | None = None
-        self._sim_classes: tuple[tuple[InfoSet, ...], ...] | None = None
-        self._plan_space = None  # strategy.plan_space fills it on first use
         histories = frozenset(histories)
         if _edit is None or not self._build_indices(histories, *_edit):
             self._build_indices(histories)
@@ -258,7 +274,7 @@ class Structure:
             children, active, feasible = (
                 dict(pred._children), dict(pred._active), dict(pred._feasible)
             )
-            z, bits, bit_of = dict(pred._terminal_masks()), list(pred._bits), {}
+            z, bits, bit_of = dict(pred._z), list(pred._bits), {}
             # A top's entries are recomputed below.  Its players all stay
             # active (the region's roots gain only the owner), so none of its
             # entries goes stale.
@@ -317,7 +333,6 @@ class Structure:
         if pred is None:
             order, terminals = new, new_terminals
             nonterminals = [h for h, c in changed if c]
-            z = None  # filled on first use
         else:
             if len(new_terminals) != len(bit_of) or not bit_of.keys() >= set(new_terminals):
                 return False
@@ -350,13 +365,10 @@ class Structure:
         self._children, self._active, self._feasible = children, active, feasible
         self.terminals: tuple[History, ...] = tuple(terminals)
         self.nonterminals: tuple[History, ...] = tuple(nonterminals)
-        self._terminal_set = (
-            frozenset(terminals) if pred is None
-            else pred._terminal_set.difference(region).union(new_terminals)
-        )
-        self._z: dict[History, int] | None = z
         # the terminal of each bit: a fresh build's are in history order
         self._bits: tuple[History, ...] = self.terminals if pred is None else tuple(bits)
+        if pred is not None:
+            self._z = z  # carried and summed; a fresh build derives its own
         self._infoset_index: dict[tuple[str, History], InfoSet] = index
         self._regular = regular
         # a set's action masks hold while no member is rewritten or a top
@@ -376,7 +388,7 @@ class Structure:
         return h in self._hist_set
 
     def is_terminal(self, h: History) -> bool:
-        return h in self._terminal_set
+        return not self._children.get(h, True)
 
     def children(self, h: History) -> tuple[History, ...]:
         return self._children[h]
@@ -411,21 +423,19 @@ class Structure:
 
     # -- subtree terminal sets ------------------------------------------
 
-    def _terminal_masks(self) -> dict[History, int]:
-        """Z(h) of every history as a bitset in the bit order `_bits`: an
-        edit carries its predecessor's and sums the images'; a fresh build
-        fills them on first use.  Filled from the last history back, a child
-        before its parent; the children's subtrees are disjoint, so their
-        sum is their union."""
-        if self._z is None:
-            z = {t: 1 << i for i, t in enumerate(self.terminals)}
-            for h in reversed(self.nonterminals):
-                z[h] = sum(z[c] for c in self._children[h])
-            self._z = z
-        return self._z
+    @cached_property
+    def _z(self) -> dict[History, int]:
+        """Z(h) of every history as a bitset in the bit order `_bits`,
+        filled from the last history back, a child before its parent; the
+        children's subtrees are disjoint, so their sum is their union.  An
+        edit sets its own instead, carried from its predecessor."""
+        z = {t: 1 << i for i, t in enumerate(self.terminals)}
+        for h in reversed(self.nonterminals):
+            z[h] = sum(z[c] for c in self._children[h])
+        return z
 
     def _terminal_mask_set(self, hs) -> int:
-        z = self._terminal_masks()
+        z = self._z
         mask = 0
         for h in hs:
             if h not in z:
@@ -438,7 +448,7 @@ class Structure:
         fills the masks of all its actions."""
         masks = self._za_cache.get(s)
         if masks is None:
-            z = self._terminal_masks()
+            z = self._z
             masks = self._za_cache[s] = {}
             for m in s.members:
                 for kid in self._children[m]:
@@ -464,23 +474,19 @@ class Structure:
 
     # -- order and control index ----------------------------------------
 
-    def _earlier_masks(self) -> dict[InfoSet, int]:
-        """For each set s, the information sets with a member strictly
-        before a member of s, as a bitset over positions in `info_sets`."""
-        if self._earlier is None:
-            self._walk_order()
-        return self._earlier
+    @cached_property
+    def _position(self) -> dict[InfoSet, int]:
+        return {s: i for i, s in enumerate(self.info_sets)}
 
-    def _anchored_members(self) -> dict[tuple[InfoSet, History], tuple[History, ...]]:
-        """For each (s, anchor) with the anchor strictly before a member of s
-        and the owner of s inactive at it, the members of s below the anchor."""
-        if self._below is None:
-            self._walk_order()
-        return self._below
-
-    def _walk_order(self) -> None:
-        """Fill both order indices in one iterative walk from the root that
-        carries the current path; the cost is O(sum of member depths)."""
+    @cached_property
+    def _order(self) -> tuple[dict[InfoSet, int], dict]:
+        """The earlier masks and the anchored members, from one iterative
+        walk from the root that carries the current path; the cost is
+        O(sum of member depths).  For each set s, its earlier mask holds the
+        information sets with a member strictly before a member of s, as a
+        bitset over positions in `info_sets`; for each (s, anchor) with the
+        anchor strictly before a member of s and the owner of s inactive at
+        it, the anchored members are the members of s below the anchor."""
         sets_at: dict[History, list[InfoSet]] = {}
         for s in self.info_sets:
             for m in s.members:
@@ -517,19 +523,58 @@ class Structure:
                         earlier[s] |= 1 << position[t]
                     if self._children.get(g) and s.owner not in active[g]:
                         below.setdefault((s, g), []).append(h)
-        self._earlier = earlier
-        self._below = {k: tuple(v) for k, v in below.items()}
+        return earlier, {k: tuple(v) for k, v in below.items()}
 
-    def _controllers(self, owner: str, z: int) -> tuple[tuple[InfoSet, str], ...]:
-        """The (set, action) pairs of the owner, in set then action order,
-        whose action reaches exactly the terminals of the mask z."""
-        if self._links is None:
-            links: dict[tuple[str, int], list[tuple[InfoSet, str]]] = {}
-            for s in self.info_sets:
-                for a in self.feasible_at(s):
-                    links.setdefault((s.owner, self._action_mask(s, a)), []).append((s, a))
-            self._links = {k: tuple(v) for k, v in links.items()}
-        return self._links.get((owner, z), ())
+    @cached_property
+    def _links(self) -> dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]]:
+        """The (set, action) pairs of each owner, in set then action order,
+        filed by the owner and the mask of the terminals the action reaches."""
+        links: dict[tuple[str, int], list[tuple[InfoSet, str]]] = {}
+        for s in self.info_sets:
+            for a in self.feasible_at(s):
+                links.setdefault((s.owner, self._action_mask(s, a)), []).append((s, a))
+        return {k: tuple(v) for k, v in links.items()}
+
+    # -- transitive simultaneity -----------------------------------------
+
+    @cached_property
+    def _sim_index(self) -> dict[History, int]:
+        """Union-find over non-terminal histories: one class per transitive-
+        simultaneity component (co-membership in some information set),
+        numbered in history order."""
+        parent = {h: h for h in self.nonterminals}
+
+        def find(x: History) -> History:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]  # path halving
+            return x
+
+        for s in self.info_sets:
+            if s.members[0] in parent:
+                for m in s.members[1:]:
+                    if m in parent:
+                        parent[find(m)] = find(s.members[0])
+        reps: dict[History, int] = {}
+        return {h: reps.setdefault(find(h), len(reps)) for h in self.nonterminals}
+
+    @cached_property
+    def _sim_classes(self) -> tuple[tuple[InfoSet, ...], ...]:
+        idx = self._sim_index
+        by_class: dict[int, list[InfoSet]] = {}
+        for s in self.info_sets:
+            by_class.setdefault(idx[s.members[0]], []).append(s)
+        return tuple(
+            tuple(sorted(group, key=lambda s: (s.owner, s._members_key)))
+            for group in sorted(
+                by_class.values(), key=lambda group: min(s._members_key for s in group)
+            )
+        )
+
+    @cached_property
+    def _plan_space(self):
+        from .strategy import PlanSpace  # strategy imports this module
+
+        return PlanSpace(self)
 
     # -- equality -------------------------------------------------------
 
@@ -573,7 +618,7 @@ def relation(structure: Structure, a: InfoSet, b: InfoSet) -> RelationSet:
     """Compute which of <, ~, > hold between two information sets of G."""
     structure.require_info_set(a)
     structure.require_info_set(b)
-    earlier, position = structure._earlier_masks(), structure._position
+    earlier, position = structure._order[0], structure._position
     return RelationSet(
         before=bool(earlier[b] >> position[a] & 1),
         simultaneous=not a.member_set.isdisjoint(b.members),
@@ -581,34 +626,10 @@ def relation(structure: Structure, a: InfoSet, b: InfoSet) -> RelationSet:
     )
 
 
-def _sim_class_index(structure: Structure) -> dict[History, int]:
-    """Union-find over non-terminal histories: one class per transitive-
-    simultaneity component (co-membership in some information set),
-    numbered in history order.  Computed once per structure."""
-    if structure._sim_index is None:
-        parent = {h: h for h in structure.nonterminals}
-
-        def find(x: History) -> History:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]  # path halving
-            return x
-
-        for s in structure.info_sets:
-            if s.members[0] in parent:
-                for m in s.members[1:]:
-                    if m in parent:
-                        parent[find(m)] = find(s.members[0])
-        reps: dict[History, int] = {}
-        structure._sim_index = {
-            h: reps.setdefault(find(h), len(reps)) for h in structure.nonterminals
-        }
-    return structure._sim_index
-
-
 def transitively_simultaneous(structure: Structure, a: InfoSet, b: InfoSet) -> bool:
     """True iff the member histories of a and b are linked by a chain of
     co-memberships (the reflexive-symmetric-transitive closure of ~)."""
-    idx = _sim_class_index(structure)
+    idx = structure._sim_index
     return a == b or not {idx[m] for m in a.members if m in idx}.isdisjoint(
         idx[m] for m in b.members if m in idx
     )
@@ -618,17 +639,6 @@ def sim_classes(structure: Structure) -> tuple[tuple[InfoSet, ...], ...]:
     """Partition all information sets into transitive-simultaneity classes.
 
     All members of one information set land in one history class, so each
-    set belongs to exactly one class.  Computed once per structure.
+    set belongs to exactly one class.
     """
-    if structure._sim_classes is None:
-        idx = _sim_class_index(structure)
-        by_class: dict[int, list[InfoSet]] = {}
-        for s in structure.info_sets:
-            by_class.setdefault(idx[s.members[0]], []).append(s)
-        structure._sim_classes = tuple(
-            tuple(sorted(group, key=lambda s: (s.owner, s._members_key)))
-            for group in sorted(
-                by_class.values(), key=lambda group: min(s._members_key for s in group)
-            )
-        )
     return structure._sim_classes

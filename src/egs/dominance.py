@@ -31,8 +31,9 @@ the dominating mixture, and the LP decides the rest exactly.  Payoff
 matrices hold the payoffs times the least common multiple of their
 player's denominators, integers with the same dominated rows.
 
-A game is treated as immutable, so its BD trace is computed once, on the
-first `bd` call, and shared by every later call and monotonicity report.
+A game is treated as immutable, so its BD trace is a cached property of
+the game, computed on the first `bd` call and shared by every later call
+and monotonicity report.
 Which rows of a payoff matrix are dominated depends on the matrix alone:
 each game keeps a memo of those answers, keyed by the matrix, and
 `transport_game` hands it on to the game it builds, so the decision
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import EgsError, History, InfoSet, ROOT, Structure, bit_indices
+from .core import EgsError, History, InfoSet, ROOT, Structure, bit_indices, cached_property
 from .lp import maximize
 from .strategy import Plan, PlanSpace, plan_space
 from .transform import CompositeMap, Ico, apply_tau, transport_plan_through
@@ -97,9 +98,12 @@ class Game:
                 for v in (table[z] for z in space.terminals)
             ]
             self._utility[p] = [pay[t] for t in space.outcomes]
-        self._bd_trace: BdTrace | None = None
         # dominated_rows answers by payoff matrix; shared by transport_game
         self._dominated_memo: dict[tuple, tuple[int, ...]] = {}
+
+    @cached_property
+    def _bd_trace(self) -> BdTrace:
+        return _run_bd(self)
 
 
 @dataclass(frozen=True)
@@ -276,8 +280,8 @@ def strictly_dominated(problem: DecisionProblem, game: Game) -> tuple[Plan, ...]
     against which to witness the strict inequality."""
     space = game._space
     seat = space.players.index(problem.at.owner)
-    mine = space.index(seat)
-    indices = [space.index(i) for i in range(len(space.players)) if i != seat]
+    mine = space.indices[seat]
+    indices = [ix for i, ix in enumerate(space.indices) if i != seat]
     own = [mine[plan] for plan in problem.own]
     others = [
         tuple(index[plan] for index, plan in zip(indices, rest))
@@ -303,7 +307,7 @@ def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ..
     elimination sense: h < g or h ~ g), in `info_sets` order.  The later
     sets are the earlier masks transposed, and the simultaneous ones those
     sharing a member history; both are bitsets over `info_sets` indices."""
-    sets, earlier, position = structure.info_sets, structure._earlier_masks(), structure._position
+    sets, earlier, position = structure.info_sets, structure._order[0], structure._position
     later = [0] * len(sets)
     sharing: dict[History, int] = {}
     for i, t in enumerate(sets):
@@ -323,8 +327,6 @@ def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ..
 def bd(game: Game) -> BdTrace:
     """Run the backward dominance procedure to its fixpoint.  The trace is
     computed on the first call for a game; later calls return it."""
-    if game._bd_trace is None:
-        game._bd_trace = _run_bd(game)
     return game._bd_trace
 
 

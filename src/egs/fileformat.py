@@ -46,26 +46,21 @@ def _strip_comment(line: str) -> str:
     return _BEFORE_COMMENT.match(line).group()
 
 
-def _action_names(names: list[str], lineno: int) -> list[str]:
-    """The non-empty names, none holding history-label syntax: such an
-    action would give two histories one label."""
-    for a in names:
-        if re.search(r'[/(),="]', a):
-            raise FormatError(lineno, f'action {a!r} contains one of / ( ) , = "')
-    return [a for a in names if a]
-
-
 # What a player id or an action name cannot hold, besides whitespace: the
-# format reads it as syntax, and '#' starts a comment.
+# format reads it as syntax, and '#' starts a comment.  An action holding
+# history-label syntax would give two histories one label.
 _ID_SYNTAX = re.compile(r"[\s:=,#]")
 _ACTION_SYNTAX = re.compile(r'[\s/(),="|#]')
 
 
-def _writable(kind: str, name: str, syntax: re.Pattern) -> str:
+def _name(kind: str, name: str, syntax: re.Pattern, lineno: int | None = None) -> str:
+    """The name, if the format can carry it.  Otherwise raises EgsError
+    saying why, a FormatError when parsing the given line."""
     found = syntax.search(name)
     if found or not name:
         what = f"contains {found.group()!r}" if found else "is empty"
-        raise EgsError(f"{kind} {name!r} {what}, which the format cannot carry")
+        message = f"{kind} {name!r} {what}, which the format cannot carry"
+        raise EgsError(message) if lineno is None else FormatError(lineno, message)
     return name
 
 
@@ -112,13 +107,13 @@ def parse(text: str):
         if kind == "player":
             if len(tokens) != 4 or tokens[2] != "actions":
                 raise FormatError(lineno, "expected: player <id> actions a,b,...")
-            pid = tokens[1]
-            if re.search(r"[:=]", pid):
-                raise FormatError(lineno, f"player id {pid!r} contains one of : =")
+            pid = _name("player id", tokens[1], _ID_SYNTAX, lineno)
             if pid in actions:
                 raise FormatError(lineno, f"player {pid} declared twice")
             players.append(pid)
-            actions[pid] = set(_action_names(tokens[3].split(","), lineno))
+            actions[pid] = {
+                _name("action", a, _ACTION_SYNTAX, lineno) for a in tokens[3].split(",")
+            }
         elif kind == "node":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: node \"<history>\" pid:a|b ...")
@@ -128,7 +123,11 @@ def parse(text: str):
                 if ":" not in tok:
                     raise FormatError(lineno, f"expected pid:a|b|..., got {tok}")
                 pid, acts = tok.split(":", 1)
-                specs.append((pid, _action_names(acts.split("|"), lineno)))
+                if any(q == pid for q, _ in specs):
+                    raise FormatError(lineno, f"node {label!r} names player {pid} twice")
+                specs.append((pid, [
+                    _name("action", a, _ACTION_SYNTAX, lineno) for a in acts.split("|")
+                ]))
             if label in nodes:
                 raise FormatError(lineno, f"node {label!r} declared twice")
             nodes[label] = (lineno, specs)
@@ -171,12 +170,7 @@ def parse(text: str):
             if spec is None:
                 continue
             used_nodes.add(label)
-            lineno, entries = spec
-            pools = []
-            for pid, acts in entries:
-                if not acts:
-                    raise FormatError(lineno, f"player {pid} offers no actions")
-                pools.append([(pid, a) for a in acts])
+            pools = [[(pid, a) for a in acts] for pid, acts in spec[1]]
             for combo in itertools.product(*pools):
                 child = h.extend(tuple(sorted(combo)))
                 histories[child.label()] = child
@@ -240,8 +234,8 @@ def serialize(obj) -> str:
     lines = ["egs 1"]
     # a valid structure's node lines use only the names declared here
     for p in structure.players:
-        acts = (_writable("action", a, _ACTION_SYNTAX) for a in sorted(structure.actions[p]))
-        lines.append(f"player {_writable('player id', p, _ID_SYNTAX)} actions {','.join(acts)}")
+        acts = (_name("action", a, _ACTION_SYNTAX) for a in sorted(structure.actions[p]))
+        lines.append(f"player {_name('player id', p, _ID_SYNTAX)} actions {','.join(acts)}")
     for h in structure.histories:
         if structure.is_terminal(h):
             continue

@@ -7,9 +7,11 @@ unique immediate own predecessor is and the choice there leads to it.
 Sets and choices go in block order, the sort key each information set
 keeps; a set's own predecessor is found scanning back from its first member.
 
-Each structure keeps one plan space, built on first use the way the order
-index is: every player's plans under integer indices, and per history the
-bitsets of plans consistent with reaching it, from one root walk.  Reduced
+Each structure keeps one plan space, a cached property of the structure
+like its order index: every player's plans under integer indices, and per
+history the bitsets of plans consistent with reaching it, from one root
+walk.  The plan space's own derived facts, the outcome of every profile
+and the index of every plan, are cached properties of it in turn.  Reduced
 normal forms, the equivalence route and games read it; `play` remains the
 reference for what a single profile reaches.
 
@@ -28,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
-from .core import EgsError, History, InfoSet, Structure, bit_indices
+from .core import EgsError, History, InfoSet, Structure, bit_indices, cached_property
 from .isomorph import _isomorphism
 from .validate import check_uo
 
@@ -197,26 +199,22 @@ class PlanSpace:
         self.terminals = structure.terminals  # in history order
         if sum(self.multiplicities()) != self.profile_count:
             raise PlanError("some plan profile reaches no terminal")
-        self._outcomes: list[int] | None = None
-        self._index: tuple[dict[Plan, int], ...] | None = None
 
-    @property
+    @cached_property
     def outcomes(self) -> list[int]:
         """The index in `terminals` of the terminal each profile reaches,
         profiles in product order: each terminal fills its preimage."""
-        if self._outcomes is None:
-            table = [0] * self.profile_count
-            for t, z in enumerate(self.terminals):
-                sets = self.reach.get(z)
-                if sets is None:
-                    continue
-                rows = [0]
-                for stride, c in zip(self.strides, sets):
-                    rows = [r + k * stride for r in rows for k in bit_indices(c)]
-                for r in rows:
-                    table[r] = t
-            self._outcomes = table
-        return self._outcomes
+        table = [0] * self.profile_count
+        for t, z in enumerate(self.terminals):
+            sets = self.reach.get(z)
+            if sets is None:
+                continue
+            rows = [0]
+            for stride, c in zip(self.strides, sets):
+                rows = [r + k * stride for r in rows for k in bit_indices(c)]
+            for r in rows:
+                table[r] = t
+        return table
 
     def multiplicities(self) -> list[int]:
         """The size Πᵢ |Cᵢ(z)| of each reached terminal's preimage."""
@@ -234,19 +232,14 @@ class PlanSpace:
                     adj[vs[k]].append(t)
                     adj[t].append(vs[k])
 
-    def index(self, seat: int) -> dict[Plan, int]:
-        """Plan -> index for the player in the given seat."""
-        if self._index is None:
-            self._index = tuple(
-                {plan: k for k, plan in enumerate(pl)} for pl in self.plan_lists
-            )
-        return self._index[seat]
+    @cached_property
+    def indices(self) -> tuple[dict[Plan, int], ...]:
+        """Plan -> index for the player in each seat."""
+        return tuple({plan: k for k, plan in enumerate(pl)} for pl in self.plan_lists)
 
 
 def plan_space(structure: Structure) -> PlanSpace:
     """The structure's plan space, built on first use and kept with it."""
-    if structure._plan_space is None:
-        structure._plan_space = PlanSpace(structure)
     return structure._plan_space
 
 

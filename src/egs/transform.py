@@ -72,13 +72,9 @@ class IsOpp:
     mover: InfoSet
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "submover", tuple(sorted(set(self.submover), key=history_key))
-        )
-
-    @property
-    def submover_set(self) -> frozenset[History]:
-        return frozenset(self.submover)
+        submover_set = frozenset(self.submover)
+        object.__setattr__(self, "submover", tuple(sorted(submover_set, key=history_key)))
+        object.__setattr__(self, "submover_set", submover_set)  # as InfoSet.member_set
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,7 @@ def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
     for p in structure.players:
         for mover in structure.partitions.get(p, ()):
             target = structure._terminal_mask_set(mover.members)
-            for base, link in structure._controllers(p, target):
+            for base, link in structure._links.get((p, target), ()):
                 if base != mover:
                     out.append(CoalescingOpp(p, base, mover, link))
     # Stable: movers of one (base, link) stay in partition order.
@@ -196,7 +192,7 @@ def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
 def find_is(structure: Structure) -> list[IsOpp]:
     out = [
         IsOpp(s.owner, anchor, d, s)
-        for (s, anchor), d in structure._anchored_members().items()
+        for (s, anchor), d in structure._order[1].items()
         if dictates(structure, anchor, d, s.owner)
     ]
     out.sort(key=lambda o: (history_key(o.anchor), o.owner, _infoset_key(o.mover)))
@@ -346,11 +342,14 @@ def apply_is(structure: Structure, opp: IsOpp) -> tuple[Structure, HistoryMap]:
     anchor = opp.anchor
     top = dict.fromkeys(_descendants(structure, anchor), anchor)
     below = {g: m for m in opp.submover for g in _descendants(structure, m)}
-    for g in structure.histories:
-        if g in top and g not in below and not any(g.is_prefix_of(d) for d in opp.submover):
-            raise TransformError(
-                f"{g.label()!r} is unrelated to the sub-mover; dictation is broken"
-            )
+    broken = [
+        g for g in top if g not in below and not any(g.is_prefix_of(d) for d in opp.submover)
+    ]
+    if broken:
+        raise TransformError(
+            f"{min(broken, key=history_key).label()!r} is unrelated to the sub-mover;"
+            " dictation is broken"
+        )
     kept = tuple(m for m in opp.mover.members if m not in opp.submover_set)
     new_structure, forward, infoset_map = _lift(
         structure, i, top, below, opp.mover, (anchor,) + kept
@@ -674,20 +673,14 @@ class SynthOpp:
 
 def _complete_controls_for(structure: Structure, mover: InfoSet, opps: list[IsOpp]):
     """Subsets of the mover's IS anchors whose pieces partition it, with
-    pairwise-incomparable anchors of equal length."""
+    pairwise-incomparable anchors of equal length.  `find_is` gives one
+    opportunity per anchor, so distinct anchors of equal length are
+    incomparable, and their pieces, the members below each, are disjoint."""
     out = []
     for chosen in _subsets(opps):
-        anchors = [o.anchor for o in chosen]
-        if len({a.length for a in anchors}) != 1:
+        if len({o.anchor.length for o in chosen}) != 1:
             continue
-        if any(
-            a.is_prefix_of(b) or b.is_prefix_of(a)
-            for a, b in itertools.combinations(anchors, 2)
-        ):
-            continue
-        # the pieces are disjoint exactly when their sizes add up
-        covered = frozenset().union(*(o.submover for o in chosen))
-        if sum(len(o.submover) for o in chosen) != len(covered) or covered != mover.member_set:
+        if frozenset().union(*(o.submover for o in chosen)) != mover.member_set:
             continue
         out.append(CompleteControl(
             mover.owner, mover,

@@ -232,7 +232,7 @@ def check_uo(structure: Structure) -> tuple[bool, tuple[InfoSet, InfoSet] | None
     sets = structure.info_sets
     for s in sets:
         structure.require_info_set(s)
-    earlier, position = structure._earlier_masks(), structure._position
+    earlier, position = structure._order[0], structure._position
     for a in sets:
         # Each offending b has a member before one of a's and vice versa;
         # one placed before a would have been reported with a already.  The

@@ -9,6 +9,7 @@ from egs import (
     ROOT,
     BdTrace,
     CoalescingOpp,
+    CompleteControl,
     DecisionProblem,
     DominanceError,
     EgsError,
@@ -895,4 +896,29 @@ def weak_follow_pairwise(structure):
             if r.before or r.simultaneous:
                 follows.append(t)
         out[s] = tuple(follows)
+    return out
+
+
+def complete_controls_reference(structure, mover, opps):
+    """Every subset of the mover's IS opportunities, smallest first, whose
+    anchors have equal length and are pairwise incomparable and whose
+    pieces are pairwise disjoint and cover the mover, each condition tested
+    on its own."""
+    out = []
+    for r in range(1, len(opps) + 1):
+        for chosen in itertools.combinations(opps, r):
+            anchors = [o.anchor for o in chosen]
+            pieces = [set(o.submover) for o in chosen]
+            if (
+                len({a.length for a in anchors}) == 1
+                and not any(
+                    a.is_prefix_of(b) or b.is_prefix_of(a)
+                    for a, b in itertools.combinations(anchors, 2)
+                )
+                and not any(p & q for p, q in itertools.combinations(pieces, 2))
+                and set().union(*pieces) == set(mover.members)
+            ):
+                out.append(CompleteControl(
+                    mover.owner, mover, tuple(anchors), tuple(o.submover for o in chosen)
+                ))
     return out

@@ -15,9 +15,11 @@ from egs import (
     Structure,
     apply_is,
     bd,
+    behaviorally_equivalent,
     check_monotonic,
     check_uo,
     compare_bd,
+    find_coalescing,
     find_complete_icos,
     find_is,
     format_trace,
@@ -25,11 +27,14 @@ from egs import (
     random_payoffs,
     reaching,
     reduced_normal_form,
+    relation,
     strictly_dominated,
+    transitively_simultaneous,
     transport_game,
     transport_plan,
 )
 from egs.dominance import _weak_follow_matrix
+from egs.strategy import plan_space
 from egs.transform import CompositeMap
 
 import fixtures
@@ -42,6 +47,7 @@ from fixtures import (
     g_red1,
     game_nul,
     malformed_red1,
+    nul_payoffs,
     path,
     red1_infosets,
 )
@@ -314,6 +320,58 @@ def test_bd_trace_is_frozen():
     trace = bd(game_nul())
     with pytest.raises(FrozenInstanceError):
         trace.survivors = {}
+
+
+def _assert_derived_once(owner, facts, readers):
+    """Each fact is absent until a reader needs it, and from then on every
+    reader finds the same object."""
+    assert not set(facts) & set(vars(owner))
+    seen = {}
+    for read in readers:
+        read()
+        for fact in set(facts) & set(vars(owner)):
+            assert vars(owner)[fact] is seen.setdefault(fact, vars(owner)[fact]), fact
+    assert set(seen) == set(facts)
+
+
+def test_each_cached_fact_is_one_object_across_its_readers():
+    structure = g_nul()
+    a, b = structure.info_sets[:2]
+    games = []
+    _assert_derived_once(
+        structure,
+        ("_z", "_position", "_order", "_links", "_sim_index", "_sim_classes", "_plan_space"),
+        [
+            lambda: check_uo(structure),
+            lambda: relation(structure, a, b),
+            lambda: find_is(structure),
+            lambda: find_coalescing(structure),
+            lambda: transitively_simultaneous(structure, a, b),
+            lambda: find_complete_icos(structure),
+            lambda: games.append(Game(structure, nul_payoffs(structure))),
+            lambda: _weak_follow_matrix(structure),
+            lambda: bd(games[0]),
+            lambda: reduced_normal_form(structure),
+            lambda: behaviorally_equivalent(structure, g_nul()),
+        ],
+    )
+    assert games[0]._space is structure._plan_space
+    # the plan space's own facts: each profile's outcome and the plan indices
+    structure = g_nul()
+    space = plan_space(structure)
+    _assert_derived_once(
+        space,
+        ("outcomes", "indices"),
+        [
+            lambda: reduced_normal_form(structure),
+            lambda: games.append(Game(structure, nul_payoffs(structure))),
+            lambda: strictly_dominated(reaching(games[-1], structure.info_sets[0]), games[-1]),
+            lambda: behaviorally_equivalent(structure, g_nul()),
+        ],
+    )
+    game = game_nul()
+    ico = find_complete_icos(game.structure)[0]
+    _assert_derived_once(game, ("_bd_trace",), [lambda: bd(game), lambda: check_monotonic(game, ico)])
 
 
 # -- the plan space against the per-profile reference -------------------------

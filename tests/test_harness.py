@@ -1,3 +1,4 @@
+import string
 import subprocess
 import sys
 from fractions import Fraction
@@ -160,6 +161,33 @@ def test_parse_refuses_a_player_id_holding_a_colon_or_an_equals_sign():
         with pytest.raises(FormatError) as err:
             parse(f'egs 1\nplayer {pid} actions a,b\nnode "" {pid}:a|b\n')
         assert err.value.line == 2 and repr(pid) in str(err.value)
+
+
+# Every printable name parse can read as one token: '#' starts a comment
+@pytest.mark.parametrize(
+    "name", [""] + [f"x{ch}y" for ch in sorted(set(string.punctuation) - {"#"})]
+)
+def test_parse_and_serialize_refuse_the_same_names(name):
+    for pid, action in ((name, "a"), ("1", name)):
+        g = _one_choice(pid, (action, "c"))
+        try:
+            text = serialize(g)
+        except EgsError:
+            text = None
+        declared = f'egs 1\nplayer {pid} actions {action},c\nnode "" {pid}:{action}|c\n'
+        if text is None:
+            with pytest.raises(FormatError) as err:
+                parse(declared)
+            assert err.value.line in (2, 3)
+        else:
+            assert parse(declared) == g and parse(text) == g
+
+
+def test_parse_refuses_a_node_line_naming_a_player_twice():
+    # read as profiles (1=a,1=c), which serialize wrote back as 1:a|b|c|d
+    with pytest.raises(FormatError) as err:
+        parse('egs 1\nplayer 1 actions a,b,c,d\nnode "" 1:a|b 1:c|d\n')
+    assert err.value.line == 3 and "player 1 twice" in str(err.value)
 
 
 def test_parse_bad_rational():

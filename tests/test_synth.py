@@ -5,6 +5,7 @@ from egs import (
     SynthOpp,
     apply_phi,
     check_vnm,
+    find_is,
     find_synthesized,
     reduced_normal_form,
     rnf_isomorphic,
@@ -12,8 +13,11 @@ from egs import (
     validate_structure,
 )
 
+from egs.transform import _complete_controls_for
+
 from corpus import vnm_corpus
 from fixtures import g_ga, g_uneven, ga_infosets, path
+from oracles import complete_controls_reference
 
 
 def test_ga_is_vnm():
@@ -96,3 +100,18 @@ def test_phi_preserves_vnm_and_rnf_on_corpus():
             )
             checked += 1
     assert checked > 0
+
+
+def test_complete_controls_match_the_reference_on_the_corpus():
+    # find_is gives one opportunity per anchor: anchors of equal length are
+    # then incomparable and their pieces disjoint, as the reference tests
+    found = 0
+    for structure in vnm_corpus(250) + (g_ga(),):
+        by_mover = {}
+        for opp in find_is(structure):
+            by_mover.setdefault(opp.mover, []).append(opp)
+        for mover, opps in by_mover.items():
+            got = _complete_controls_for(structure, mover, opps)
+            assert got == complete_controls_reference(structure, mover, opps)
+            found += len(got)
+    assert found > 20

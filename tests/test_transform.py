@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 
 from egs import (
     EgsError,
+    IsOpp,
     TransformError,
     apply_coalescing,
     apply_is,
@@ -382,6 +383,30 @@ def test_lift_matches_the_separate_operators(structure):
         _same_outcome(apply_coalescing, apply_coalescing_reference, structure, opp)
     for opp in find_is(structure):
         _same_outcome(apply_is, apply_is_reference, structure, opp)
+
+
+def test_apply_is_names_the_first_history_that_breaks_dictation(monkeypatch):
+    # Each anchored part that does not dictate reaches the check once
+    # dictation is forced; the offender reported is the first in history
+    # order, as the reference's scan of every history finds it.
+    import egs.transform
+    import oracles
+
+    cases = [
+        (g, IsOpp(s.owner, anchor, d, s))
+        for g in uo_corpus(20, seed=41)
+        for (s, anchor), d in g._order[1].items()
+        if not dictates(g, anchor, d, s.owner)
+    ]
+    assert len(cases) > 20
+    for module in (egs.transform, oracles):
+        monkeypatch.setattr(module, "dictates", lambda *args: True)
+    for g, opp in cases:
+        with pytest.raises(TransformError, match="dictation is broken") as want:
+            apply_is_reference(g, opp)
+        with pytest.raises(TransformError) as got:
+            apply_is(g, opp)
+        assert str(got.value) == str(want.value)
 
 
 def test_deep_chain_needs_no_recursion():
