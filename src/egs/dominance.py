@@ -216,9 +216,9 @@ def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     kept at once.  A row still open is dominated when another row beats it
     in every column, and otherwise goes to the LP: maximize the
     worst-column slack of a mixed strategy over the full simplex; dominated
-    iff the optimum is positive.  The point mu = e_r, eps = 0 is feasible,
-    so the LP's slacks plus mu_r make a crash basis and `maximize` needs
-    no phase 1."""
+    iff the optimum is positive.  mu_r is zero in every column row, so the
+    column slacks plus mu_r are `maximize`'s crash basis; the optimum is
+    finite, as eps <= max_k (m_k[c] - m_r[c]) for every column c."""
     n = len(matrix)
     if n <= 1 or not matrix[0]:
         return ()
@@ -235,20 +235,13 @@ def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
             out.append(r)
             continue
         # variables: mu_0..mu_{n-1}, eps  (all >= 0; eps > 0 iff dominated)
-        c_obj = [Fraction(0)] * n + [Fraction(1)]
-        a_ub = []
-        b_ub = []
-        for col in range(ncols):
-            row = [-(matrix[k][col] - matrix[r][col]) for k in range(n)]
-            a_ub.append(row + [Fraction(1)])
-            b_ub.append(Fraction(0))
-        a_eq = [[Fraction(1)] * n + [Fraction(0)]]
-        b_eq = [Fraction(1)]
-        result = maximize(c_obj, a_ub, b_ub, a_eq, b_eq)
-        if result.status == "optimal" and result.value > 0:
+        a_ub = [
+            [matrix[r][col] - matrix[k][col] for k in range(n)] + [1]
+            for col in range(ncols)
+        ]
+        result = maximize([0] * n + [1], a_ub, [0] * ncols, [[1] * n + [0]], [1])
+        if result.value > 0:
             out.append(r)
-        elif result.status == "unbounded":
-            out.append(r)  # arbitrarily large slack certainly dominates
     return tuple(out)
 
 

@@ -1,16 +1,15 @@
-"""Exact-rational linear programming via a dense simplex that starts from a
-crash basis.
+"""Exact-rational linear programming via a dense one-phase simplex that
+starts from a crash basis.
 
-Each constraint row gets, where it has one, a column that is positive in
-that row and zero in every other row: the row's own slack for a `<=` row
-with a non-negative right-hand side, or a structural column that no other
-row uses.  Such columns form a feasible starting basis.  Artificial
-columns, and a phase 1 that drives them out, are added only for the rows
-left without one; when every row has one the solve is phase 2 alone.
+Each constraint row needs a column that is positive in that row and zero
+in every other row: the row's own slack for a `<=` row, or a structural
+column that no other row uses.  With every right-hand side non-negative,
+such columns form a feasible starting basis, and the solve is phase 2
+alone.  An LP with a row left without one, or with a negative right-hand
+side, has no such start and is refused with LpError.
 
 All arithmetic is fractions.Fraction; pivoting follows Bland's rule, so
-the method terminates without cycling.  Problems here are tiny (dominance
-tests over a handful of strategies), so a dense tableau is the right tool.
+the method terminates without cycling.  The tableau is dense.
 """
 
 from __future__ import annotations
@@ -18,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .core import EgsError
 
-class LpError(Exception):
+
+class LpError(EgsError):
     pass
 
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str                 # "optimal" | "unbounded" | "infeasible"
+    status: str                 # "optimal" | "unbounded"
     value: Fraction | None
     solution: tuple[Fraction, ...] | None
 
@@ -69,7 +70,7 @@ def _run_simplex(tableau, basis, ncols):
 def _crash_basis(rows, width, n):
     """A column per row that is positive in it and zero in every other
     row, or None.  Slack columns are tried before structural ones, so a
-    `<=` row with a non-negative right-hand side keeps its own slack."""
+    `<=` row keeps its own slack."""
     basis = [None] * len(rows)
     for j in [*range(n, width), *range(n)]:
         hits = [r for r, (row, _) in enumerate(rows) if row[j] != 0]
@@ -79,69 +80,39 @@ def _crash_basis(rows, width, n):
 
 
 def maximize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
-    """max c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0."""
+    """max c.x subject to a_ub.x <= b_ub, a_eq.x == b_eq, x >= 0.
+
+    Raises LpError when some right-hand side is negative or some row has
+    no crash column."""
     c = [Fraction(x) for x in c]
     a_ub = [[Fraction(x) for x in row] for row in (a_ub or [])]
     b_ub = [Fraction(x) for x in (b_ub or [])]
     a_eq = [[Fraction(x) for x in row] for row in (a_eq or [])]
     b_eq = [Fraction(x) for x in (b_eq or [])]
     n = len(c)
-    rows = []
-    # slack variables for inequalities
     n_slack = len(a_ub)
+    rows = []
     for idx, (row, rhs) in enumerate(zip(a_ub, b_ub)):
         slack = [Fraction(0)] * n_slack
         slack[idx] = Fraction(1)
         rows.append((row + slack, rhs))
-    for row, rhs in zip(a_eq, b_eq):
-        rows.append((row + [Fraction(0)] * n_slack, rhs))
-    # normalize to nonnegative rhs
-    rows = [
-        ([-x for x in row], -rhs) if rhs < 0 else (row, rhs) for row, rhs in rows
-    ]
+    rows += [(row + [Fraction(0)] * n_slack, rhs) for row, rhs in zip(a_eq, b_eq)]
+    if any(rhs < 0 for _, rhs in rows):
+        raise LpError("a right-hand side is negative; no crash basis is feasible")
     width = n + n_slack
     basis = _crash_basis(rows, width, n)
-    # artificials only for the rows the crash basis left uncovered
-    uncovered = [r for r, b in enumerate(basis) if b is None]
-    n_art = len(uncovered)
-    total = width + n_art
-    tableau = [row + [Fraction(0)] * n_art + [rhs] for row, rhs in rows]
-    for k, r in enumerate(uncovered):
-        tableau[r][width + k] = Fraction(1)
-        basis[r] = width + k
+    if None in basis:
+        raise LpError(f"row {basis.index(None)} has no crash column")
+    tableau = [row + [rhs] for row, rhs in rows]
     for r, b in enumerate(basis):
-        if b < width:
-            _pivot(tableau, basis, r, b)  # scales the row to a unit column
-    if n_art:
-        # phase 1: maximize minus the artificial sum; seed the objective
-        # with the artificial columns, then reduce against their rows
-        phase1 = [Fraction(0)] * width + [Fraction(1)] * n_art + [Fraction(0)]
-        for r in uncovered:
-            phase1 = [a - b for a, b in zip(phase1, tableau[r])]
-        tableau.append(phase1)
-        status = _run_simplex(tableau, basis, total)
-        if status != "optimal" or tableau[-1][-1] != 0:
-            return LpResult("infeasible", None, None)
-        tableau.pop()
-        # drive artificials out of the basis where possible
-        for r in range(len(rows)):
-            if basis[r] >= width:
-                col = next(
-                    (j for j in range(width) if tableau[r][j] != 0), None
-                )
-                if col is not None:
-                    _pivot(tableau, basis, r, col)
-        # drop artificial columns
-        tableau = [line[:width] + [line[-1]] for line in tableau]
-    # phase 2 objective
-    obj = [-x for x in c] + [Fraction(0)] * n_slack + [Fraction(0)]
-    for r in range(len(rows)):
-        if basis[r] < width and obj[basis[r]] != 0:
-            factor = obj[basis[r]]
-            obj = [a - factor * b for a, b in zip(obj, tableau[r])]
+        _pivot(tableau, basis, r, b)  # scales the row to a unit column
+    obj = [-x for x in c] + [Fraction(0)] * (n_slack + 1)
+    for r, b in enumerate(basis):
+        if obj[b] != 0:
+            factor = obj[b]
+            obj = [a - factor * x for a, x in zip(obj, tableau[r])]
     tableau.append(obj)
-    status = _run_simplex(tableau, basis, width)
-    if status == "unbounded":
+    if _run_simplex(tableau, basis, width) == "unbounded":
         return LpResult("unbounded", None, None)
     solution = [Fraction(0)] * n
     for r, b in enumerate(basis):

@@ -39,6 +39,10 @@ class PlanError(EgsError):
     pass
 
 
+# Outcome tables and payoffs hold an entry per plan profile: past this many, refuse.
+_MAX_PROFILES = 10**6
+
+
 @dataclass(frozen=True)
 class Plan:
     """A plan of action: a partial map from own information sets to actions."""
@@ -63,10 +67,6 @@ class Plan:
             if k == s:
                 return v
         return None
-
-    @property
-    def domain(self) -> tuple[InfoSet, ...]:
-        return tuple(k for k, _ in self.choices)
 
     def label(self) -> str:
         return "".join(a for _, a in self.choices) or "-"
@@ -204,6 +204,10 @@ class PlanSpace:
     def outcomes(self) -> list[int]:
         """The index in `terminals` of the terminal each profile reaches,
         profiles in product order: each terminal fills its preimage."""
+        if self.profile_count > _MAX_PROFILES:
+            raise PlanError(
+                f"{self.profile_count} plan profiles; instance too large to tabulate"
+            )
         table = [0] * self.profile_count
         for t, z in enumerate(self.terminals):
             sets = self.reach.get(z)

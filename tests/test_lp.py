@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import egs.dominance
-from egs import dominated_rows
+from egs import EgsError, dominated_rows
 from egs.dominance import best_responses
-from egs.lp import maximize
+from egs.lp import LpError, maximize
 
 from oracles import oracle_dominated
 
@@ -21,9 +21,9 @@ def test_simplex_basic():
     # equality constraint
     res = maximize([1, 0], [[1, 0]], [2], [[1, 1]], [1])
     assert res.status == "optimal" and res.value == 1
-    # infeasible
-    res = maximize([1], [[1], [-1]], [1, -3])
-    assert res.status == "infeasible"
+    # a negative right-hand side: no crash basis is feasible
+    with pytest.raises(LpError):
+        maximize([1], [[1], [-1]], [1, -3])
     # unbounded
     res = maximize([1], [[-1]], [0])
     assert res.status == "unbounded"
@@ -93,25 +93,26 @@ def _count_simplex_runs(monkeypatch):
     return runs
 
 
-def test_uncovered_row_runs_phase_one_to_infeasible(monkeypatch):
+def test_row_without_a_crash_column_is_refused(monkeypatch):
     runs = _count_simplex_runs(monkeypatch)
     # x + y == 2 shares both columns with the bounds, so it has no crash
-    # column; x <= 0 and y <= 1 contradict it
-    res = maximize([1, 1], [[1, 0], [0, 1]], [0, 1], [[1, 1]], [2])
-    assert res.status == "infeasible"
-    assert len(runs) == 1  # phase 1 alone, which proved infeasibility
+    # column (x <= 0 and y <= 1 also contradict it)
+    with pytest.raises(LpError, match="row 2 has no crash column"):
+        maximize([1, 1], [[1, 0], [0, 1]], [0, 1], [[1, 1]], [2])
+    assert not runs
+    assert issubclass(LpError, EgsError)  # the CLI exits 2 on it
 
 
-def test_equality_needing_an_artificial_reaches_optimum(monkeypatch):
+def test_equality_without_a_crash_column_is_refused(monkeypatch):
     runs = _count_simplex_runs(monkeypatch)
-    # max x + 2y st x + y == 3, x - y <= 1, y <= 2: optimum x=1, y=2
-    res = maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[1, 1]], [3])
-    assert res.status == "optimal"
-    assert res.value == 5 and res.solution == (1, 2)
-    assert len(runs) == 2  # phase 1, then phase 2
+    # max x + 2y st x + y == 3, x - y <= 1, y <= 2 has the optimum x=1,
+    # y=2, but the equality row shares both columns with the bounds
+    with pytest.raises(LpError, match="no crash column"):
+        maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[1, 1]], [3])
     # the same row with a negated right-hand side
-    res = maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[-1, -1]], [-3])
-    assert res.status == "optimal" and res.value == 5
+    with pytest.raises(LpError, match="negative"):
+        maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[-1, -1]], [-3])
+    assert not runs
 
 
 def test_structural_crash_column_skips_phase_one(monkeypatch):
@@ -137,6 +138,40 @@ def test_dominated_rows_lps_skip_phase_one(monkeypatch):
     # solved by one phase-2 run over the mixture weights, eps and a slack
     # per column
     assert runs == [len(rows) + 1 + len(rows[0])]
+
+
+def test_every_lp_of_bd_and_the_monotonicity_check_is_one_simplex_run(
+    capsys, monkeypatch
+):
+    # `egs gen --seed 30 --players 2 --depth 5 --merge 0.8 --continue-prob
+    # 1.0 --simultaneity 0 --uo --payoffs` (5,040 plan profiles) with its
+    # ICO 0, then seeded corpus games with random payoffs
+    from egs import Game, bd, check_monotonic, find_complete_icos, parse, random_payoffs
+    from egs.cli import main
+
+    from corpus import ico_corpus
+
+    assert main([
+        "gen", "--seed", "30", "--players", "2", "--depth", "5", "--merge", "0.8",
+        "--continue-prob", "1.0", "--simultaneity", "0", "--uo", "--payoffs",
+    ]) == 0
+    game = parse(capsys.readouterr().out)
+    cases = [(game, find_complete_icos(game.structure)[0])]
+    rng = random.Random(2024)
+    cases += [
+        (Game(structure, random_payoffs(structure, rng)), ico)
+        for structure, ico in ico_corpus(12, seed=8)
+    ]
+    runs = _count_simplex_runs(monkeypatch)
+    posed = []
+    monkeypatch.setattr(
+        egs.dominance, "maximize", lambda *a: posed.append(a) or maximize(*a)
+    )
+    for game, ico in cases:
+        bd(game)
+        check_monotonic(game, ico)
+    # each LP starts from a crash basis: phase 2 alone, one run per call
+    assert posed and len(runs) == len(posed)
 
 
 _entry = st.builds(

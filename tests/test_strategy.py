@@ -492,3 +492,28 @@ def test_rnf_route_raises_where_tabulation_does():
         reduced_normal_form(g)
     with pytest.raises(PlanError):
         behaviorally_equivalent(g, g, route="rnf")
+
+
+def test_a_structure_past_the_profile_bound_is_refused_at_once():
+    # Player 1 picks one of five histories; at each, players 2-5 choose
+    # simultaneously between two actions: 86 histories, but player k in
+    # 2-5 has 2^5 plans, so 5 * 32^4 = 5,242,880 plan profiles.
+    import time
+
+    from egs import Game
+    from egs.strategy import _MAX_PROFILES, plan_space
+
+    players = ["1", "2", "3", "4", "5"]
+    nodes = {ROOT: {"1": [f"a{k}" for k in range(5)]}}
+    for k in range(5):
+        nodes[path({"1": f"a{k}"})] = {p: ["x", "y"] for p in players[1:]}
+    g = build(players, nodes)
+    start = time.perf_counter()
+    assert plan_space(g).profile_count == 5 * 32**4 > _MAX_PROFILES
+    with pytest.raises(PlanError, match="5242880 plan profiles"):
+        reduced_normal_form(g)
+    with pytest.raises(PlanError, match="5242880 plan profiles"):
+        Game(g, {p: {z: 0 for z in g.terminals} for p in players})
+    assert time.perf_counter() - start < 1
+    # the rnf route tabulates nothing, so it still answers
+    assert behaviorally_equivalent(g, g, route="rnf")[0]
