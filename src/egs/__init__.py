@@ -9,7 +9,6 @@ from .core import (
     RelationSet,
     ROOT,
     Structure,
-    build_structure,
     is_prefix,
     make_profile,
     relation,

@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compact", help="backward compactification")
     p.add_argument("file")
-    p.add_argument("--backward", action="store_true", default=True)
     p.set_defaults(fn=cmd_compact)
 
     p = sub.add_parser("bd", help="run the backward dominance procedure")

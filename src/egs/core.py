@@ -24,14 +24,15 @@ rewritten subtrees, gives each terminal's image the terminal's bit, and
 indexes only the images and the histories just above them, so the
 terminal sets of kept histories and the action masks of untouched sets
 carry over unchanged.  The order-and-control index is derived lazily by
-every structure: one walk from the root records each set's earlier sets
-(those with a member strictly before one of its members) as a bitset over
-positions in `info_sets`, and for each anchor strictly before a member at
-which the set's owner is inactive, the members below it.  Each (set,
+every structure: one walk from the root gives each history the bitset,
+over positions in `info_sets`, of the sets with a member strictly before
+it, and each set's earlier sets (those with a member strictly before one
+of its members) are the union of its members' bitsets.  Each (set,
 action) terminal mask is filed by (owner, mask).  Order relations, the UO
-check, coalescing and IS discovery test these bits instead of scanning
-pairs.  Histories and information sets hash once, at construction, so
-every lookup costs O(1) rather than O(depth).
+check, coalescing, the non-crossing test and IS discovery (which climbs
+from each member while the terminal sets stay inside the set's) test
+these bits instead of scanning pairs.  Histories and information sets hash
+once, at construction, so every lookup costs O(1) rather than O(depth).
 """
 
 from __future__ import annotations
@@ -479,51 +480,39 @@ class Structure:
         return {s: i for i, s in enumerate(self.info_sets)}
 
     @cached_property
-    def _order(self) -> tuple[dict[InfoSet, int], dict]:
-        """The earlier masks and the anchored members, from one iterative
-        walk from the root that carries the current path; the cost is
-        O(sum of member depths).  For each set s, its earlier mask holds the
-        information sets with a member strictly before a member of s, as a
-        bitset over positions in `info_sets`; for each (s, anchor) with the
-        anchor strictly before a member of s and the owner of s inactive at
-        it, the anchored members are the members of s below the anchor."""
-        sets_at: dict[History, list[InfoSet]] = {}
+    def _order(self) -> tuple[dict[InfoSet, int], dict[History, int], dict[History, int]]:
+        """The earlier masks, the before-bitsets and the sets at each member,
+        all bitsets over positions in `info_sets`.  The sets at h are those
+        with h as a member; one walk from the root, parents first, gives
+        each history its before-bitset, the sets with a member strictly
+        before it; and the earlier mask of a set is the union of its
+        members' before-bitsets: the sets with a member strictly before one
+        of its members."""
+        position = self._position
+        at: dict[History, int] = {}
         for s in self.info_sets:
             for m in s.members:
-                sets_at.setdefault(m, []).append(s)
-        position = self._position
-        earlier = dict.fromkeys(self.info_sets, 0)
-        below: dict[tuple[InfoSet, History], list[History]] = {}
-        active = self._active
-        path: list[History] = []
-        seen = [0]  # seen[d]: the sets with a member among path[:d]
-        unreached = dict(sets_at)
-        stack = [ROOT] if ROOT in self._hist_set else []
-        while stack:
-            h = stack.pop()
-            depth = len(h.moves)
-            del path[depth:], seen[depth + 1:]
-            before = here = seen[depth]
-            for s in unreached.pop(h, ()):
-                earlier[s] |= before
-                here |= 1 << position[s]
-                for g in path:
-                    if s.owner not in active[g]:
-                        below.setdefault((s, g), []).append(h)
-            path.append(h)
-            seen.append(here)
-            stack.extend(reversed(self._children[h]))
-        # Members the walk cannot reach (a malformed tree) are read prefix by
-        # prefix, so the index answers for every partition it is given.
-        for h, here in unreached.items():
+                at[m] = at.get(m, 0) | 1 << position[s]
+        before = {ROOT: 0} if ROOT in self._hist_set else {}
+        for h in self.histories:
+            if h in before:
+                seen = before[h] | at.get(h, 0)
+                for c in self._children[h]:
+                    before[c] = seen
+        # Histories and members the walk cannot reach (a malformed tree) are
+        # read prefix by prefix, so the index answers for every partition.
+        for h in self._hist_set.union(at).difference(before):
+            seen = 0
             for n in range(h.length):
-                g = h.prefix(n)
-                for s in here:
-                    for t in sets_at.get(g, ()):
-                        earlier[s] |= 1 << position[t]
-                    if self._children.get(g) and s.owner not in active[g]:
-                        below.setdefault((s, g), []).append(h)
-        return earlier, {k: tuple(v) for k, v in below.items()}
+                seen |= at.get(h.prefix(n), 0)
+            before[h] = seen
+        earlier = {}
+        for s in self.info_sets:
+            mask = 0
+            for m in s.members:
+                mask |= before[m]
+            earlier[s] = mask
+        return earlier, before, at
 
     @cached_property
     def _links(self) -> dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]]:
@@ -599,16 +588,6 @@ class Structure:
             f"Structure(players={len(self.players)}, histories={len(self.histories)},"
             f" infosets={len(self.info_sets)})"
         )
-
-
-def build_structure(players, actions, histories, partitions) -> Structure:
-    """Convenience constructor taking loose containers."""
-    return Structure(
-        tuple(players),
-        {p: frozenset(a) for p, a in actions.items()},
-        histories,
-        {p: tuple(blocks) for p, blocks in partitions.items()},
-    )
 
 
 # -- order relations between information sets ---------------------------

@@ -258,9 +258,6 @@ class ReducedNormalForm:
     terminals: tuple[History, ...]
     table: tuple[tuple[tuple[int, ...], int], ...]
 
-    def plans_of(self, player: str) -> tuple[Plan, ...]:
-        return self.plan_lists[self.players.index(player)]
-
     def outcome(self, profile: dict[str, Plan]) -> History:
         row = 0
         for plan_list, p in zip(self.plan_lists, self.players):

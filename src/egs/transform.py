@@ -190,11 +190,28 @@ def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
 
 
 def find_is(structure: Structure) -> list[IsOpp]:
-    out = [
-        IsOpp(s.owner, anchor, d, s)
-        for (s, anchor), d in structure._order[1].items()
-        if dictates(structure, anchor, d, s.owner)
-    ]
+    """Every anchor at which the owner is inactive and whose terminal set
+    is that of the members below it.  Only an ancestor whose terminal set
+    lies inside the set's can dictate, and an ancestor's terminal set holds
+    those of the histories below it, so each member climbs until the first
+    ancestor outside, collecting itself at every anchor on the way."""
+    z = structure._z
+    out = []
+    for s in structure.info_sets:
+        outside = ~structure._terminal_mask_set(s.members)
+        below: dict[History, list[History]] = {}
+        for m in s.members:
+            g = m
+            while g.moves:
+                g = g.parent
+                mask = z.get(g)
+                if mask is None or mask & outside:
+                    break
+                if s.owner not in structure.active(g):
+                    below.setdefault(g, []).append(m)
+        out.extend(
+            IsOpp(s.owner, g, d, s) for g, d in below.items() if dictates(structure, g, d, s.owner)
+        )
     out.sort(key=lambda o: (history_key(o.anchor), o.owner, _infoset_key(o.mover)))
     return out
 
@@ -204,27 +221,24 @@ def is_non_crossing(structure: Structure, opp: IsOpp) -> bool:
     foothold before the destination: crossing holds when some other set
     has a member weakly between the anchor and the sub-mover while another
     of its members sits before the anchor or before a non-moving member of
-    the mover."""
-    d = opp.submover
-    leftover = [x for x in opp.mover.members if x not in opp.submover_set]
-    for s in structure.info_sets:
-        if s == opp.mover:
-            continue
-        lifted_over = any(
-            strictly_precedes(opp.anchor, g)
-            and any(g.is_prefix_of(m) for m in d)
-            for g in s.members
-        )
-        if not lifted_over:
-            continue
-        foothold = any(
-            strictly_precedes(m, opp.anchor)
-            or any(strictly_precedes(m, x) for x in leftover)
-            for m in s.members
-        )
-        if foothold:
-            return False  # crossing found
-    return True
+    the mover.  Both are bitsets over positions in `info_sets`: the sets
+    with a foothold are those before the anchor or a non-moving member,
+    and the sets lifted over are those met climbing from each sub-mover
+    member up to the anchor."""
+    _, before, at = structure._order
+    foothold = before[opp.anchor]
+    for x in opp.mover.members:
+        if x not in opp.submover_set:
+            foothold |= before[x]
+    lifted = 0
+    for m in opp.submover:
+        met, g = 0, m
+        while g.length > opp.anchor.length:
+            met |= at.get(g, 0)
+            g = g.parent
+        if g == opp.anchor:
+            lifted |= met
+    return not lifted & foothold & ~(1 << structure._position[opp.mover])
 
 
 # -- applying a coalescing: the lift shared with IS -----------------------
@@ -342,9 +356,12 @@ def apply_is(structure: Structure, opp: IsOpp) -> tuple[Structure, HistoryMap]:
     anchor = opp.anchor
     top = dict.fromkeys(_descendants(structure, anchor), anchor)
     below = {g: m for m in opp.submover for g in _descendants(structure, m)}
-    broken = [
-        g for g in top if g not in below and not any(g.is_prefix_of(d) for d in opp.submover)
-    ]
+    between = set()  # the histories on the paths from the anchor to the sub-mover
+    for g in opp.submover:
+        while g.length > anchor.length:
+            between.add(g)
+            g = g.parent
+    broken = [g for g in top if g not in below and g not in between]
     if broken:
         raise TransformError(
             f"{min(broken, key=history_key).label()!r} is unrelated to the sub-mover;"
@@ -434,11 +451,7 @@ def minimize_uo(structure: Structure, rng=None) -> Structure:
 
 
 def is_immediate_coalescing(structure: Structure, opp: CoalescingOpp) -> bool:
-    base = opp.base.members
-    return all(
-        any(strictly_precedes(b, m) and m.length == b.length + 1 for b in base)
-        for m in opp.mover.members
-    )
+    return all(m.moves and m.parent in opp.base.member_set for m in opp.mover.members)
 
 
 def is_immediate_is(structure: Structure, opp: IsOpp) -> bool:

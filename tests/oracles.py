@@ -175,6 +175,71 @@ def find_is_pairwise(structure):
     return out
 
 
+def anchored_members_reference(structure):
+    """Each (set, anchor) with the anchor strictly before a member of the
+    set and the set's owner inactive there, mapped to the members below the
+    anchor in history order: the order walk as it carried the current path
+    and scanned it at every member, with members the walk cannot reach read
+    prefix by prefix."""
+    sets_at = {}
+    for s in structure.info_sets:
+        for m in s.members:
+            sets_at.setdefault(m, []).append(s)
+    below = {}
+    path = []
+    stack = [ROOT] if structure.has_history(ROOT) else []
+    while stack:
+        h = stack.pop()
+        del path[h.length:]
+        for s in sets_at.pop(h, ()):
+            for g in path:
+                if s.owner not in structure.active(g):
+                    below.setdefault((s, g), []).append(h)
+        path.append(h)
+        stack.extend(reversed(structure.children(h)))
+    for h, here in sets_at.items():
+        for n in range(h.length):
+            g = h.prefix(n)
+            if structure.has_history(g) and not structure.is_terminal(g):
+                for s in here:
+                    if s.owner not in structure.active(g):
+                        below.setdefault((s, g), []).append(h)
+    return {k: tuple(v) for k, v in below.items()}
+
+
+def find_is_reference(structure):
+    """IS opportunities as the anchored members that dictate."""
+    out = [
+        IsOpp(s.owner, anchor, d, s)
+        for (s, anchor), d in anchored_members_reference(structure).items()
+        if dictates(structure, anchor, d, s.owner)
+    ]
+    out.sort(key=lambda o: (o.anchor.moves, o.owner, _infoset_key(o.mover)))
+    return out
+
+
+def is_non_crossing_reference(structure, opp):
+    """The crossing test as a scan of every other set's members against the
+    anchor, the sub-mover and the mover's other members."""
+    leftover = [x for x in opp.mover.members if x not in opp.submover_set]
+    for s in structure.info_sets:
+        if s == opp.mover:
+            continue
+        lifted_over = any(
+            strictly_precedes(opp.anchor, g)
+            and any(g.is_prefix_of(m) for m in opp.submover)
+            for g in s.members
+        )
+        foothold = any(
+            strictly_precedes(m, opp.anchor)
+            or any(strictly_precedes(m, x) for x in leftover)
+            for m in s.members
+        )
+        if lifted_over and foothold:
+            return False
+    return True
+
+
 # -- the two operators as separate rewrites ----------------------------------
 #
 # Coalescing and IS as the library wrote them before both became one lift:

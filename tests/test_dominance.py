@@ -23,6 +23,7 @@ from egs import (
     find_complete_icos,
     find_is,
     format_trace,
+    is_non_crossing,
     plans,
     random_payoffs,
     reaching,
@@ -345,6 +346,7 @@ def test_each_cached_fact_is_one_object_across_its_readers():
             lambda: check_uo(structure),
             lambda: relation(structure, a, b),
             lambda: find_is(structure),
+            lambda: [is_non_crossing(structure, opp) for opp in find_is(structure)],
             lambda: find_coalescing(structure),
             lambda: transitively_simultaneous(structure, a, b),
             lambda: find_complete_icos(structure),

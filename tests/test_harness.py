@@ -455,7 +455,7 @@ def test_cli_gen_and_compact(tmp_path):
                     "--uo")
     assert again.stdout == out.stdout
 
-    out = run_cli("compact", str(gen_file), "--backward")
+    out = run_cli("compact", str(gen_file))
     assert out.returncode == 0
     # output parses even with the applied-schedule comments
     result = parse(out.stdout)

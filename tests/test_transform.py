@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from egs import (
     EgsError,
@@ -26,11 +27,12 @@ from egs import (
 )
 from egs import plans as enumerate_plans
 
-from corpus import seeded_structures, uo_corpus
+from corpus import random_chain, renamed, seeded_structures, uo_corpus
 from fixtures import (
     A,
     B,
     O,
+    g_absent_minded,
     g_chain,
     g_deep_chain,
     g_kms,
@@ -45,11 +47,14 @@ from fixtures import (
     red1_infosets,
 )
 from oracles import (
+    anchored_members_reference,
     apply_coalescing_reference,
     apply_is_reference,
     controls_pairwise,
     find_coalescing_pairwise,
     find_is_pairwise,
+    find_is_reference,
+    is_non_crossing_reference,
     minimize_uo_reference,
 )
 
@@ -385,6 +390,42 @@ def test_lift_matches_the_separate_operators(structure):
         _same_outcome(apply_is, apply_is_reference, structure, opp)
 
 
+def _crossings_matching_the_path_scans(structure) -> int:
+    """Check IS discovery and every crossing verdict against the path
+    scans; the number of crossing opportunities."""
+    opps = find_is(structure)
+    assert opps == find_is_reference(structure)
+    crossing = 0
+    for opp in opps:
+        verdict = is_non_crossing(structure, opp)
+        assert verdict == is_non_crossing_reference(structure, opp)
+        crossing += not verdict
+    return crossing
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32))
+@example(g_absent_minded(), 0)
+@example(g_nc(), 0)
+@example(g_mud(), 0)
+@example(g_nul(), 0)
+@example(g_uom(), 0)
+@example(g_kms(), 0)
+def test_is_discovery_and_crossing_match_the_path_scans(structure, seed):
+    rng = random.Random(seed)
+    for g in (structure, renamed(structure, rng), random_chain(structure, rng)):
+        _crossings_matching_the_path_scans(g)
+
+
+def test_is_discovery_and_crossing_match_the_path_scans_on_crossing_cases():
+    nc = g_nc()
+    (first,) = [o for o in find_is(nc) if o.anchor == path({"1": "B"}, {"2": "c"})]
+    mid, _ = apply_is(nc, first)
+    assert _crossings_matching_the_path_scans(mid) == 1
+    assert _crossings_matching_the_path_scans(g_mud()) == 1
+    assert sum(map(_crossings_matching_the_path_scans, uo_corpus(40, seed=43))) == 1
+
+
 def test_apply_is_names_the_first_history_that_breaks_dictation(monkeypatch):
     # Each anchored part that does not dictate reaches the check once
     # dictation is forced; the offender reported is the first in history
@@ -395,7 +436,7 @@ def test_apply_is_names_the_first_history_that_breaks_dictation(monkeypatch):
     cases = [
         (g, IsOpp(s.owner, anchor, d, s))
         for g in uo_corpus(20, seed=41)
-        for (s, anchor), d in g._order[1].items()
+        for (s, anchor), d in anchored_members_reference(g).items()
         if not dictates(g, anchor, d, s.owner)
     ]
     assert len(cases) > 20
