@@ -31,13 +31,23 @@ of its members) are the union of its members' bitsets.  Each (set,
 action) terminal mask is filed by (owner, mask).  Order relations, the UO
 check, coalescing, the non-crossing test and IS discovery (which climbs
 from each member while the terminal sets stay inside the set's) test
-these bits instead of scanning pairs.  Histories and information sets hash
-once, at construction, so every lookup costs O(1) rather than O(depth).
+these bits instead of scanning pairs.
+
+Histories are interned: there is one object per move sequence, found in a
+process-wide table of weak references (which keeps no history alive), so
+equality and hashing are by identity and a dict or set lookup on a history
+never calls into Python.  A lookup that finds the live object takes no
+lock; the miss path creates under one, so threads sharing values never get
+two objects for one sequence.  Information sets hash once, at
+construction.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 
 
@@ -64,26 +74,67 @@ class cached_property(functools.cached_property):
 Profile = tuple[tuple[str, str], ...]  # ((player, action), ...) sorted by player
 
 
+class _Ref(weakref.ref):
+    """A weak reference that carries its table key, as `weakref.KeyedRef`
+    does, but built without a call into Python."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: each move sequence to a weak reference to its one live
+# History.  A lookup that finds a live object takes no lock; a miss creates
+# under the lock, so two threads never make two objects for one sequence.
+# A freed history's callback removes its entry only if that entry is still
+# dead (as `weakref.WeakValueDictionary` does), since a later miss may have
+# put a live object under the same key; it takes no lock, so a collection
+# that runs while the lock is held cannot deadlock.
+_interned: dict[tuple, _Ref] = {}
+_intern_lock = threading.Lock()
+
+
+def _forget(ref: _Ref, table=_interned, remove=_remove_dead_weakref) -> None:
+    # the defaults bind the table, so a history freed at exit still finds it
+    remove(table, ref.key)
+
+
 def make_profile(entries: dict[str, str]) -> Profile:
     if not entries:
         raise EgsError("action profile must be non-empty")
     return tuple(sorted(entries.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class History:
-    """A finite sequence of action profiles from the root."""
+    """A finite sequence of action profiles from the root.
 
-    moves: tuple[Profile, ...] = ()
+    Interned: `History(moves)` returns the one live object for its move
+    sequence, so two histories are equal exactly when they are the same
+    object, and equality and hashing are the identity's, computed in C."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.moves,)))
+    __slots__ = ("moves", "__weakref__")
+    moves: tuple[Profile, ...]
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, moves: tuple[Profile, ...] = ()):
+        ref = _interned.get(moves)
+        if ref is not None:
+            h = ref()
+            if h is not None:
+                return h
+        with _intern_lock:
+            h = object.__new__(cls)
+            object.__setattr__(h, "moves", moves)
+            ref = _Ref(h, _forget)
+            ref.key = moves
+            found = _interned.setdefault(moves, ref)
+            if found is not ref:
+                live = found()
+                if live is not None:
+                    return live  # another thread interned it since the read
+                _interned[moves] = ref  # dead, its callback not yet run
+            return h
 
     def __reduce__(self):
-        # string hashes differ between processes: rebuild, never copy _hash
+        # rebuilt through the constructor, so unpickling finds the live object
         return History, (self.moves,)
 
     @property

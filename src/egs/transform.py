@@ -17,7 +17,8 @@ opportunities for von Neumann structures, and the backward
 (leaves-to-root) compactification.  The composed transformations of both
 kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
 every image of their anchors, then coalescings, each re-found on the
-current structure.
+current structure through the images of what it re-finds alone.  Only
+`apply_tau` composes the map of every history, from the steps taken.
 """
 
 from __future__ import annotations
@@ -581,12 +582,15 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
         raise TransformError(fault)
 
 
-def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, CompositeMap]:
+def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, tuple]:
     """Apply each IS piece (owner, mover, anchor) at every current image of
     its anchor, then each coalescing, re-finding every piece on the current
-    structure through the running composite map."""
+    structure.  The running map follows only what is re-found, the anchors
+    and the movers and bases; returns the result and the steps taken."""
     current = structure
-    comp = CompositeMap.identity(structure)
+    followed = [mover for _, mover, _ in is_pieces]
+    followed.extend(s for part in coalescings for s in (part.base, part.mover))
+    comp = CompositeMap({a: (a,) for _, _, a in is_pieces}, {s: s for s in followed})
     for owner, mover, anchor in is_pieces:
         for a in comp.forward[anchor]:
             mover_now = comp.infoset_map[mover]
@@ -609,17 +613,25 @@ def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, C
             current, CoalescingOpp(part.owner, base_now, mover_now, link)
         )
         comp = comp.extend(step)
-    return current, comp
+    return current, comp.steps
+
+
+def _tau(structure: Structure, ico: Ico) -> tuple[Structure, tuple]:
+    _verify_complete(structure, ico)
+    return _compose(
+        structure, [(p.owner, p.mover, p.anchor) for p in ico.is_parts], ico.coalescings
+    )
 
 
 def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
     """Compose the ICO's IS parts (input order) and then its coalescing
     parts.  Unambiguous ordering may break on intermediate structures and
     is restored by the final one."""
-    _verify_complete(structure, ico)
-    return _compose(
-        structure, [(p.owner, p.mover, p.anchor) for p in ico.is_parts], ico.coalescings
-    )
+    current, steps = _tau(structure, ico)
+    comp = CompositeMap.identity(structure)
+    for step in steps:
+        comp = comp.extend(step)
+    return current, comp
 
 
 def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
@@ -641,7 +653,7 @@ def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
         for idx in order:
             icos = _complete_in_class(current, classes[idx], atoms[idx]) if atoms[idx] else []
             if icos:
-                current, _ = apply_tau(current, icos[0])
+                current, _ = _tau(current, icos[0])
                 schedule.append(icos[0])
                 break
         else:

@@ -198,14 +198,20 @@ def validate_structure(structure: Structure) -> ValidationReport:
                 out.append(Violation(
                     "measurable", f"members of {block!r} offer different actions"
                 ))
-        for i, a in enumerate(blocks):
-            fa = set(structure.feasible_at(a))
-            for b in blocks[i + 1:]:
-                shared = fa.intersection(structure.feasible_at(b))
-                if shared:
-                    out.append(Violation(
-                        "own-disjoint", f"{a!r} and {b!r} share actions {sorted(shared)}"
-                    ))
+        # the blocks offering each action, then each pair's shared actions
+        holders: dict[str, list[int]] = {}
+        for i, block in enumerate(blocks):
+            for a in structure.feasible_at(block):
+                holders.setdefault(a, []).append(i)
+        shared: dict[tuple[int, int], list[str]] = {}
+        for a, held in holders.items():
+            for pair in itertools.combinations(held, 2):
+                shared.setdefault(pair, []).append(a)
+        for i, j in sorted(shared):
+            out.append(Violation(
+                "own-disjoint",
+                f"{blocks[i]!r} and {blocks[j]!r} share actions {sorted(shared[i, j])}",
+            ))
     if out:
         return ValidationReport(tuple(out))
 

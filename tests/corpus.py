@@ -145,6 +145,36 @@ def renamed(structure: Structure, rng: random.Random, players: bool = False) -> 
     )
 
 
+def pooled_actions(structure: Structure, rng: random.Random) -> Structure:
+    """The same tree with each information set's actions renamed, one to
+    one, into a pool per player one name wider than her widest set, so
+    that her sets share some or all of their action names (own-action
+    disjointness fails) while every set stays measurable."""
+    pool = {
+        p: [f"y{k}" for k in range(1 + max(len(structure.feasible_at(s)) for s in blocks))]
+        for p, blocks in structure.partitions.items() if blocks
+    }
+    names = {}
+    for s in structure.info_sets:
+        feas = structure.feasible_at(s)
+        names[s] = dict(zip(feas, rng.sample(pool[s.owner], len(feas))))
+    image = {structure.root: structure.root}
+    for h in structure.histories[1:]:
+        g = h.parent
+        image[h] = image[g].extend(make_profile({
+            p: names[structure.info_set_of(p, g)][a] for p, a in h.moves[-1]
+        }))
+    return Structure(
+        structure.players,
+        {p: frozenset(pool.get(p, ())) for p in structure.players},
+        image.values(),
+        {
+            p: tuple(InfoSet(p, tuple(image[m] for m in s.members)) for s in blocks)
+            for p, blocks in structure.partitions.items()
+        },
+    )
+
+
 def shuffled_rnf(
     rnf: ReducedNormalForm, rng: random.Random, players: bool = False
 ) -> ReducedNormalForm:

@@ -706,7 +706,8 @@ def reduced_normal_form_reference(structure):
 # The index derivation re-sorted every child list and rebuilt a child's last
 # move as a dict once per player; `plans` recursed once per choice; comments
 # were stripped character by character; perfect recall compared experiences
-# on every set, singletons included.  The tests hold the library to these,
+# on every set, singletons included; own-action disjointness compared every
+# pair of a player's sets.  The tests hold the library to these,
 # order included.
 
 
@@ -810,6 +811,25 @@ def recall_violations_reference(structure):
                         f"{p}'s experiences at {first} and {label} differ",
                     ))
                     break
+    return tuple(out)
+
+
+def own_disjoint_reference(structure):
+    """The own-action disjointness witnesses with every pair of a player's
+    sets compared."""
+    from egs.validate import Violation
+
+    out = []
+    for p in structure.players:
+        blocks = structure.partitions[p]
+        for i, a in enumerate(blocks):
+            fa = set(structure.feasible_at(a))
+            for b in blocks[i + 1:]:
+                shared = fa.intersection(structure.feasible_at(b))
+                if shared:
+                    out.append(Violation(
+                        "own-disjoint", f"{a!r} and {b!r} share actions {sorted(shared)}"
+                    ))
     return tuple(out)
 
 

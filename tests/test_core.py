@@ -1,10 +1,13 @@
 import contextlib
 import dataclasses
+import gc
 import os
 import pickle
 import random
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -120,6 +123,81 @@ def test_pickled_values_rehash_in_another_process():
         capture_output=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+_move_sequences = st.lists(
+    st.dictionaries(st.sampled_from("123"), st.sampled_from("abc"), min_size=1), max_size=6
+).map(lambda entries: tuple(make_profile(e) for e in entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_move_sequences, _move_sequences, seeded_structures())
+def test_a_move_sequence_is_one_history_however_built(moves, other, structure):
+    h = History(moves)
+    assert History(tuple(make_profile(dict(p)) for p in moves)) is h  # equal, not the same tuples
+    built = ROOT
+    for n, profile in enumerate(moves):
+        assert h.prefix(n) is built
+        built = built.extend(profile)
+        assert built.parent is h.prefix(n)
+    assert built is h.prefix(len(moves)) is h
+    assert pickle.loads(pickle.dumps(h)) is h
+    assert (History(other) is h) == (other == moves)
+    assert len({History(moves[:n]) for n in range(len(moves) + 1)}) == len(moves) + 1
+    parsed = egs.parse(egs.serialize(structure))
+    assert all(a is b for a, b in zip(parsed.histories, structure.histories, strict=True))
+
+
+def test_a_history_only_the_intern_table_holds_is_freed():
+    moves = (make_profile({"1": "held-by-nothing-else"}),)
+    h = History(moves)
+    ref = weakref.ref(h)
+    del h
+    gc.collect()
+    assert ref() is None
+    assert moves not in egs.core._interned
+    # a dead entry's callback may run after a new object took the key: it
+    # must leave the live entry in place
+    held = {moves}
+    stale = egs.core._Ref(held)
+    stale.key = moves
+    del held
+    h = History(moves)
+    egs.core._forget(stale)
+    assert History(moves) is h
+
+
+def test_threads_parsing_one_text_get_one_object_per_history():
+    # each round names fresh actions, so its histories are made, not found
+    text = egs.serialize(g_kms())
+    rounds, workers = 40, 8
+    barrier = threading.Barrier(workers, timeout=60)
+    results = [[] for _ in range(workers)]
+
+    def work(k):
+        for r in range(rounds):
+            barrier.wait()
+            g = egs.parse(text.replace("L", f"L{r}").replace("R", f"R{r}"))
+            tail = make_profile({"1": f"t{r}"})
+            results[k].append(list(g.histories) + [h.extend(tail) for h in g.histories])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(got) == rounds for got in results)
+    for r in range(rounds):
+        first = results[0][r]
+        assert len(first) == 2 * len(g_kms().histories)
+        for got in results[1:]:
+            assert len(got[r]) == len(first) and all(a is b for a, b in zip(got[r], first))
 
 
 def test_relation_red1():

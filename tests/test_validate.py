@@ -1,6 +1,9 @@
 import inspect
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egs import (
     EgsError,
@@ -16,7 +19,7 @@ from egs import (
 
 import egs.validate
 import fixtures
-from corpus import uo_corpus
+from corpus import pooled_actions, seeded_structures, uo_corpus
 from fixtures import (
     A,
     O,
@@ -31,7 +34,7 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import recall_violations_reference
+from oracles import own_disjoint_reference, recall_violations_reference
 
 
 def test_experience_red1():
@@ -192,3 +195,30 @@ def test_recall_verdicts_match_the_reference_on_fixtures():
     )
     assert validate_structure(forgetful).axioms() == ("perfect-recall",)
     _assert_recall_matches_the_reference(forgetful)
+
+
+def _own_disjoint(structure):
+    return tuple(v for v in validate_structure(structure).violations if v.axiom == "own-disjoint")
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32 - 1))
+def test_own_disjointness_matches_the_pairwise_reference(structure, seed):
+    assert _own_disjoint(structure) == own_disjoint_reference(structure) == ()
+    pooled = pooled_actions(structure, random.Random(seed))
+    report = validate_structure(pooled)
+    assert set(report.axioms()) <= {"own-disjoint"}
+    assert _own_disjoint(pooled) == own_disjoint_reference(pooled)
+
+
+def test_own_disjointness_matches_the_pairwise_reference_on_shared_actions():
+    rng = random.Random(16)
+    shared, multi = 0, 0
+    for g in uo_corpus(30) + (g_deep_chain(30), g_red1(), g_kms()):
+        pooled = pooled_actions(g, rng)
+        found = _own_disjoint(pooled)
+        assert found == own_disjoint_reference(pooled)
+        shared += len(found)
+        multi += sum(", " in v.witness.rpartition("share actions")[2] for v in found)
+    # the pools make many pairs share, some one action and some more
+    assert shared > multi > 100
