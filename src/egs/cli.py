@@ -80,11 +80,15 @@ def cmd_equiv(args) -> int:
     g1 = _structure_of(_load(args.file1))
     g2 = _structure_of(_load(args.file2))
     route = "minimal" if args.via_minimal else "rnf"
-    flag, _cert = behaviorally_equivalent(
+    flag, cert = behaviorally_equivalent(
         g1, g2, route=route, allow_player_permutation=args.permute_players
     )
-    print("equivalent" if flag else "not equivalent")
-    return 0 if flag else 1
+    if flag:
+        print("equivalent")
+        return 0
+    print("not equivalent")
+    print(cert["reason"])
+    return 1
 
 
 def cmd_minimize(args) -> int:

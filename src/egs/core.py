@@ -611,6 +611,12 @@ class Structure:
         )
 
     @cached_property
+    def _plan_counts(self) -> tuple[int, ...]:
+        from .strategy import count_plans  # strategy imports this module
+
+        return count_plans(self)
+
+    @cached_property
     def _plan_space(self):
         from .strategy import PlanSpace  # strategy imports this module
 

@@ -161,20 +161,26 @@ def parse(text: str):
     histories: dict[str, History] = {}
     used_nodes: set[str] = set()
     if "" in nodes:
-        stack = [ROOT]
+        # Each history carries its label down the walk: its parent's, a '/'
+        # and its last move's part, as `History.label` writes them.
+        stack = [(ROOT, "")]
         histories[""] = ROOT
         while stack:
-            h = stack.pop()
-            label = h.label()
+            h, label = stack.pop()
             spec = nodes.get(label)
             if spec is None:
                 continue
             used_nodes.add(label)
             pools = [[(pid, a) for a in acts] for pid, acts in spec[1]]
             for combo in itertools.product(*pools):
-                child = h.extend(tuple(sorted(combo)))
-                histories[child.label()] = child
-                stack.append(child)
+                profile = tuple(sorted(combo))
+                part = profile[0][1] if len(profile) == 1 else (
+                    "(" + ",".join(f"{p}={a}" for p, a in profile) + ")"
+                )
+                child = h.extend(profile)
+                child_label = f"{label}/{part}" if label else part
+                histories[child_label] = child
+                stack.append((child, child_label))
     unreachable = sorted(set(nodes) - used_nodes)
     if unreachable:
         lineno = nodes[unreachable[0]][0]

@@ -15,12 +15,18 @@ and the index of every plan, are cached properties of it in turn.  Reduced
 normal forms, the equivalence route and games read it; `play` remains the
 reference for what a single profile reaches.
 
+Plans are counted without enumerating them (`plan_counts`, a cached fact of
+the structure): one reverse pass over each player's own-predecessor
+forest, the derivation `plans` reads too.
+
 Behavioral equivalence of two structures is an isomorphism of their
 reduced normal forms.  The rnf route hands both plan spaces to the
 isomorphism engine as they are: their bitsets at the terminals are the
 plan-terminal incidence, so no form is tabulated.  For structures with
 unambiguous orderings it can also be certified by comparing unique
-minimal forms.
+minimal forms; that route first compares the counted invariants, the
+terminal count and each player's plan count, and minimises only when they
+agree.  A negative verdict names the first check that failed.
 """
 
 from __future__ import annotations
@@ -89,12 +95,10 @@ def own_predecessor(structure: Structure, s: InfoSet) -> tuple[InfoSet, str] | N
     return None
 
 
-def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
-    """Enumerate the player's plans of action, lexicographically by
-    information set and then action."""
-    if player not in structure.players:
-        raise EgsError(f"unknown player {player}")
-    # The partition is in block order, and so is every list below.
+def _own_forest(structure: Structure, player: str):
+    """The player's minimal own sets and the own sets each (set, action)
+    leads to next, each list in block order: what `plans` enumerates and
+    `plan_counts` counts."""
     minimal: list[InfoSet] = []
     successors: dict[tuple[InfoSet, str], list[InfoSet]] = {}
     for s in structure.partitions.get(player, ()):
@@ -103,12 +107,50 @@ def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
             minimal.append(s)
         else:
             successors.setdefault(pred, []).append(s)
+    return tuple(minimal), successors
+
+
+def count_plans(structure: Structure) -> tuple[int, ...]:
+    """Each player's number of plans, in player order, without enumerating
+    them; read it as `plan_counts`, which keeps it with the structure.
+
+    A set's count is the sum over its actions of the product of the counts
+    of the sets that action leads to, and a player's is the product over
+    the minimal sets.  An own successor's first member extends a member of
+    its predecessor, so it sorts after it in block order, and one pass over
+    the partition in reverse counts every set after its successors."""
+    out = []
+    for player in structure.players:
+        minimal, successors = _own_forest(structure, player)
+        count: dict[InfoSet, int] = {}
+        for s in reversed(structure.partitions.get(player, ())):
+            count[s] = sum(
+                prod(count[t] for t in successors.get((s, a), ()))
+                for a in structure.feasible_at(s)
+            )
+        out.append(prod(count[s] for s in minimal))
+    return tuple(out)
+
+
+def plan_counts(structure: Structure) -> tuple[int, ...]:
+    """Each player's number of plans, in player order, counted once per
+    structure."""
+    return structure._plan_counts
+
+
+def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
+    """Enumerate the player's plans of action, lexicographically by
+    information set and then action."""
+    if player not in structure.players:
+        raise EgsError(f"unknown player {player}")
+    # The partition is in block order, and so is every list of the forest.
+    minimal, successors = _own_forest(structure, player)
 
     # Depth first on an explicit stack, so depth costs no recursion: each
     # entry is the sets still to choose at, in key order, and the choices
     # made so far; actions go on in reverse so they come off in order.
     out = []
-    stack = [(tuple(minimal), ())]
+    stack = [(minimal, ())]
     while stack:
         frontier, choices = stack.pop()
         if not frontier:
@@ -321,20 +363,22 @@ def _cell_edges(rnf: ReducedNormalForm, ends, colours: list, adj: list) -> None:
 
 def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, edges):
     """The engine's answer for two forms with players, plan_lists and
-    terminals: shapes, terminal counts and the sorted outcome
+    terminals: terminal counts, shapes and the sorted outcome
     multiplicities must agree, and `edges` joins each form's plans and
-    terminals.  The certificate indexes plans and terminals by list
-    position."""
-    if len(f1.terminals) != len(f2.terminals):
-        return None
+    terminals.  Returns the certificate, which indexes plans and terminals
+    by list position, and None; or None and the first check that failed."""
+    t1, t2 = len(f1.terminals), len(f2.terminals)
+    if t1 != t2:
+        return None, f"terminal counts differ: {t1} vs {t2}"
     shape1, shape2 = (tuple(len(pl) for pl in f.plan_lists) for f in (f1, f2))
     if allow_player_permutation:
-        if sorted(shape1) != sorted(shape2):
-            return None
-    elif f1.players != f2.players or shape1 != shape2:
-        return None
+        shape1, shape2 = tuple(sorted(shape1)), tuple(sorted(shape2))
+    elif f1.players != f2.players:
+        return None, f"players differ: {','.join(f1.players)} vs {','.join(f2.players)}"
+    if shape1 != shape2:
+        return None, f"plan shapes differ: {shape1} vs {shape2}"
     if sorted(multiplicities(f1)) != sorted(multiplicities(f2)):
-        return None
+        return None, "outcome multiplicities differ"
     colours: list = []
     adj: list[list[int]] = []
     ends1 = _plan_vertices(f1, not allow_player_permutation, colours, adj)
@@ -344,7 +388,7 @@ def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, ed
     edges(f2, ends2, colours, adj)
     image = _isomorphism(colours, adj, n)
     if image is None:
-        return None
+        return None, "reduced normal forms are not isomorphic"
     position = {v: k for vs in ends2 for k, v in enumerate(vs)}
     return RnfIsomorphism(
         player_map=tuple(
@@ -352,7 +396,29 @@ def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, ed
         ),
         plan_maps=tuple(tuple(position[image[v]] for v in vs) for vs in ends1[:-1]),
         terminal_map=tuple(position[image[v]] for v in ends1[-1]),
-    )
+    ), None
+
+
+def _invariant_difference(g1: Structure, g2: Structure, allow_player_permutation: bool):
+    """The first counted invariant of behavioral equivalence on which the
+    structures differ, or None: the terminal count, the players (unless
+    they may be permuted) and each player's plan count (sorted when they
+    may).  Every Coalescing and Interchange/Simultanizing maps terminals
+    and each player's plans one to one, and so does an isomorphism."""
+    t1, t2 = len(g1.terminals), len(g2.terminals)
+    if t1 != t2:
+        return f"terminal counts differ: {t1} vs {t2}"
+    c1, c2 = plan_counts(g1), plan_counts(g2)
+    if allow_player_permutation:
+        if sorted(c1) != sorted(c2):
+            return f"plan counts differ: {tuple(sorted(c1))} vs {tuple(sorted(c2))}"
+        return None
+    if g1.players != g2.players:
+        return f"players differ: {','.join(g1.players)} vs {','.join(g2.players)}"
+    for p, n1, n2 in zip(g1.players, c1, c2):
+        if n1 != n2:
+            return f"plan counts differ for player {p}: {n1} vs {n2}"
+    return None
 
 
 def rnf_isomorphic(
@@ -365,7 +431,7 @@ def rnf_isomorphic(
     return _plan_isomorphism(
         r1, r2, allow_player_permutation,
         lambda r: Counter(t for _, t in r.table).values(), _cell_edges,
-    )
+    )[0]
 
 
 def behaviorally_equivalent(
@@ -380,7 +446,21 @@ def behaviorally_equivalent(
     tabulating them; route="minimal" reduces both structures to their
     unique minimal forms (UO inputs only) and compares those for structure
     isomorphism; route="both" runs both and insists they agree.  Returns
-    (flag, certificate).
+    (flag, certificate): a dict holding each route's isomorphism, or None,
+    under "rnf" and "minimal", the minimal forms under "minimal_forms" when
+    they were computed, and, for a negative verdict, under "reason" the
+    first check that failed.
+
+    Coalescing and Interchange/Simultanizing map terminals one to one and
+    each player's plans one to one, so the terminal count and the plan
+    counts (`plan_counts`, counted without enumerating a plan) are
+    invariants.  After its UO check the minimal route compares them first
+    and answers False on a difference without minimising.  The rnf route
+    first builds both plan spaces, so a malformed input raises PlanError
+    as before, and then checks terminal counts, plan shapes and outcome
+    multiplicities before its search.  route="both" runs both routes in
+    full, and it raises as on a disagreement if the invariants differ
+    while the routes find the structures equivalent.
 
     The rnf route rests on this.  Play is deterministic and each step
     applies every active player's own choice, so a profile reaches the
@@ -402,16 +482,18 @@ def behaviorally_equivalent(
     from .isomorph import structure_isomorphic
     from .transform import minimize_uo
 
+    if route not in ("rnf", "minimal", "both"):
+        raise EgsError(f"unknown equivalence route {route!r}")
     cert: dict[str, object] = {}
-    flag_rnf = None
+    flag_rnf = why = None
     if route in ("rnf", "both"):
-        iso = _plan_isomorphism(
+        iso, why = _plan_isomorphism(
             plan_space(g1), plan_space(g2), allow_player_permutation,
             PlanSpace.multiplicities, PlanSpace.edges,
         )
         flag_rnf = iso is not None
         cert["rnf"] = iso
-    flag_min = None
+    flag_min = differ = None
     if route in ("minimal", "both"):
         ok1, w1 = check_uo(g1)
         ok2, w2 = check_uo(g2)
@@ -419,6 +501,9 @@ def behaviorally_equivalent(
             raise EgsError(
                 f"the minimal-form route requires UO inputs (witness {w1 or w2})"
             )
+        differ = _invariant_difference(g1, g2, allow_player_permutation)
+        if differ is not None and route == "minimal":
+            return False, {"minimal": None, "reason": differ}
         m1 = minimize_uo(g1)
         m2 = minimize_uo(g2)
         iso = structure_isomorphic(
@@ -427,9 +512,12 @@ def behaviorally_equivalent(
         flag_min = iso is not None
         cert["minimal"] = iso
         cert["minimal_forms"] = (m1, m2)
-    if route == "both" and flag_rnf != flag_min:
+    if route == "both" and (flag_rnf != flag_min or flag_rnf and differ is not None):
         raise EgsError(
             f"equivalence routes disagree: rnf={flag_rnf} minimal={flag_min}"
+            + (f", but {differ}" if differ is not None else "")
         )
     flag = flag_rnf if flag_rnf is not None else flag_min
+    if not flag:
+        cert["reason"] = differ or why or "minimal forms are not isomorphic"
     return bool(flag), cert

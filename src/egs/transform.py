@@ -177,28 +177,34 @@ def _infoset_key(s: InfoSet):
     return (s.owner, s._members_key)
 
 
+def _coalescings(structure: Structure, movers):
+    """The coalescings moving each of the sets, bases in link order."""
+    for mover in movers:
+        target = structure._terminal_mask_set(mover.members)
+        for base, link in structure._links.get((mover.owner, target), ()):
+            if base != mover:
+                yield CoalescingOpp(mover.owner, base, mover, link)
+
+
+def _coalescing_key(o: CoalescingOpp):
+    return (o.owner, _infoset_key(o.base), o.link)
+
+
 def find_coalescing(structure: Structure) -> list[CoalescingOpp]:
-    out = []
-    for p in structure.players:
-        for mover in structure.partitions.get(p, ()):
-            target = structure._terminal_mask_set(mover.members)
-            for base, link in structure._links.get((p, target), ()):
-                if base != mover:
-                    out.append(CoalescingOpp(p, base, mover, link))
+    out = list(_coalescings(structure, structure.info_sets))
     # Stable: movers of one (base, link) stay in partition order.
-    out.sort(key=lambda o: (o.owner, _infoset_key(o.base), o.link))
+    out.sort(key=_coalescing_key)
     return out
 
 
-def find_is(structure: Structure) -> list[IsOpp]:
-    """Every anchor at which the owner is inactive and whose terminal set
-    is that of the members below it.  Only an ancestor whose terminal set
-    lies inside the set's can dictate, and an ancestor's terminal set holds
-    those of the histories below it, so each member climbs until the first
-    ancestor outside, collecting itself at every anchor on the way."""
+def _is_parts(structure: Structure, sets):
+    """The IS opportunities moving part of each of the sets, one per
+    anchor.  Only an ancestor whose terminal set lies inside the set's can
+    dictate, and an ancestor's terminal set holds those of the histories
+    below it, so each member climbs until the first ancestor outside,
+    collecting itself at every anchor on the way."""
     z = structure._z
-    out = []
-    for s in structure.info_sets:
+    for s in sets:
         outside = ~structure._terminal_mask_set(s.members)
         below: dict[History, list[History]] = {}
         for m in s.members:
@@ -210,10 +216,20 @@ def find_is(structure: Structure) -> list[IsOpp]:
                     break
                 if s.owner not in structure.active(g):
                     below.setdefault(g, []).append(m)
-        out.extend(
-            IsOpp(s.owner, g, d, s) for g, d in below.items() if dictates(structure, g, d, s.owner)
-        )
-    out.sort(key=lambda o: (history_key(o.anchor), o.owner, _infoset_key(o.mover)))
+        for g, d in below.items():
+            if dictates(structure, g, d, s.owner):
+                yield IsOpp(s.owner, g, d, s)
+
+
+def _is_key(o: IsOpp):
+    return (history_key(o.anchor), o.owner, _infoset_key(o.mover))
+
+
+def find_is(structure: Structure) -> list[IsOpp]:
+    """Every anchor at which the owner is inactive and whose terminal set
+    is that of the members below it."""
+    out = list(_is_parts(structure, structure.info_sets))
+    out.sort(key=_is_key)
     return out
 
 
@@ -486,19 +502,19 @@ class Ico:
         return len(self.coalescings) + len(self.is_parts)
 
 
-def _class_atoms(structure: Structure):
-    """Immediate atoms grouped by the transitive-simultaneity class of
-    their mover information set."""
-    classes = sim_classes(structure)
-    class_of = {s: idx for idx, group in enumerate(classes) for s in group}
-    atoms: dict[int, list] = {idx: [] for idx in range(len(classes))}
-    for opp in find_coalescing(structure):
-        if is_immediate_coalescing(structure, opp):
-            atoms[class_of[opp.mover]].append(opp)
-    for opp in find_is(structure):
-        if is_immediate_is(structure, opp):
-            atoms[class_of[opp.mover]].append(opp)
-    return classes, atoms
+def _class_atoms(structure: Structure, group) -> list:
+    """The immediate atoms whose mover is in the transitive-simultaneity
+    class: its coalescings and then its IS parts, each in the order of
+    `find_coalescing` and `find_is`."""
+    atoms: list = sorted(
+        (o for o in _coalescings(structure, group) if is_immediate_coalescing(structure, o)),
+        key=_coalescing_key,
+    )
+    atoms.extend(sorted(
+        (o for o in _is_parts(structure, group) if is_immediate_is(structure, o)),
+        key=_is_key,
+    ))
+    return atoms
 
 
 def _complete_in_class(structure: Structure, class_sets, atoms) -> list[Ico]:
@@ -553,11 +569,11 @@ def find_complete_icos(structure: Structure) -> list[Ico]:
     ok, witness = check_uo(structure)
     if not ok:
         raise EgsError(f"complete ICOs require UO; offending pair {witness}")
-    classes, atoms = _class_atoms(structure)
     out: list[Ico] = []
-    for idx, group in enumerate(classes):
-        if atoms[idx]:
-            out.extend(_complete_in_class(structure, group, atoms[idx]))
+    for group in sim_classes(structure):
+        atoms = _class_atoms(structure, group)
+        if atoms:
+            out.extend(_complete_in_class(structure, group, atoms))
     return out
 
 
@@ -637,21 +653,22 @@ def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
 def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
     """Apply complete ICOs class by class from the deepest transitive-
     simultaneity class toward the root; ties break on the class's smallest
-    member history."""
+    member history.  Each class's atoms are found when it is visited, and
+    the first complete ICO found is applied."""
     ok, witness = check_uo(structure)
     if not ok:
         raise EgsError(f"backward compactification requires UO; offending pair {witness}")
     current = structure
     schedule: list[Ico] = []
     while True:
-        classes, atoms = _class_atoms(current)
         # a stable sort: sim_classes lists the classes by smallest member
         order = sorted(
-            range(len(classes)),
-            key=lambda idx: -max(m.length for s in classes[idx] for m in s.members),
+            sim_classes(current),
+            key=lambda group: -max(m.length for s in group for m in s.members),
         )
-        for idx in order:
-            icos = _complete_in_class(current, classes[idx], atoms[idx]) if atoms[idx] else []
+        for group in order:
+            atoms = _class_atoms(current, group)
+            icos = _complete_in_class(current, group, atoms) if atoms else []
             if icos:
                 current, _ = _tau(current, icos[0])
                 schedule.append(icos[0])

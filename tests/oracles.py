@@ -35,6 +35,7 @@ from egs import (
     plans,
     play,
     relation,
+    sim_classes,
     transport_plan_through,
 )
 from egs.core import history_key, strictly_precedes
@@ -1007,3 +1008,53 @@ def complete_controls_reference(structure, mover, opps):
                     mover.owner, mover, tuple(anchors), tuple(o.submover for o in chosen)
                 ))
     return out
+
+
+def _eager_class_atoms(structure):
+    """Every class's immediate atoms, found from `find_coalescing` and
+    `find_is` over the whole structure and filed by the class of the mover."""
+    from egs.transform import is_immediate_coalescing, is_immediate_is
+
+    classes = sim_classes(structure)
+    class_of = {s: idx for idx, group in enumerate(classes) for s in group}
+    atoms = {idx: [] for idx in range(len(classes))}
+    for opp in find_coalescing(structure):
+        if is_immediate_coalescing(structure, opp):
+            atoms[class_of[opp.mover]].append(opp)
+    for opp in find_is(structure):
+        if is_immediate_is(structure, opp):
+            atoms[class_of[opp.mover]].append(opp)
+    return classes, atoms
+
+
+def find_complete_icos_reference(structure):
+    """Every complete ICO, class by class, from atoms found up front."""
+    from egs.transform import _complete_in_class
+
+    classes, atoms = _eager_class_atoms(structure)
+    return [
+        ico for idx, group in enumerate(classes) if atoms[idx]
+        for ico in _complete_in_class(structure, group, atoms[idx])
+    ]
+
+
+def backward_compactify_reference(structure):
+    """Complete ICOs applied deepest class first, with every class's atoms
+    found up front at each step."""
+    from egs.transform import _complete_in_class, _tau
+
+    current, schedule = structure, []
+    while True:
+        classes, atoms = _eager_class_atoms(current)
+        order = sorted(
+            range(len(classes)),
+            key=lambda idx: -max(m.length for s in classes[idx] for m in s.members),
+        )
+        for idx in order:
+            icos = _complete_in_class(current, classes[idx], atoms[idx]) if atoms[idx] else []
+            if icos:
+                current, _ = _tau(current, icos[0])
+                schedule.append(icos[0])
+                break
+        else:
+            return current, schedule

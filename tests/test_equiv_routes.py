@@ -1,11 +1,19 @@
 """Route agreement for behavioral equivalence on 200 random UO pairs:
 equivalent pairs built by random transformation chains, inequivalent ones
 by grafting a fresh decision onto a terminal (which perturbs the outcome
-multiset without touching payoffs)."""
+multiset without touching payoffs).  Negative verdicts on pairs whose
+counted invariants differ, and the reasons verdicts state."""
 
 import random
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import egs.strategy
+import egs.transform
 from egs import (
+    EgsError,
     InfoSet,
     Structure,
     behaviorally_equivalent,
@@ -13,8 +21,11 @@ from egs import (
     make_profile,
     validate_structure,
 )
+from egs.strategy import plan_counts
 
-from corpus import random_chain, uo_corpus
+from corpus import random_chain, renamed, seeded_structures, uo_corpus
+from egs import ROOT
+from fixtures import build, g_chain, g_red1, g_red2, g_sim, path
 
 
 def graft_extra_decision(structure, rng):
@@ -51,3 +62,90 @@ def test_routes_agree_on_200_pairs():
     for g1, g2, expected in pairs:
         flag, _ = behaviorally_equivalent(g1, g2, route="both")
         assert flag == expected
+
+
+def _counted(g, allow_player_permutation):
+    counts = plan_counts(g)
+    return len(g.terminals), sorted(counts) if allow_player_permutation else counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_structures(), seeded_structures(), st.integers(0, 2**32), st.sampled_from(
+    ["grafted", "independent", "player-permuted"]
+))
+def test_pairs_with_differing_counts_are_not_equivalent_by_both_routes(g, h, seed, kind):
+    assume(check_uo(g)[0] and check_uo(h)[0])
+    rng = random.Random(seed)
+    permute = kind == "player-permuted"
+    other = graft_extra_decision(g, rng) if kind == "grafted" else h
+    if permute:
+        other = renamed(other, rng, players=True)
+    assume(_counted(g, permute) != _counted(other, permute))
+    flag, cert = behaviorally_equivalent(g, other, route="both", allow_player_permutation=permute)
+    assert not flag and cert["rnf"] is None and cert["minimal"] is None
+    assert cert["reason"].startswith(
+        ("terminal counts differ", "players differ", "plan counts differ")
+    )
+
+
+def test_minimal_route_answers_differing_counts_without_minimising(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimised a pair whose counts differ")
+
+    monkeypatch.setattr(egs.transform, "minimize_uo", refuse)
+    flag, cert = behaviorally_equivalent(g_chain(), g_sim(), route="minimal")
+    assert not flag and cert == {"minimal": None, "reason": "terminal counts differ: 3 vs 4"}
+
+
+def _reasons(g1, g2, allow_player_permutation=False):
+    out = []
+    for route in ("rnf", "minimal", "both"):
+        flag, cert = behaviorally_equivalent(
+            g1, g2, route=route, allow_player_permutation=allow_player_permutation
+        )
+        out.append(None if flag else cert["reason"])
+    return out
+
+
+def test_negative_verdicts_state_the_first_failed_check():
+    g = g_red1()
+    n = len(g.terminals)
+    grafted = graft_extra_decision(g, random.Random(1))
+    assert _reasons(g, grafted) == [f"terminal counts differ: {n} vs {n + 1}"] * 3
+    # three terminals each; player 1 picks among three where g_chain gives two
+    fan = build(["1", "2"], {ROOT: {"1": ["L", "M", "R"]}})
+    assert _reasons(g_chain(), fan) == [
+        "plan shapes differ: (2, 2) vs (3, 1)",
+        "plan counts differ for player 1: 2 vs 3",
+        "plan counts differ for player 1: 2 vs 3",
+    ]
+    assert _reasons(g_chain(), fan, allow_player_permutation=True) == [
+        "plan shapes differ: (2, 2) vs (1, 3)",
+        "plan counts differ: (2, 2) vs (1, 3)",
+        "plan counts differ: (2, 2) vs (1, 3)",
+    ]
+    # the same counts, but player 2 moves first and may end the game alone
+    swapped = build(["1", "2"], {ROOT: {"2": ["a", "b"]}, path({"2": "a"}): {"1": ["L", "R"]}})
+    assert _reasons(g_chain(), swapped) == [
+        "reduced normal forms are not isomorphic",
+        "minimal forms are not isomorphic",
+        "reduced normal forms are not isomorphic",
+    ]
+    assert _reasons(g_chain(), swapped, allow_player_permutation=True) == [None] * 3
+    # positive certificates carry no reason
+    flag, cert = behaviorally_equivalent(g_red1(), g_red2(), route="both")
+    assert flag and "reason" not in cert
+    # and a route the function does not know is refused, not answered False
+    with pytest.raises(EgsError, match="unknown equivalence route 'minimum'"):
+        behaviorally_equivalent(g_red1(), g_red2(), route="minimum")
+
+
+def test_both_route_raises_when_the_invariants_disagree_with_the_routes(monkeypatch):
+    # a miscount for one side must not pass silently when both routes agree
+    g = g_red1()
+    monkeypatch.setattr(
+        egs.strategy, "plan_counts",
+        lambda s: (1,) * len(s.players) if s is g else plan_counts(s),
+    )
+    with pytest.raises(EgsError, match="routes disagree.*plan counts differ for player 1"):
+        behaviorally_equivalent(g, g_red2(), route="both")

@@ -18,6 +18,7 @@ from egs import (
     Structure,
     GenError,
     GenParams,
+    History,
     check_uo,
     check_vnm,
     gen_random,
@@ -246,6 +247,20 @@ def test_round_trip_is_byte_identical_on_the_corpus(g, seed):
     assert again.payoffs == game.payoffs and serialize(again) == text
 
 
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+def test_parse_builds_the_labels_history_label_gives(g):
+    # every node and infoset line is found by the label parse builds down
+    # the root walk; a label unlike `History.label` would leave a node
+    # unreachable, a member unknown or the tree short
+    from unittest import mock
+
+    text = serialize(g)
+    with mock.patch.object(History, "label", side_effect=AssertionError("label called")):
+        parsed = parse(text)
+    assert parsed == g and serialize(parsed) == text
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet='a"#\\ /()', max_size=40))
 def test_strip_comment_matches_the_character_loop(line):
@@ -409,6 +424,19 @@ def test_cli_negative_and_error_codes(tmp_path):
 
     out = run_cli("validate", str(tmp_path / "missing.egs"))
     assert out.returncode == 2
+
+
+def test_cli_equiv_states_why_a_pair_is_not_equivalent(tmp_path):
+    chain = tmp_path / "chain.egs"
+    chain.write_text(serialize(g_chain()))
+    sim = tmp_path / "sim.egs"
+    sim.write_text(serialize(g_sim()))
+    for route in ((), ("--via-minimal",)):
+        out = run_cli("equiv", *route, str(chain), str(sim))
+        assert out.returncode == 1
+        assert out.stdout == "not equivalent\nterminal counts differ: 3 vs 4\n"
+        out = run_cli("equiv", *route, str(chain), str(chain))
+        assert out.returncode == 0 and out.stdout == "equivalent\n"
 
 
 def test_cli_bd_and_monotonic(tmp_path):

@@ -1,4 +1,8 @@
+from unittest import mock
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from egs import (
     EgsError,
@@ -15,10 +19,11 @@ from egs import (
     is_immediate_is,
     relation,
     sim_classes,
+    transform,
     validate_structure,
 )
 
-from corpus import ico_corpus
+from corpus import ico_corpus, seeded_structures
 from fixtures import (
     g_g76,
     g_icot,
@@ -31,6 +36,7 @@ from fixtures import (
     g_uom,
     path,
 )
+from oracles import backward_compactify_reference, find_complete_icos_reference
 
 
 def test_icot_complete_icos():
@@ -251,3 +257,38 @@ def test_compactification_preserves_orderings_on_corpus():
                 # strict following never reverses
                 if r.before and not r.simultaneous:
                     assert not (r2.after and not r2.before)
+
+
+def _outcome(fn, structure):
+    """What fn returns, or the TransformError it raises, as comparable data."""
+    try:
+        return fn(structure)
+    except TransformError as error:
+        return str(error)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeded_structures(), st.sampled_from([2, 3, transform._MAX_ICO_ATOMS]))
+def test_class_by_class_atom_search_matches_the_eager_one(structure, max_atoms):
+    # a low atom bound makes the too-many-atoms refusal common: it must come
+    # from the same class, with the same count, as when every class's atoms
+    # are found before the first is searched
+    assume(check_uo(structure)[0])
+    with mock.patch.object(transform, "_MAX_ICO_ATOMS", max_atoms):
+        assert _outcome(find_complete_icos, structure) == _outcome(
+            find_complete_icos_reference, structure
+        )
+        assert _outcome(backward_compactify, structure) == _outcome(
+            backward_compactify_reference, structure
+        )
+
+
+def test_class_by_class_atom_search_matches_the_eager_one_on_fixtures_and_corpus():
+    structures = [g_g76(), g_icot(), g_nec_interpolation(), g_nec_participant(), g_ovlp()]
+    for structure, _ in ico_corpus(40, seed=7):
+        if all(structure is not s for s in structures):
+            structures.append(structure)
+    assert len(structures) >= 15
+    for structure in structures:
+        assert find_complete_icos(structure) == find_complete_icos_reference(structure)
+        assert backward_compactify(structure) == backward_compactify_reference(structure)

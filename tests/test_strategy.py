@@ -31,7 +31,7 @@ from egs import (
     reduced_normal_form,
     rnf_isomorphic,
 )
-from egs.strategy import own_predecessor
+from egs.strategy import own_predecessor, plan_counts
 
 from corpus import (
     profile_count,
@@ -242,6 +242,56 @@ def test_plans_of_a_deep_chain_need_no_recursion():
         sys.setrecursionlimit(limit)
     assert got == plans_reference(g, "1")
     assert len(got) == 301
+
+
+def _assert_counts_match_the_reference(structure):
+    assert plan_counts(structure) == tuple(
+        len(plans_reference(structure, p)) for p in structure.players
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 59), st.integers(0, 2**32))
+def test_counted_plans_match_the_reference_on_the_uo_corpus_and_renamings(k, seed):
+    structure = uo_corpus(60, seed=31)[k]
+    _assert_counts_match_the_reference(structure)
+    _assert_counts_match_the_reference(renamed(structure, random.Random(seed), players=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_structures())
+@example(g_absent_minded())
+def test_counted_plans_match_the_reference_on_seeded_structures(structure):
+    _assert_counts_match_the_reference(structure)
+
+
+def test_counting_the_plans_of_a_deep_chain_needs_no_recursion():
+    import time
+
+    g = g_deep_chain(1200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        start = time.process_time()
+        counts = plan_counts(g)
+        elapsed = time.process_time() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    assert counts == (1201,)
+    assert elapsed < 0.5
+
+
+def test_plan_counts_are_counted_once_per_structure(monkeypatch):
+    g = g_ladder()
+    calls = []
+    scan = egs.strategy.own_predecessor
+    monkeypatch.setattr(
+        egs.strategy, "own_predecessor", lambda *args: calls.append(1) or scan(*args)
+    )
+    counts = plan_counts(g)
+    assert len(calls) == len(g.info_sets)
+    assert plan_counts(g) is counts and len(calls) == len(g.info_sets)
+    assert counts == tuple(len(plans(g, p)) for p in g.players)
 
 
 def test_play_red1():
