@@ -115,10 +115,6 @@ class DecisionProblem:
     own: tuple[Plan, ...]
     others: tuple[tuple[Plan, ...], ...]
 
-    @property
-    def size(self) -> tuple[int, int]:
-        return len(self.own), len(self.others)
-
 
 # Inside this module a decision problem is a pair of index tuples: the
 # owner's plan indices, and the opponents' profiles as tuples of plan
@@ -297,24 +293,20 @@ class BdTrace:
 
 def _weak_follow_matrix(structure: Structure) -> dict[InfoSet, tuple[InfoSet, ...]]:
     """For each set h, the sets g with g weakly following h (g >= h in the
-    elimination sense: h < g or h ~ g), in `info_sets` order.  The later
-    sets are the earlier masks transposed, and the simultaneous ones those
-    sharing a member history; both are bitsets over `info_sets` indices."""
-    sets, earlier, position = structure.info_sets, structure._order[0], structure._position
-    later = [0] * len(sets)
-    sharing: dict[History, int] = {}
+    elimination sense: h < g or h ~ g), in `info_sets` order.  A set's
+    earlier mask and the sets at its members, both bitsets over positions
+    in `info_sets` from `_order`, hold the sets it weakly follows; the
+    matrix is their transpose."""
+    sets, position = structure.info_sets, structure._position
+    earlier, _, at = structure._order
+    follows = [0] * len(sets)
     for i, t in enumerate(sets):
-        for k in bit_indices(earlier[t]):
-            later[k] |= 1 << i
+        mask = earlier[t]
         for m in t.members:
-            sharing[m] = sharing.get(m, 0) | 1 << i
-    out = {}
-    for s in sets:
-        mask = later[position[s]]
-        for m in s.members:
-            mask |= sharing[m]
-        out[s] = tuple(sets[i] for i in bit_indices(mask))
-    return out
+            mask |= at[m]
+        for k in bit_indices(mask):
+            follows[k] |= 1 << i
+    return {s: tuple(sets[i] for i in bit_indices(follows[position[s]])) for s in sets}
 
 
 def bd(game: Game) -> BdTrace:

@@ -22,6 +22,10 @@ class GenError(EgsError):
     pass
 
 
+_MAX_ATTEMPTS = 400  # gen_random's rejection-sampling budget
+_PAYOFF_SPAN = 6  # random_payoffs draws numerators in [-span, span]
+
+
 @dataclass(frozen=True)
 class GenParams:
     players: int = 2
@@ -46,11 +50,10 @@ def gen_random(
     params: GenParams,
     require_uo: bool = False,
     require_vnm: bool = False,
-    max_attempts: int = 400,
 ) -> Structure:
     """Generate a structure; with the flags set, rejection-sample until the
     unambiguous-ordering (or equal-length) property holds."""
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(f"{params.seed}:{attempt}")
         structure = _generate_once(params, rng)
         if structure is None:
@@ -61,7 +64,7 @@ def gen_random(
             continue
         return structure
     raise GenError(
-        f"no admissible structure in {max_attempts} attempts; "
+        f"no admissible structure in {_MAX_ATTEMPTS} attempts; "
         "loosen the requirements, shrink the tree, or change the seed"
     )
 
@@ -135,13 +138,13 @@ def _generate_once(params: GenParams, rng: random.Random) -> Structure | None:
 
 
 def random_payoffs(
-    structure: Structure, rng: random.Random, span: int = 6
+    structure: Structure, rng: random.Random
 ) -> dict[str, dict[History, Fraction]]:
     """Exact-rational payoffs with small denominators, one draw per
     terminal and player."""
     return {
         p: {
-            z: Fraction(rng.randint(-span, span), rng.choice((1, 2, 3)))
+            z: Fraction(rng.randint(-_PAYOFF_SPAN, _PAYOFF_SPAN), rng.choice((1, 2, 3)))
             for z in structure.terminals
         }
         for p in structure.players

@@ -17,8 +17,9 @@ opportunities for von Neumann structures, and the backward
 (leaves-to-root) compactification.  The composed transformations of both
 kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
 every image of their anchors, then coalescings, each re-found on the
-current structure through the images of what it re-finds alone.  Only
-`apply_tau` composes the map of every history, from the steps taken.
+current structure through a running map its caller seeds: the identity
+of every history for `apply_tau`, which returns it, and otherwise only
+what the loop re-finds.
 """
 
 from __future__ import annotations
@@ -368,22 +369,13 @@ def apply_is(structure: Structure, opp: IsOpp) -> tuple[Structure, HistoryMap]:
         raise TransformError(f"stale IS opportunity {opp!r}")
     if not opp.submover_set <= opp.mover.member_set:
         raise TransformError("sub-mover is not part of the mover")
+    # Every history has a terminal below it, so dictation leaves no history
+    # under the anchor that is neither on a path to the sub-mover nor past it.
     if not dictates(structure, opp.anchor, opp.submover, i):
         raise TransformError(f"stale IS opportunity {opp!r}")
     anchor = opp.anchor
     top = dict.fromkeys(_descendants(structure, anchor), anchor)
     below = {g: m for m in opp.submover for g in _descendants(structure, m)}
-    between = set()  # the histories on the paths from the anchor to the sub-mover
-    for g in opp.submover:
-        while g.length > anchor.length:
-            between.add(g)
-            g = g.parent
-    broken = [g for g in top if g not in below and g not in between]
-    if broken:
-        raise TransformError(
-            f"{min(broken, key=history_key).label()!r} is unrelated to the sub-mover;"
-            " dictation is broken"
-        )
     kept = tuple(m for m in opp.mover.members if m not in opp.submover_set)
     new_structure, forward, infoset_map = _lift(
         structure, i, top, below, opp.mover, (anchor,) + kept
@@ -497,10 +489,6 @@ class Ico:
         sets.extend(p.mover for p in self.is_parts)
         return tuple(dict.fromkeys(sets))
 
-    @property
-    def size(self) -> int:
-        return len(self.coalescings) + len(self.is_parts)
-
 
 def _class_atoms(structure: Structure, group) -> list:
     """The immediate atoms whose mover is in the transitive-simultaneity
@@ -571,9 +559,7 @@ def find_complete_icos(structure: Structure) -> list[Ico]:
         raise EgsError(f"complete ICOs require UO; offending pair {witness}")
     out: list[Ico] = []
     for group in sim_classes(structure):
-        atoms = _class_atoms(structure, group)
-        if atoms:
-            out.extend(_complete_in_class(structure, group, atoms))
+        out.extend(_complete_in_class(structure, group, _class_atoms(structure, group)))
     return out
 
 
@@ -598,26 +584,30 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
         raise TransformError(fault)
 
 
-def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, tuple]:
-    """Apply each IS piece (owner, mover, anchor) at every current image of
-    its anchor, then each coalescing, re-finding every piece on the current
-    structure.  The running map follows only what is re-found, the anchors
-    and the movers and bases; returns the result and the steps taken."""
+def _following(is_parts, coalescings) -> CompositeMap:
+    """The least map `_compose` runs on: the anchors, movers and bases."""
+    sets = [p.mover for p in is_parts]
+    sets.extend(s for c in coalescings for s in (c.base, c.mover))
+    return CompositeMap({p.anchor: (p.anchor,) for p in is_parts}, {s: s for s in sets})
+
+
+def _compose(structure: Structure, is_parts, coalescings, comp) -> tuple[Structure, CompositeMap]:
+    """Apply each IS part at every current image of its anchor, then each
+    coalescing, re-finding every piece on the current structure through
+    comp, the running map its caller seeds; returns the result and comp
+    extended by the steps taken."""
     current = structure
-    followed = [mover for _, mover, _ in is_pieces]
-    followed.extend(s for part in coalescings for s in (part.base, part.mover))
-    comp = CompositeMap({a: (a,) for _, _, a in is_pieces}, {s: s for s in followed})
-    for owner, mover, anchor in is_pieces:
-        for a in comp.forward[anchor]:
-            mover_now = comp.infoset_map[mover]
+    for part in is_parts:
+        for a in comp.forward[part.anchor]:
+            mover_now = comp.infoset_map[part.mover]
             d = tuple(m for m in mover_now.members if strictly_precedes(a, m))
-            if not d or not dictates(current, a, d, owner):
+            if not d or not dictates(current, a, d, part.owner):
                 raise TransformError(
-                    f"IS piece of {mover!r} no longer dictates at {a.label()!r}"
+                    f"IS piece of {part.mover!r} no longer dictates at {a.label()!r}"
                 )
             # Sibling anchor images live in disjoint subtrees, so the
             # remaining ones are untouched by this application.
-            current, step = apply_is(current, IsOpp(owner, a, d, mover_now))
+            current, step = apply_is(current, IsOpp(part.owner, a, d, mover_now))
             comp = comp.extend(step)
     for part in coalescings:
         base_now = comp.infoset_map[part.base]
@@ -629,25 +619,19 @@ def _compose(structure: Structure, is_pieces, coalescings) -> tuple[Structure, t
             current, CoalescingOpp(part.owner, base_now, mover_now, link)
         )
         comp = comp.extend(step)
-    return current, comp.steps
+    return current, comp
 
 
-def _tau(structure: Structure, ico: Ico) -> tuple[Structure, tuple]:
+def _tau(structure: Structure, ico: Ico, comp: CompositeMap) -> tuple[Structure, CompositeMap]:
     _verify_complete(structure, ico)
-    return _compose(
-        structure, [(p.owner, p.mover, p.anchor) for p in ico.is_parts], ico.coalescings
-    )
+    return _compose(structure, ico.is_parts, ico.coalescings, comp)
 
 
 def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
     """Compose the ICO's IS parts (input order) and then its coalescing
     parts.  Unambiguous ordering may break on intermediate structures and
     is restored by the final one."""
-    current, steps = _tau(structure, ico)
-    comp = CompositeMap.identity(structure)
-    for step in steps:
-        comp = comp.extend(step)
-    return current, comp
+    return _tau(structure, ico, CompositeMap.identity(structure))
 
 
 def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
@@ -667,11 +651,11 @@ def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
             key=lambda group: -max(m.length for s in group for m in s.members),
         )
         for group in order:
-            atoms = _class_atoms(current, group)
-            icos = _complete_in_class(current, group, atoms) if atoms else []
+            icos = _complete_in_class(current, group, _class_atoms(current, group))
             if icos:
-                current, _ = _tau(current, icos[0])
-                schedule.append(icos[0])
+                ico = icos[0]
+                current, _ = _tau(current, ico, _following(ico.is_parts, ico.coalescings))
+                schedule.append(ico)
                 break
         else:
             return current, schedule
@@ -714,22 +698,24 @@ class SynthOpp:
 
 
 def _complete_controls_for(structure: Structure, mover: InfoSet, opps: list[IsOpp]):
-    """Subsets of the mover's IS anchors whose pieces partition it, with
+    """The groups of the mover's IS anchors whose pieces partition it, with
     pairwise-incomparable anchors of equal length.  `find_is` gives one
     opportunity per anchor, so distinct anchors of equal length are
-    incomparable, and their pieces, the members below each, are disjoint."""
-    out = []
-    for chosen in _subsets(opps):
-        if len({o.anchor.length for o in chosen}) != 1:
-            continue
-        if frozenset().union(*(o.submover for o in chosen)) != mover.member_set:
-            continue
-        out.append(CompleteControl(
+    incomparable, and their pieces, the members below each, are disjoint
+    and non-empty: only a whole group of one length can cover the mover.
+    The covering groups come smaller first, then by list position."""
+    groups: dict[int, list[IsOpp]] = {}
+    for o in opps:
+        groups.setdefault(o.anchor.length, []).append(o)
+    return [
+        CompleteControl(
             mover.owner, mover,
-            tuple(o.anchor for o in chosen),
-            tuple(o.submover for o in chosen),
-        ))
-    return out
+            tuple(o.anchor for o in group),
+            tuple(o.submover for o in group),
+        )
+        for group in sorted(groups.values(), key=len)
+        if frozenset().union(*(o.submover for o in group)) == mover.member_set
+    ]
 
 
 def shift_depth(structure: Structure, h: History, movers: frozenset[InfoSet]) -> int:
@@ -759,17 +745,10 @@ def find_synthesized(structure: Structure) -> list[SynthOpp]:
     ok, witness = check_vnm(structure)
     if not ok:
         raise EgsError(f"synthesized opportunities require a vNM structure; see {witness!r}")
-    coal_atoms = find_coalescing(structure)
-    is_by_mover: dict[InfoSet, list[IsOpp]] = {}
-    for opp in find_is(structure):
-        is_by_mover.setdefault(opp.mover, []).append(opp)
-    control_atoms: list[CompleteControl] = []
+    atoms: list = find_coalescing(structure)
     for mover in structure.info_sets:
-        if mover in is_by_mover:
-            control_atoms.extend(
-                _complete_controls_for(structure, mover, is_by_mover[mover])
-            )
-    atoms: list = list(coal_atoms) + control_atoms
+        opps = sorted(_is_parts(structure, (mover,)), key=_is_key)
+        atoms.extend(_complete_controls_for(structure, mover, opps))
     if len(atoms) > _MAX_SYNTH_ATOMS:
         raise TransformError(
             f"too many candidate atoms ({len(atoms)}); instance too large"
@@ -820,13 +799,16 @@ def apply_phi(structure: Structure, opp: SynthOpp) -> Structure:
     if not ok:
         raise EgsError(f"the transformation requires a vNM structure; see {witness!r}")
     _verify_synth(structure, opp)
-    pieces = [(k.owner, k.mover, anchor) for k in opp.controls for anchor in k.anchors]
-    pieces.sort(key=lambda piece: (-piece[2].length, history_key(piece[2])))
+    pieces = [
+        IsOpp(k.owner, anchor, piece, k.mover)
+        for k in opp.controls for anchor, piece in zip(k.anchors, k.pieces)
+    ]
+    pieces.sort(key=lambda p: (-p.anchor.length, history_key(p.anchor)))
     coals = sorted(
         opp.coalescings,
         key=lambda c: (-max(m.length for m in c.mover.members), _infoset_key(c.mover)),
     )
-    current, _ = _compose(structure, pieces, coals)
+    current, _ = _compose(structure, pieces, coals, _following(pieces, coals))
     ok, witness = check_vnm(current)
     if not ok:
         raise TransformError(f"transformation result lost equal length at {witness!r}")

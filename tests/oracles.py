@@ -339,6 +339,19 @@ def apply_coalescing_reference(structure, opp):
     )
 
 
+def unrelated_to_submover_reference(structure, opp):
+    """The histories strictly below the anchor that are neither strictly
+    below a sub-mover member nor a prefix of one, in history order: the
+    scan that finds a broken dictation."""
+    region = set(_descendants(structure, opp.anchor))
+    below = {g for m in opp.submover for g in _descendants(structure, m)}
+    return [
+        g for g in structure.histories
+        if g in region and g not in below
+        and not any(g.is_prefix_of(d) for d in opp.submover)
+    ]
+
+
 def apply_is_reference(structure, opp):
     i = opp.owner
     if not structure.has_history(opp.anchor) or not structure.has_info_set(opp.mover):
@@ -347,6 +360,11 @@ def apply_is_reference(structure, opp):
         raise TransformError("sub-mover is not part of the mover")
     if not dictates(structure, opp.anchor, opp.submover, i):
         raise TransformError(f"stale IS opportunity {opp!r}")
+    unrelated = unrelated_to_submover_reference(structure, opp)
+    if unrelated:
+        raise TransformError(
+            f"{unrelated[0].label()!r} is unrelated to the sub-mover; dictation is broken"
+        )
     mover_actions = structure.feasible_at(opp.mover)
     anchor = opp.anchor
 
@@ -364,10 +382,6 @@ def apply_is_reference(structure, opp):
         first = g.move_at(anchor.length)
         m = sub_prefix.get(g)
         if m is None:
-            if not any(g.is_prefix_of(d) for d in opp.submover):
-                raise TransformError(
-                    f"{g.label()!r} is unrelated to the sub-mover; dictation is broken"
-                )
             forward[g] = tuple(sorted(
                 (History(anchor.moves
                          + (_with_component(first, i, c),)
@@ -1041,7 +1055,7 @@ def find_complete_icos_reference(structure):
 def backward_compactify_reference(structure):
     """Complete ICOs applied deepest class first, with every class's atoms
     found up front at each step."""
-    from egs.transform import _complete_in_class, _tau
+    from egs.transform import _complete_in_class
 
     current, schedule = structure, []
     while True:
@@ -1053,7 +1067,7 @@ def backward_compactify_reference(structure):
         for idx in order:
             icos = _complete_in_class(current, classes[idx], atoms[idx]) if atoms[idx] else []
             if icos:
-                current, _ = _tau(current, icos[0])
+                current, _ = apply_tau(current, icos[0])
                 schedule.append(icos[0])
                 break
         else:

@@ -37,7 +37,7 @@ from egs import (
     transitively_simultaneous,
 )
 
-from corpus import seeded_structures, vnm_corpus
+from corpus import seeded_structures, uo_corpus, vnm_corpus
 from fixtures import (
     A,
     B,
@@ -56,6 +56,7 @@ from fixtures import (
 from egs import transform
 from egs.transform import CompositeMap, _available_reductions
 from oracles import (
+    anchored_members_reference,
     check_uo_pairwise,
     composite_extend_reference,
     indices_reference,
@@ -63,6 +64,7 @@ from oracles import (
     relation_pairwise,
     terminals_reference,
     transitively_simultaneous_reference,
+    unrelated_to_submover_reference,
 )
 
 
@@ -647,6 +649,35 @@ def test_a_lift_the_edit_refuses_equals_the_rebuild(case):
     with _lifts_checked_against_the_rebuild() as checked:
         apply(g, opp)
     assert len(checked) == 1
+
+
+def _scans_agreeing_with_dictation(g) -> int:
+    """Check that the scan for histories unrelated to the sub-mover, the
+    one `apply_is_reference` refuses a broken dictation by, finds nothing
+    exactly when the sub-mover dictates, for each anchored part and the
+    part less each of its members; the number of dictating parts."""
+    dictating = 0
+    for (s, anchor), below in anchored_members_reference(g).items():
+        for d in (below, *(below[:k] + below[k + 1:] for k in range(len(below)))):
+            if d:
+                found = unrelated_to_submover_reference(g, egs.IsOpp(s.owner, anchor, d, s))
+                assert (found == []) == egs.dictates(g, anchor, d, s.owner)
+                dictating += not found
+    return dictating
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures())
+@example(g_absent_minded())
+@example(g_red1())
+def test_a_dictating_sub_mover_leaves_no_history_unrelated_to_it(structure):
+    _scans_agreeing_with_dictation(structure)
+
+
+def test_a_dictating_sub_mover_leaves_no_history_unrelated_to_it_on_the_corpora():
+    assert sum(map(_scans_agreeing_with_dictation, uo_corpus(40, seed=41))) >= 5
+    malformed = [g for _, g in CANNOT_CARRY.values()]
+    assert sum(map(_scans_agreeing_with_dictation, malformed)) >= 3
 
 
 def test_each_lift_of_a_synthesized_opportunity_equals_the_rebuild():

@@ -36,7 +36,12 @@ from fixtures import (
     g_uom,
     path,
 )
-from oracles import backward_compactify_reference, find_complete_icos_reference
+from egs.transform import CompositeMap
+from oracles import (
+    backward_compactify_reference,
+    composite_extend_reference,
+    find_complete_icos_reference,
+)
 
 
 def test_icot_complete_icos():
@@ -236,6 +241,21 @@ def test_backward_icot_schedule_starts_with_deepest_theta():
         current, _ = apply_tau(current, ico)
     assert current == result
     assert check_uo(result)[0]
+
+
+def test_apply_tau_composes_the_identity_through_its_steps():
+    # the map is composed once, along the steps themselves, and equals the
+    # identity folded through them by the reference composition
+    folded = 0
+    cases = ico_corpus(30, seed=7) + ((g_icot(), find_complete_icos(g_icot())[0]),)
+    for structure, ico in cases:
+        _, comp = apply_tau(structure, ico)
+        want = CompositeMap.identity(structure)
+        for step in comp.steps:
+            want = CompositeMap(*composite_extend_reference(want, step))
+        assert (comp.forward, comp.infoset_map) == (want.forward, want.infoset_map)
+        folded += len(comp.steps) > 1
+    assert folded > 0
 
 
 def test_compactification_preserves_orderings_on_corpus():

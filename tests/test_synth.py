@@ -1,12 +1,16 @@
+import time
+
 import pytest
 
 from egs import (
     EgsError,
+    ROOT,
     SynthOpp,
     apply_phi,
     check_vnm,
     find_is,
     find_synthesized,
+    parse,
     reduced_normal_form,
     rnf_isomorphic,
     shift_depth,
@@ -115,3 +119,37 @@ def test_complete_controls_match_the_reference_on_the_corpus():
             assert got == complete_controls_reference(structure, mover, opps)
             found += len(got)
     assert found > 20
+
+
+def _fan(n: int):
+    """Player 2 picks one of n branches a_k at the root and then x_k or y_k;
+    player 1's one set holds all 2n histories of length 2, so the root and
+    each a_k dictate: anchors of two lengths, n of them of length 1."""
+    actions = [f"{c}{k}" for c in "axy" for k in range(n)]
+    lines = ["egs 1", "player 1 actions L,R", f"player 2 actions {','.join(actions)}"]
+    lines.append('node "" 2:' + "|".join(f"a{k}" for k in range(n)))
+    members = []
+    for k in range(n):
+        lines.append(f'node "a{k}" 2:x{k}|y{k}')
+        for c in (f"x{k}", f"y{k}"):
+            lines.append(f'node "a{k}/{c}" 1:L|R')
+            members.append(f'"a{k}/{c}"')
+    lines.append("infoset 1 {" + ",".join(members) + "}")
+    return parse("\n".join(lines) + "\n")
+
+
+def test_complete_controls_of_twenty_equal_length_anchors_are_read_off_at_once():
+    # 21 anchors would be 2^21 subsets to walk; only the two length groups
+    # can cover the mover
+    g = _fan(20)
+    assert check_vnm(g)[0]
+    (mover,) = g.partitions["1"]
+    opps = find_is(g)
+    assert len(opps) == 21
+    start = time.process_time()
+    got = _complete_controls_for(g, mover, opps)
+    assert time.process_time() - start < 0.5
+    root, group = got
+    assert root.anchors == (ROOT,) and set(root.pieces[0]) == mover.member_set
+    assert group.anchors == tuple(o.anchor for o in opps[1:])
+    assert [set(p) for p in group.pieces] == [o.submover_set for o in opps[1:]]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from egs import (
     EgsError,
-    IsOpp,
     TransformError,
     apply_coalescing,
     apply_is,
@@ -47,7 +46,6 @@ from fixtures import (
     red1_infosets,
 )
 from oracles import (
-    anchored_members_reference,
     apply_coalescing_reference,
     apply_is_reference,
     controls_pairwise,
@@ -424,30 +422,6 @@ def test_is_discovery_and_crossing_match_the_path_scans_on_crossing_cases():
     assert _crossings_matching_the_path_scans(mid) == 1
     assert _crossings_matching_the_path_scans(g_mud()) == 1
     assert sum(map(_crossings_matching_the_path_scans, uo_corpus(40, seed=43))) == 1
-
-
-def test_apply_is_names_the_first_history_that_breaks_dictation(monkeypatch):
-    # Each anchored part that does not dictate reaches the check once
-    # dictation is forced; the offender reported is the first in history
-    # order, as the reference's scan of every history finds it.
-    import egs.transform
-    import oracles
-
-    cases = [
-        (g, IsOpp(s.owner, anchor, d, s))
-        for g in uo_corpus(20, seed=41)
-        for (s, anchor), d in anchored_members_reference(g).items()
-        if not dictates(g, anchor, d, s.owner)
-    ]
-    assert len(cases) > 20
-    for module in (egs.transform, oracles):
-        monkeypatch.setattr(module, "dictates", lambda *args: True)
-    for g, opp in cases:
-        with pytest.raises(TransformError, match="dictation is broken") as want:
-            apply_is_reference(g, opp)
-        with pytest.raises(TransformError) as got:
-            apply_is(g, opp)
-        assert str(got.value) == str(want.value)
 
 
 def test_deep_chain_needs_no_recursion():
