@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import History, Structure
+from .core import EgsError, History, Structure
 
 
 @dataclass(frozen=True)
@@ -179,6 +179,8 @@ def _structure_graph(g: Structure, by_name: bool, colours: list, adj: list):
             for pa in kid.moves[-1]:
                 a = actions.get(pa)
                 if a is None:
+                    if pa[0] not in players:
+                        raise EgsError(f"undeclared player {pa[0]} moves at {h.label()!r}")
                     a = actions[pa] = vertex(("action",))
                     edge(a, players[pa[0]])
                 edge(v, a)

@@ -24,9 +24,12 @@ reduced normal forms.  The rnf route hands both plan spaces to the
 isomorphism engine as they are: their bitsets at the terminals are the
 plan-terminal incidence, so no form is tabulated.  For structures with
 unambiguous orderings it can also be certified by comparing unique
-minimal forms; that route first compares the counted invariants, the
-terminal count and each player's plan count, and minimises only when they
-agree.  A negative verdict names the first check that failed.
+minimal forms.  Both routes first pass one gate, `_counted_difference`,
+on the counted invariants: the terminal count, the players and each
+player's plan count.  The rnf route reads the counts off its plan spaces,
+the minimal route from `plan_counts`, and it minimises only when they
+agree.  A negative verdict names the first check that failed, and on a
+counted invariant both routes name the same one.
 """
 
 from __future__ import annotations
@@ -208,6 +211,8 @@ class PlanSpace:
     """
 
     def __init__(self, structure: Structure):
+        if not structure.has_history(structure.root):
+            raise PlanError("the structure has no root history")
         self.players = tuple(structure.players)
         self.plan_lists = tuple(plans(structure, p) for p in self.players)
         sizes = [len(pl) for pl in self.plan_lists]
@@ -227,7 +232,12 @@ class PlanSpace:
             if structure.is_terminal(h):
                 continue
             active = structure.active(h)
-            at = [(seat[p], structure.info_set_of(p, h)) for p in active]
+            try:
+                at = [(seat[p], structure.info_set_of(p, h)) for p in active]
+            except KeyError as missing:
+                raise PlanError(
+                    f"undeclared player {missing.args[0]} moves at {h.label()!r}"
+                ) from None
             for kid in structure.children(h):
                 move = dict(kid.moves[-1])
                 if len(move) != len(active):
@@ -363,20 +373,11 @@ def _cell_edges(rnf: ReducedNormalForm, ends, colours: list, adj: list) -> None:
 
 def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, edges):
     """The engine's answer for two forms with players, plan_lists and
-    terminals: terminal counts, shapes and the sorted outcome
-    multiplicities must agree, and `edges` joins each form's plans and
-    terminals.  Returns the certificate, which indexes plans and terminals
-    by list position, and None; or None and the first check that failed."""
-    t1, t2 = len(f1.terminals), len(f2.terminals)
-    if t1 != t2:
-        return None, f"terminal counts differ: {t1} vs {t2}"
-    shape1, shape2 = (tuple(len(pl) for pl in f.plan_lists) for f in (f1, f2))
-    if allow_player_permutation:
-        shape1, shape2 = tuple(sorted(shape1)), tuple(sorted(shape2))
-    elif f1.players != f2.players:
-        return None, f"players differ: {','.join(f1.players)} vs {','.join(f2.players)}"
-    if shape1 != shape2:
-        return None, f"plan shapes differ: {shape1} vs {shape2}"
+    terminals whose counted invariants agree (`_counted_difference`): the
+    sorted outcome multiplicities must agree, and `edges` joins each form's
+    plans and terminals.  Returns the certificate, which indexes plans and
+    terminals by list position, and None; or None and the first check that
+    failed."""
     if sorted(multiplicities(f1)) != sorted(multiplicities(f2)):
         return None, "outcome multiplicities differ"
     colours: list = []
@@ -399,23 +400,23 @@ def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, ed
     ), None
 
 
-def _invariant_difference(g1: Structure, g2: Structure, allow_player_permutation: bool):
-    """The first counted invariant of behavioral equivalence on which the
-    structures differ, or None: the terminal count, the players (unless
-    they may be permuted) and each player's plan count (sorted when they
-    may).  Every Coalescing and Interchange/Simultanizing maps terminals
-    and each player's plans one to one, and so does an isomorphism."""
-    t1, t2 = len(g1.terminals), len(g2.terminals)
+def _counted_difference(side1, side2, allow_player_permutation: bool):
+    """The first counted invariant of behavioral equivalence on which two
+    sides differ, or None.  A side is a terminal count, the players and
+    each player's plan count in player order: the terminal counts are
+    compared, then the players (unless they may be permuted) and each
+    player's plan count (sorted when they may).  Every Coalescing and
+    Interchange/Simultanizing maps terminals and each player's plans one
+    to one, and so does an isomorphism."""
+    (t1, players1, c1), (t2, players2, c2) = side1, side2
     if t1 != t2:
         return f"terminal counts differ: {t1} vs {t2}"
-    c1, c2 = plan_counts(g1), plan_counts(g2)
     if allow_player_permutation:
-        if sorted(c1) != sorted(c2):
-            return f"plan counts differ: {tuple(sorted(c1))} vs {tuple(sorted(c2))}"
-        return None
-    if g1.players != g2.players:
-        return f"players differ: {','.join(g1.players)} vs {','.join(g2.players)}"
-    for p, n1, n2 in zip(g1.players, c1, c2):
+        c1, c2 = tuple(sorted(c1)), tuple(sorted(c2))
+        return f"plan counts differ: {c1} vs {c2}" if c1 != c2 else None
+    if players1 != players2:
+        return f"players differ: {','.join(players1)} vs {','.join(players2)}"
+    for p, n1, n2 in zip(players1, c1, c2):
         if n1 != n2:
             return f"plan counts differ for player {p}: {n1} vs {n2}"
     return None
@@ -428,6 +429,9 @@ def rnf_isomorphic(
 ) -> RnfIsomorphism | None:
     """Find player/plan/terminal bijections making the outcome tables
     commute.  Players map by identity unless permutation is enabled."""
+    sides = [(len(r.terminals), r.players, r.shape()) for r in (r1, r2)]
+    if _counted_difference(*sides, allow_player_permutation) is not None:
+        return None
     return _plan_isomorphism(
         r1, r2, allow_player_permutation,
         lambda r: Counter(t for _, t in r.table).values(), _cell_edges,
@@ -445,22 +449,22 @@ def behaviorally_equivalent(
     route="rnf" decides isomorphism of the reduced normal forms without
     tabulating them; route="minimal" reduces both structures to their
     unique minimal forms (UO inputs only) and compares those for structure
-    isomorphism; route="both" runs both and insists they agree.  Returns
-    (flag, certificate): a dict holding each route's isomorphism, or None,
-    under "rnf" and "minimal", the minimal forms under "minimal_forms" when
-    they were computed, and, for a negative verdict, under "reason" the
-    first check that failed.
+    isomorphism.  Returns (flag, certificate): a dict holding the route's
+    isomorphism, or None, under "rnf" or "minimal", the minimal forms under
+    "minimal_forms" when they were computed, and, for a negative verdict,
+    under "reason" the first check that failed.
 
     Coalescing and Interchange/Simultanizing map terminals one to one and
     each player's plans one to one, so the terminal count and the plan
-    counts (`plan_counts`, counted without enumerating a plan) are
-    invariants.  After its UO check the minimal route compares them first
-    and answers False on a difference without minimising.  The rnf route
-    first builds both plan spaces, so a malformed input raises PlanError
-    as before, and then checks terminal counts, plan shapes and outcome
-    multiplicities before its search.  route="both" runs both routes in
-    full, and it raises as on a disagreement if the invariants differ
-    while the routes find the structures equivalent.
+    counts are invariants, and both routes first compare them through one
+    gate (`_counted_difference`), which states the same reason for the
+    same pair on either route.  The rnf route first builds both plan
+    spaces, so a malformed input raises PlanError, and reads the plan
+    counts off them; then it checks outcome multiplicities before its
+    search.  The minimal route compares the counts after its UO check,
+    reading them from `plan_counts` (counted without enumerating a plan),
+    and answers False on a difference without minimising.  The tests run
+    both routes on the same pairs and insist they agree.
 
     The rnf route rests on this.  Play is deterministic and each step
     applies every active player's own choice, so a profile reaches the
@@ -482,42 +486,30 @@ def behaviorally_equivalent(
     from .isomorph import structure_isomorphic
     from .transform import minimize_uo
 
-    if route not in ("rnf", "minimal", "both"):
-        raise EgsError(f"unknown equivalence route {route!r}")
-    cert: dict[str, object] = {}
-    flag_rnf = why = None
-    if route in ("rnf", "both"):
-        iso, why = _plan_isomorphism(
-            plan_space(g1), plan_space(g2), allow_player_permutation,
-            PlanSpace.multiplicities, PlanSpace.edges,
-        )
-        flag_rnf = iso is not None
-        cert["rnf"] = iso
-    flag_min = differ = None
-    if route in ("minimal", "both"):
-        ok1, w1 = check_uo(g1)
-        ok2, w2 = check_uo(g2)
-        if not (ok1 and ok2):
-            raise EgsError(
-                f"the minimal-form route requires UO inputs (witness {w1 or w2})"
+    if route == "rnf":
+        s1, s2 = plan_space(g1), plan_space(g2)
+        sides = [(len(s.terminals), s.players, [len(pl) for pl in s.plan_lists]) for s in (s1, s2)]
+        why = _counted_difference(*sides, allow_player_permutation)
+        iso = None
+        if why is None:
+            iso, why = _plan_isomorphism(
+                s1, s2, allow_player_permutation, PlanSpace.multiplicities, PlanSpace.edges
             )
-        differ = _invariant_difference(g1, g2, allow_player_permutation)
-        if differ is not None and route == "minimal":
-            return False, {"minimal": None, "reason": differ}
-        m1 = minimize_uo(g1)
-        m2 = minimize_uo(g2)
-        iso = structure_isomorphic(
-            m1, m2, allow_player_permutation=allow_player_permutation
-        )
-        flag_min = iso is not None
-        cert["minimal"] = iso
-        cert["minimal_forms"] = (m1, m2)
-    if route == "both" and (flag_rnf != flag_min or flag_rnf and differ is not None):
-        raise EgsError(
-            f"equivalence routes disagree: rnf={flag_rnf} minimal={flag_min}"
-            + (f", but {differ}" if differ is not None else "")
-        )
-    flag = flag_rnf if flag_rnf is not None else flag_min
-    if not flag:
-        cert["reason"] = differ or why or "minimal forms are not isomorphic"
-    return bool(flag), cert
+        cert: dict[str, object] = {"rnf": iso}
+    elif route == "minimal":
+        (ok1, w1), (ok2, w2) = check_uo(g1), check_uo(g2)
+        if not (ok1 and ok2):
+            raise EgsError(f"the minimal-form route requires UO inputs (witness {w1 or w2})")
+        sides = [(len(g.terminals), g.players, plan_counts(g)) for g in (g1, g2)]
+        why = _counted_difference(*sides, allow_player_permutation)
+        if why is not None:
+            return False, {"minimal": None, "reason": why}
+        m1, m2 = minimize_uo(g1), minimize_uo(g2)
+        iso = structure_isomorphic(m1, m2, allow_player_permutation=allow_player_permutation)
+        cert = {"minimal": iso, "minimal_forms": (m1, m2)}
+        why = "minimal forms are not isomorphic"
+    else:
+        raise EgsError(f"unknown equivalence route {route!r}")
+    if iso is None:
+        cert["reason"] = why
+    return iso is not None, cert

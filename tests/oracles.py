@@ -25,6 +25,7 @@ from egs import (
     apply_coalescing,
     apply_is,
     apply_tau,
+    behaviorally_equivalent,
     check_uo,
     controls,
     dictates,
@@ -425,6 +426,37 @@ def apply_is_reference(structure, opp):
         mover_lift=mover_lift, mover=opp.mover, anchor=anchor,
         submover=opp.submover,
     )
+
+
+# -- behavioral equivalence --------------------------------------------------
+
+
+def counted_invariants(structure, allow_player_permutation=False):
+    """The terminal count, the players and each player's plan count, the
+    plans enumerated by `plans`; with players permutable, only the terminal
+    count and the sorted plan counts."""
+    counts = tuple(len(plans(structure, p)) for p in structure.players)
+    if allow_player_permutation:
+        return len(structure.terminals), tuple(sorted(counts))
+    return len(structure.terminals), tuple(structure.players), counts
+
+
+def equivalent_by_both_routes(g1, g2, allow_player_permutation=False):
+    """Both routes' verdict on a pair, which must agree, and their
+    certificates merged, the rnf route's reason kept.  A pair whose counted
+    invariants differ must be refused by both routes for one reason."""
+    (flag, cert), (flag_min, cert_min) = (
+        behaviorally_equivalent(
+            g1, g2, route=route, allow_player_permutation=allow_player_permutation
+        )
+        for route in ("rnf", "minimal")
+    )
+    assert flag == flag_min, f"routes disagree: rnf={flag} minimal={flag_min}"
+    counted = [counted_invariants(g, allow_player_permutation) for g in (g1, g2)]
+    if counted[0] != counted[1]:
+        assert not flag, f"equivalent, but the counted invariants differ: {counted}"
+        assert cert["reason"] == cert_min["reason"], (cert["reason"], cert_min["reason"])
+    return flag, {**cert_min, **cert}
 
 
 # -- isomorphism references -------------------------------------------------

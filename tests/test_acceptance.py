@@ -13,7 +13,6 @@ from egs import (
     apply_is,
     apply_phi,
     apply_tau,
-    behaviorally_equivalent,
     check_monotonic,
     check_uo,
     check_vnm,
@@ -52,7 +51,7 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import oracle_dominated
+from oracles import equivalent_by_both_routes, oracle_dominated
 from test_transform import relation_conservation_holds
 
 
@@ -83,7 +82,7 @@ def test_criterion_1():
     h11, h12, _, _ = red1_infosets(g)
     assert (opp.base, opp.mover, opp.link) == (h11, h12, "A")
     coalesced, _ = apply_coalescing(g, opp)
-    flag, cert = behaviorally_equivalent(g, coalesced, route="both")
+    flag, cert = equivalent_by_both_routes(g, coalesced)
     assert flag and cert["rnf"] is not None and cert["minimal"] is not None
     assert time.monotonic() - start < 1.0
 

@@ -1,8 +1,10 @@
 """Route agreement for behavioral equivalence on 200 random UO pairs:
 equivalent pairs built by random transformation chains, inequivalent ones
 by grafting a fresh decision onto a terminal (which perturbs the outcome
-multiset without touching payoffs).  Negative verdicts on pairs whose
-counted invariants differ, and the reasons verdicts state."""
+multiset without touching payoffs), each pair run through both routes by
+`oracles.equivalent_by_both_routes`.  Negative verdicts on pairs whose
+counted invariants differ, the one reason both routes state for them, and
+the reasons verdicts state."""
 
 import random
 
@@ -26,6 +28,7 @@ from egs.strategy import plan_counts
 from corpus import random_chain, renamed, seeded_structures, uo_corpus
 from egs import ROOT
 from fixtures import build, g_chain, g_red1, g_red2, g_sim, path
+from oracles import counted_invariants, equivalent_by_both_routes
 
 
 def graft_extra_decision(structure, rng):
@@ -60,13 +63,8 @@ def test_routes_agree_on_200_pairs():
         pairs.append((structure, other, False))
     assert len(pairs) == 200
     for g1, g2, expected in pairs:
-        flag, _ = behaviorally_equivalent(g1, g2, route="both")
+        flag, _ = equivalent_by_both_routes(g1, g2)
         assert flag == expected
-
-
-def _counted(g, allow_player_permutation):
-    counts = plan_counts(g)
-    return len(g.terminals), sorted(counts) if allow_player_permutation else counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,8 +78,8 @@ def test_pairs_with_differing_counts_are_not_equivalent_by_both_routes(g, h, see
     other = graft_extra_decision(g, rng) if kind == "grafted" else h
     if permute:
         other = renamed(other, rng, players=True)
-    assume(_counted(g, permute) != _counted(other, permute))
-    flag, cert = behaviorally_equivalent(g, other, route="both", allow_player_permutation=permute)
+    assume(counted_invariants(g, permute) != counted_invariants(other, permute))
+    flag, cert = equivalent_by_both_routes(g, other, allow_player_permutation=permute)
     assert not flag and cert["rnf"] is None and cert["minimal"] is None
     assert cert["reason"].startswith(
         ("terminal counts differ", "players differ", "plan counts differ")
@@ -98,54 +96,72 @@ def test_minimal_route_answers_differing_counts_without_minimising(monkeypatch):
 
 
 def _reasons(g1, g2, allow_player_permutation=False):
-    out = []
-    for route in ("rnf", "minimal", "both"):
-        flag, cert = behaviorally_equivalent(
+    """The one reason both routes state for refusing the pair, or None when
+    both accept it."""
+    rnf, minimal = (
+        behaviorally_equivalent(
             g1, g2, route=route, allow_player_permutation=allow_player_permutation
         )
-        out.append(None if flag else cert["reason"])
-    return out
+        for route in ("rnf", "minimal")
+    )
+    assert rnf[0] == minimal[0] and rnf[1].get("reason") == minimal[1].get("reason")
+    return rnf[1].get("reason")
 
 
 def test_negative_verdicts_state_the_first_failed_check():
     g = g_red1()
     n = len(g.terminals)
     grafted = graft_extra_decision(g, random.Random(1))
-    assert _reasons(g, grafted) == [f"terminal counts differ: {n} vs {n + 1}"] * 3
+    assert _reasons(g, grafted) == f"terminal counts differ: {n} vs {n + 1}"
     # three terminals each; player 1 picks among three where g_chain gives two
     fan = build(["1", "2"], {ROOT: {"1": ["L", "M", "R"]}})
-    assert _reasons(g_chain(), fan) == [
-        "plan shapes differ: (2, 2) vs (3, 1)",
-        "plan counts differ for player 1: 2 vs 3",
-        "plan counts differ for player 1: 2 vs 3",
-    ]
-    assert _reasons(g_chain(), fan, allow_player_permutation=True) == [
-        "plan shapes differ: (2, 2) vs (1, 3)",
-        "plan counts differ: (2, 2) vs (1, 3)",
-        "plan counts differ: (2, 2) vs (1, 3)",
-    ]
-    # the same counts, but player 2 moves first and may end the game alone
+    assert _reasons(g_chain(), fan) == "plan counts differ for player 1: 2 vs 3"
+    assert _reasons(g_chain(), fan, allow_player_permutation=True) == (
+        "plan counts differ: (2, 2) vs (1, 3)"
+    )
+    # the same counts, but player 2 moves first and may end the game alone:
+    # each route names its own search
     swapped = build(["1", "2"], {ROOT: {"2": ["a", "b"]}, path({"2": "a"}): {"1": ["L", "R"]}})
-    assert _reasons(g_chain(), swapped) == [
-        "reduced normal forms are not isomorphic",
-        "minimal forms are not isomorphic",
-        "reduced normal forms are not isomorphic",
-    ]
-    assert _reasons(g_chain(), swapped, allow_player_permutation=True) == [None] * 3
+    for route, reason in (
+        ("rnf", "reduced normal forms are not isomorphic"),
+        ("minimal", "minimal forms are not isomorphic"),
+    ):
+        flag, cert = behaviorally_equivalent(g_chain(), swapped, route=route)
+        assert not flag and cert["reason"] == reason
+    assert _reasons(g_chain(), swapped, allow_player_permutation=True) is None
     # positive certificates carry no reason
-    flag, cert = behaviorally_equivalent(g_red1(), g_red2(), route="both")
+    flag, cert = equivalent_by_both_routes(g_red1(), g_red2())
     assert flag and "reason" not in cert
-    # and a route the function does not know is refused, not answered False
-    with pytest.raises(EgsError, match="unknown equivalence route 'minimum'"):
-        behaviorally_equivalent(g_red1(), g_red2(), route="minimum")
+    # and a route the function does not know is refused, not answered False,
+    # among them the cross-check the tests make
+    for route in ("minimum", "both"):
+        with pytest.raises(EgsError, match=f"unknown equivalence route '{route}'"):
+            behaviorally_equivalent(g_red1(), g_red2(), route=route)
 
 
-def test_both_route_raises_when_the_invariants_disagree_with_the_routes(monkeypatch):
-    # a miscount for one side must not pass silently when both routes agree
+def test_the_routes_cross_check_fails_on_a_miscount(monkeypatch):
+    # a miscount for one side must not pass silently: the minimal route
+    # refuses the pair on it while the rnf route finds the pair equivalent
     g = g_red1()
     monkeypatch.setattr(
         egs.strategy, "plan_counts",
         lambda s: (1,) * len(s.players) if s is g else plan_counts(s),
     )
-    with pytest.raises(EgsError, match="routes disagree.*plan counts differ for player 1"):
-        behaviorally_equivalent(g, g_red2(), route="both")
+    assert behaviorally_equivalent(g, g_red2(), route="minimal") == (
+        False, {"minimal": None, "reason": "plan counts differ for player 1: 1 vs 4"}
+    )
+    with pytest.raises(AssertionError, match="routes disagree: rnf=True minimal=False"):
+        equivalent_by_both_routes(g, g_red2())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeded_structures(), seeded_structures(), st.integers(0, 2**32),
+    st.booleans(), st.booleans(),
+)
+def test_both_routes_state_one_reason_when_the_counts_differ(g, h, seed, graft, permute):
+    assume(check_uo(g)[0] and check_uo(h)[0])
+    rng = random.Random(seed)
+    other = renamed(graft_extra_decision(g, rng) if graft else h, rng, players=True)
+    assume(counted_invariants(g, permute) != counted_invariants(other, permute))
+    assert _reasons(g, other, allow_player_permutation=permute) is not None

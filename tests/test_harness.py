@@ -437,6 +437,35 @@ def test_cli_equiv_states_why_a_pair_is_not_equivalent(tmp_path):
         assert out.returncode == 0 and out.stdout == "equivalent\n"
 
 
+def test_cli_refuses_a_rootless_structure_and_an_undeclared_mover(tmp_path):
+    # exit 1 would read as a negative verdict: malformed input is an error
+    header = "egs 1\nplayer 1 actions L,R\nplayer 2 actions a,b\n"
+    undeclared = header + 'node "" 3:L|R\n'
+    files = {
+        "chain": serialize(g_chain()),
+        "rootless": header,
+        "undeclared": undeclared,
+        "undeclared-game": undeclared + 'payoff "L" 1=0 2=0\npayoff "R" 1=1 2=1\n',
+    }
+    for name, text in files.items():
+        (tmp_path / f"{name}.egs").write_text(text)
+    cases = [
+        (("rnf", "rootless"), "the structure has no root history"),
+        (("equiv", "rootless", "chain"), "the structure has no root history"),
+        (("equiv", "chain", "rootless"), "the structure has no root history"),
+        (("rnf", "undeclared"), "undeclared player 3 moves at ''"),
+        (("equiv", "undeclared", "chain"), "undeclared player 3 moves at ''"),
+        (("equiv", "--via-minimal", "undeclared", "undeclared"), "undeclared player 3"),
+        (("validate", "undeclared-game"), "undeclared player 3 moves at ''"),
+    ]
+    for args, message in cases:
+        out = run_cli(args[0], *(
+            a if a.startswith("-") else str(tmp_path / f"{a}.egs") for a in args[1:]
+        ))
+        assert out.returncode == 2, (args, out.stdout, out.stderr)
+        assert out.stderr.startswith("error: ") and message in out.stderr, (args, out.stderr)
+
+
 def test_cli_bd_and_monotonic(tmp_path):
     nul = tmp_path / "nul.egs"
     nul.write_text(serialize(game_nul()))

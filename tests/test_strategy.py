@@ -60,6 +60,7 @@ from fixtures import (
     red1_infosets,
 )
 from oracles import (
+    equivalent_by_both_routes,
     own_predecessor_reference,
     plans_reference,
     rnf_certificate_ok,
@@ -367,7 +368,7 @@ def test_rnf_not_isomorphic_on_multiplicity_mismatch():
 
 
 def test_behavioral_equivalence_red_pair_both_routes():
-    flag, cert = behaviorally_equivalent(g_red1(), g_red2(), route="both")
+    flag, cert = equivalent_by_both_routes(g_red1(), g_red2())
     assert flag
     assert cert["rnf"] is not None
     assert cert["minimal"] is not None
@@ -375,11 +376,11 @@ def test_behavioral_equivalence_red_pair_both_routes():
 
 def test_behavioral_equivalence_reflexive():
     g = g_red1()
-    assert behaviorally_equivalent(g, g, route="both")[0]
+    assert equivalent_by_both_routes(g, g)[0]
 
 
 def test_behavioral_equivalence_negative():
-    assert not behaviorally_equivalent(g_chain(), g_sim(), route="both")[0]
+    assert not equivalent_by_both_routes(g_chain(), g_sim())[0]
 
 
 def test_minimal_route_requires_uo():
@@ -442,7 +443,7 @@ def test_routes_agree_on_renamed_pairs(g, seed):
     assume(check_uo(g)[0])
     rng = random.Random(seed)
     other = renamed(random_chain(g, rng), rng)
-    assert behaviorally_equivalent(g, other, route="both")[0]
+    assert equivalent_by_both_routes(g, other)[0]
 
 
 def test_rnf_isomorphic_on_the_fixed_rnf_slow_pairs():
