@@ -21,7 +21,8 @@ in exact arithmetic, and each test is sound on its own:
 1. a best response to a pure column is kept (one pass of column maxima);
 2. a best response to the uniform belief, the largest row sum, is kept;
 3. a row that another row beats in every column is dominated;
-4. only the rows left open go to the exact-rational LP.
+4. only the rows left open go to the LP, solved exactly in integers
+   (`lp.maximize`, fraction-free pivoting).
 
 Tests 1 and 2 are sound because a row that maximises expected payoff
 under some belief cannot be strictly dominated: the dominating mixture
@@ -29,7 +30,8 @@ would earn more than that row under the belief, though under any belief
 no mixture earns more than the best row (Pearce 1984).  Test 3 exhibits
 the dominating mixture, and the LP decides the rest exactly.  Payoff
 matrices hold the payoffs times the least common multiple of their
-player's denominators, integers with the same dominated rows.
+player's denominators, integers with the same dominated rows, which the
+LP takes as they are.
 
 A game is treated as immutable, so its BD trace is a cached property of
 the game, computed on the first `bd` call and shared by every later call
@@ -63,8 +65,9 @@ class DominanceError(EgsError):
 class Game:
     """An extensive game: a structure plus exact-rational terminal payoffs.
 
-    Treated as immutable once built: its BD trace and dominance memo are
-    derived from the payoffs and kept for the life of the game.  Payoffs
+    Treated as immutable once built: its plan space, payoff lists, BD
+    trace and dominance memo are derived on first use and kept for the
+    life of the game, so building one checks only the payoffs.  Payoffs
     are held per player as one flat list over the plan profiles, in the
     product order of the structure's plan space, filled from the terminal
     each profile reaches."""
@@ -82,24 +85,29 @@ class Game:
                     f"payoffs for {p} must cover exactly the terminal set"
                 )
             self.payoffs[p] = table
-        space = plan_space(structure)
-        self._space = space
-        self.plan_lists: dict[str, tuple[Plan, ...]] = dict(
-            zip(space.players, space.plan_lists)
-        )
-        # Each player's payoffs times the least common multiple of their
-        # denominators: integers, whose matrices have the same dominated
-        # rows as the payoffs' and are cheap to compare and hash.
-        self._utility: dict[str, list[int]] = {}
-        for p, table in self.payoffs.items():
-            scale = lcm(*(v.denominator for v in table.values()))
-            pay = [
-                v.numerator * (scale // v.denominator)
-                for v in (table[z] for z in space.terminals)
-            ]
-            self._utility[p] = [pay[t] for t in space.outcomes]
         # dominated_rows answers by payoff matrix; shared by transport_game
         self._dominated_memo: dict[tuple, tuple[int, ...]] = {}
+
+    @cached_property
+    def _space(self) -> PlanSpace:
+        return plan_space(self.structure)
+
+    @cached_property
+    def plan_lists(self) -> dict[str, tuple[Plan, ...]]:
+        return dict(zip(self._space.players, self._space.plan_lists))
+
+    @cached_property
+    def _utility(self) -> dict[str, list[int]]:
+        """Each player's payoffs over the profiles, times the least common
+        multiple of the player's denominators: integers, whose matrices
+        have the same dominated rows as the payoffs' and are cheap to
+        compare and hash."""
+        space = self._space
+        utility = {}
+        for p, table in self.payoffs.items():
+            (pay,) = _integers([[table[z] for z in space.terminals]])
+            utility[p] = [pay[t] for t in space.outcomes]
+        return utility
 
     @cached_property
     def _bd_trace(self) -> BdTrace:
@@ -200,6 +208,12 @@ def best_responses(matrix: Sequence[Sequence[Fraction]]) -> dict[int, tuple[int,
     return found
 
 
+def _integers(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """The rows times the least common multiple of their denominators."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
 def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     """Rows strictly dominated by a mixture of the rows, settled in order
     of cost and in exact arithmetic.
@@ -212,15 +226,16 @@ def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
     kept at once.  A row still open is dominated when another row beats it
     in every column, and otherwise goes to the LP: maximize the
     worst-column slack of a mixed strategy over the full simplex; dominated
-    iff the optimum is positive.  mu_r is zero in every column row, so the
-    column slacks plus mu_r are `maximize`'s crash basis; the optimum is
-    finite, as eps <= max_k (m_k[c] - m_r[c]) for every column c."""
+    iff the optimum is positive.  The LP is posed in integers: a matrix
+    holding fractions is scaled by the lcm of its denominators once, when
+    its first row reaches the LP."""
     n = len(matrix)
     if n <= 1 or not matrix[0]:
         return ()
     ncols = len(matrix[0])
     kept = best_responses(matrix)
     out = []
+    ints = None
     for r in range(n):
         if r in kept:
             continue
@@ -230,9 +245,11 @@ def dominated_rows(matrix: Sequence[Sequence[Fraction]]) -> tuple[int, ...]:
         ):
             out.append(r)
             continue
+        if ints is None:
+            ints = _integers(matrix)
         # variables: mu_0..mu_{n-1}, eps  (all >= 0; eps > 0 iff dominated)
         a_ub = [
-            [matrix[r][col] - matrix[k][col] for k in range(n)] + [1]
+            [ints[r][col] - ints[k][col] for k in range(n)] + [1]
             for col in range(ncols)
         ]
         result = maximize([0] * n + [1], a_ub, [0] * ncols, [[1] * n + [0]], [1])
@@ -324,6 +341,7 @@ def _run_bd(game: Game) -> BdTrace:
             f"backward dominance needs an unambiguous ordering; {a!r} and {b!r}"
             " are each before the other"
         )
+    game._utility  # tabulates every profile, so refuses too many before round zero
     space = game._space
     players = space.players
     seat = {p: i for i, p in enumerate(players)}

@@ -189,6 +189,18 @@ def play(structure: Structure, profile: dict[str, Plan]) -> History:
     return h
 
 
+def _require_root_and_movers(structure: Structure) -> None:
+    """Raise PlanError unless the structure has its root history and every
+    player who moves somewhere is declared: without them neither a plan
+    space nor a verdict on behavioral equivalence has a meaning."""
+    if not structure.has_history(structure.root):
+        raise PlanError("the structure has no root history")
+    for h in structure.nonterminals:
+        for p in structure.active(h):
+            if p not in structure.players:
+                raise PlanError(f"undeclared player {p} moves at {h.label()!r}")
+
+
 class PlanSpace:
     """Each player's plans under integer indices, and which of them are
     consistent with reaching each history.
@@ -211,8 +223,7 @@ class PlanSpace:
     """
 
     def __init__(self, structure: Structure):
-        if not structure.has_history(structure.root):
-            raise PlanError("the structure has no root history")
+        _require_root_and_movers(structure)
         self.players = tuple(structure.players)
         self.plan_lists = tuple(plans(structure, p) for p in self.players)
         sizes = [len(pl) for pl in self.plan_lists]
@@ -232,12 +243,7 @@ class PlanSpace:
             if structure.is_terminal(h):
                 continue
             active = structure.active(h)
-            try:
-                at = [(seat[p], structure.info_set_of(p, h)) for p in active]
-            except KeyError as missing:
-                raise PlanError(
-                    f"undeclared player {missing.args[0]} moves at {h.label()!r}"
-                ) from None
+            at = [(seat[p], structure.info_set_of(p, h)) for p in active]
             for kid in structure.children(h):
                 move = dict(kid.moves[-1])
                 if len(move) != len(active):
@@ -461,10 +467,12 @@ def behaviorally_equivalent(
     same pair on either route.  The rnf route first builds both plan
     spaces, so a malformed input raises PlanError, and reads the plan
     counts off them; then it checks outcome multiplicities before its
-    search.  The minimal route compares the counts after its UO check,
-    reading them from `plan_counts` (counted without enumerating a plan),
-    and answers False on a difference without minimising.  The tests run
-    both routes on the same pairs and insist they agree.
+    search.  The minimal route refuses a structure without its root or
+    with an undeclared mover as the plan space does, and compares the
+    counts after its UO check, reading them from `plan_counts` (counted
+    without enumerating a plan), and answers False on a difference
+    without minimising.  The tests run both routes on the same pairs and
+    insist they agree.
 
     The rnf route rests on this.  Play is deterministic and each step
     applies every active player's own choice, so a profile reaches the
@@ -497,6 +505,8 @@ def behaviorally_equivalent(
             )
         cert: dict[str, object] = {"rnf": iso}
     elif route == "minimal":
+        _require_root_and_movers(g1)
+        _require_root_and_movers(g2)
         (ok1, w1), (ok2, w2) = check_uo(g1), check_uo(g2)
         if not (ok1 and ok2):
             raise EgsError(f"the minimal-form route requires UO inputs (witness {w1 or w2})")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from egs import (
@@ -41,7 +42,7 @@ from egs import (
 )
 from egs.core import history_key, strictly_precedes
 from egs.dominance import MonotonicityReport, MonotonicityViolation
-from egs.lp import maximize
+from egs.lp import LpError
 
 
 def fm_feasible_strict(rows):
@@ -610,6 +611,107 @@ def reaching_reference(game, infoset):
     return DecisionProblem(infoset, tuple(own), tuple(others))
 
 
+@dataclass(frozen=True)
+class ReferenceLpResult:
+    status: str                 # "optimal" | "unbounded"
+    value: Fraction | None
+    solution: tuple[Fraction, ...] | None
+
+
+def _pivot(tableau, basis, row, col):
+    pivot = tableau[row][col]
+    if pivot != 1:
+        tableau[row] = [x / pivot for x in tableau[row]]
+    prow = tableau[row]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            factor = line[col]
+            tableau[r] = [a - factor * b if b else a for a, b in zip(line, prow)]
+    basis[row] = col
+
+
+def _run_simplex(tableau, basis, ncols):
+    """Maximize the objective held in the last tableau row (stored negated,
+    standard form).  Bland's rule: smallest eligible column, then smallest
+    basis index among minimizing ratios."""
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best_row = None
+        best_ratio = None
+        for r in range(len(tableau) - 1):
+            coef = tableau[r][col]
+            if coef > 0:
+                ratio = tableau[r][-1] / coef
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[r] < basis[best_row])):
+                    best_ratio = ratio
+                    best_row = r
+        if best_row is None:
+            return "unbounded"
+        _pivot(tableau, basis, best_row, col)
+
+
+def _crash_basis(rows, width, n):
+    """A column per row that is positive in it and zero in every other
+    row, or None.  Slack columns are tried before structural ones, so a
+    `<=` row keeps its own slack."""
+    basis = [None] * len(rows)
+    for j in [*range(n, width), *range(n)]:
+        hits = [r for r, (row, _) in enumerate(rows) if row[j] != 0]
+        if len(hits) == 1 and basis[hits[0]] is None and rows[hits[0]][0][j] > 0:
+            basis[hits[0]] = j
+    return basis
+
+
+def maximize_reference(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> ReferenceLpResult:
+    """A general exact-rational LP: max c.x subject to a_ub.x <= b_ub,
+    a_eq.x == b_eq, x >= 0, by a dense one-phase simplex in Fractions from
+    a crash basis (each row a column positive in it and zero in every
+    other row), with Bland's rule.
+
+    Raises LpError when some right-hand side is negative or some row has
+    no crash column."""
+    c = [Fraction(x) for x in c]
+    a_ub = [[Fraction(x) for x in row] for row in (a_ub or [])]
+    b_ub = [Fraction(x) for x in (b_ub or [])]
+    a_eq = [[Fraction(x) for x in row] for row in (a_eq or [])]
+    b_eq = [Fraction(x) for x in (b_eq or [])]
+    n = len(c)
+    n_slack = len(a_ub)
+    rows = []
+    for idx, (row, rhs) in enumerate(zip(a_ub, b_ub)):
+        slack = [Fraction(0)] * n_slack
+        slack[idx] = Fraction(1)
+        rows.append((row + slack, rhs))
+    rows += [(row + [Fraction(0)] * n_slack, rhs) for row, rhs in zip(a_eq, b_eq)]
+    if any(rhs < 0 for _, rhs in rows):
+        raise LpError("a right-hand side is negative; no crash basis is feasible")
+    width = n + n_slack
+    basis = _crash_basis(rows, width, n)
+    if None in basis:
+        raise LpError(f"row {basis.index(None)} has no crash column")
+    tableau = [row + [rhs] for row, rhs in rows]
+    for r, b in enumerate(basis):
+        _pivot(tableau, basis, r, b)  # scales the row to a unit column
+    obj = [-x for x in c] + [Fraction(0)] * (n_slack + 1)
+    for r, b in enumerate(basis):
+        if obj[b] != 0:
+            factor = obj[b]
+            obj = [a - factor * x for a, x in zip(obj, tableau[r])]
+    tableau.append(obj)
+    if _run_simplex(tableau, basis, width) == "unbounded":
+        return ReferenceLpResult("unbounded", None, None)
+    solution = [Fraction(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            solution[b] = tableau[r][-1]
+    value = sum(ci * xi for ci, xi in zip(c, solution))
+    return ReferenceLpResult("optimal", value, tuple(solution))
+
+
 def dominated_rows_lp(matrix):
     """Rows strictly dominated by a mixture: pure domination, else one LP
     maximizing the worst-column slack of a mixture over the simplex."""
@@ -628,7 +730,7 @@ def dominated_rows_lp(matrix):
         a_ub = [
             [-(matrix[k][c] - matrix[r][c]) for k in range(n)] + [1] for c in range(ncols)
         ]
-        result = maximize([0] * n + [1], a_ub, [0] * ncols, [[1] * n + [0]], [1])
+        result = maximize_reference([0] * n + [1], a_ub, [0] * ncols, [[1] * n + [0]], [1])
         if result.status == "unbounded" or (result.status == "optimal" and result.value > 0):
             out.append(r)
     return tuple(out)

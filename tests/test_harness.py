@@ -456,14 +456,26 @@ def test_cli_refuses_a_rootless_structure_and_an_undeclared_mover(tmp_path):
         (("rnf", "undeclared"), "undeclared player 3 moves at ''"),
         (("equiv", "undeclared", "chain"), "undeclared player 3 moves at ''"),
         (("equiv", "--via-minimal", "undeclared", "undeclared"), "undeclared player 3"),
-        (("validate", "undeclared-game"), "undeclared player 3 moves at ''"),
+        # the minimal route refuses these before its UO check, which passes
+        # them, and before comparing counts, which differ from the chain's
+        (("equiv", "--via-minimal", "rootless", "rootless"), "the structure has no root history"),
+        (("equiv", "--via-minimal", "undeclared", "chain"), "undeclared player 3 moves at ''"),
+        (("bd", "undeclared-game"), "undeclared player 3 moves at ''"),
     ]
-    for args, message in cases:
-        out = run_cli(args[0], *(
+
+    def run(*args):
+        return run_cli(args[0], *(
             a if a.startswith("-") else str(tmp_path / f"{a}.egs") for a in args[1:]
         ))
+
+    for args, message in cases:
+        out = run(*args)
         assert out.returncode == 2, (args, out.stdout, out.stderr)
         assert out.stderr.startswith("error: ") and message in out.stderr, (args, out.stderr)
+    # parsing a game builds no plan space, so validate reports on the file
+    out = run("validate", "undeclared-game")
+    assert out.returncode == 1, (out.stdout, out.stderr)
+    assert "active-players: unknown player 3 at ''" in out.stdout
 
 
 def test_cli_bd_and_monotonic(tmp_path):

@@ -10,33 +10,52 @@ from egs import EgsError, dominated_rows
 from egs.dominance import best_responses
 from egs.lp import LpError, maximize
 
-from oracles import oracle_dominated
+from oracles import maximize_reference, oracle_dominated
 
 
-def test_simplex_basic():
-    # max x + y st x + y <= 1
-    res = maximize([1, 1], [[1, 1]], [1])
-    assert res.status == "optimal"
-    assert res.value == 1
-    # equality constraint
-    res = maximize([1, 0], [[1, 0]], [2], [[1, 1]], [1])
-    assert res.status == "optimal" and res.value == 1
-    # a negative right-hand side: no crash basis is feasible
+def test_maximize_refuses_every_other_lp():
+    # general LPs the reference solves: max x + y st x + y <= 1; with an
+    # equality row; unbounded; with fractions; with a structural crash
+    # column (z only in the equality row)
+    general = [
+        ([1, 1], [[1, 1]], [1]),
+        ([1, 0], [[1, 0]], [2], [[1, 1]], [1]),
+        ([1], [[-1]], [0]),
+        ([Fraction(1, 3), Fraction(1, 7)], [[1, 1], [Fraction(1, 2), 2]], [Fraction(5, 2), 3]),
+        ([1, 0], [[1, 0]], [3], [[1, 2]], [4]),
+    ]
+    solved = [maximize_reference(*lp) for lp in general]
+    assert [(r.status, r.value) for r in solved] == [
+        ("optimal", 1), ("optimal", 1), ("unbounded", None),
+        ("optimal", Fraction(5, 6)), ("optimal", 3),
+    ]
+    assert solved[-1].solution == (3, Fraction(1, 2))
+    # a negative right-hand side, where no crash basis is feasible
+    negative = ([1], [[1], [-1]], [1, -3])
     with pytest.raises(LpError):
-        maximize([1], [[1], [-1]], [1, -3])
-    # unbounded
-    res = maximize([1], [[-1]], [0])
-    assert res.status == "unbounded"
-
-
-def test_simplex_exact_fractions():
-    res = maximize(
-        [Fraction(1, 3), Fraction(1, 7)],
-        [[1, 1], [Fraction(1, 2), 2]],
-        [Fraction(5, 2), 3],
-    )
-    assert res.status == "optimal"
-    assert res.value == Fraction(1, 3) * Fraction(5, 2)
+        maximize_reference(*negative)
+    # the dominance LP of rows (3, 0), (0, 3), (1, 1) at row 2, and
+    # variants each breaking one part of its shape
+    lp = ([0, 0, 0, 1], [[-2, 1, 0, 1], [1, -2, 0, 1]], [0, 0], [[1, 1, 1, 0]], [1])
+    assert maximize(*lp).value == maximize_reference(*lp).value == Fraction(1, 2)
+    c, a_ub, b_ub, a_eq, b_eq = lp
+    shapes = [
+        ([0, 1, 0, 1], a_ub, b_ub, a_eq, b_eq),   # another objective
+        ([1], [[1]], [0], [[0]], [1]),            # no mixture weight
+        (c, [], [], a_eq, b_eq),                  # no column row
+        (c, a_ub, [0, 1], a_eq, b_eq),            # a nonzero right-hand side
+        (c, [[-2, 1, 0, 2], a_ub[1]], b_ub, a_eq, b_eq),  # eps times 2
+        (c, [[-2, 1, 0], a_ub[1]], b_ub, a_eq, b_eq),     # a short row
+        (c, [[Fraction(-3, 2), 1, 0, 1], a_ub[1]], b_ub, a_eq, b_eq),  # a fraction
+        (c, a_ub, b_ub, None, None),              # no simplex row
+        (c, a_ub, b_ub, [[1, 1, 0, 0]], b_eq),    # a partial simplex row
+        (c, a_ub, b_ub, a_eq, [2]),               # weights summing to 2
+        (c, a_ub, b_ub, a_eq * 2, b_eq * 2),      # two equality rows
+        (c, [[-2, 1, 1, 1], a_ub[1]], b_ub, a_eq, b_eq),  # no zero weight
+    ]
+    for lp in [*general, negative, *shapes]:
+        with pytest.raises(LpError):
+            maximize(*lp)
 
 
 def test_pure_domination():
@@ -79,53 +98,46 @@ def test_dominated_rows_match_fm_oracle_randomized():
         assert dominated_rows(rows) == oracle_dominated(rows), rows
 
 
-def _count_simplex_runs(monkeypatch):
-    import egs.lp
-
-    runs = []
-    original = egs.lp._run_simplex
-
-    def counting(tableau, basis, ncols):
-        runs.append(ncols)
-        return original(tableau, basis, ncols)
-
-    monkeypatch.setattr(egs.lp, "_run_simplex", counting)
-    return runs
-
-
-def test_row_without_a_crash_column_is_refused(monkeypatch):
-    runs = _count_simplex_runs(monkeypatch)
+def test_row_without_a_crash_column_is_refused():
     # x + y == 2 shares both columns with the bounds, so it has no crash
     # column (x <= 0 and y <= 1 also contradict it)
-    with pytest.raises(LpError, match="row 2 has no crash column"):
-        maximize([1, 1], [[1, 0], [0, 1]], [0, 1], [[1, 1]], [2])
-    assert not runs
+    lp = ([1, 1], [[1, 0], [0, 1]], [0, 1], [[1, 1]], [2])
+    for solve in (maximize, maximize_reference):
+        with pytest.raises(LpError):
+            solve(*lp)
     assert issubclass(LpError, EgsError)  # the CLI exits 2 on it
 
 
-def test_equality_without_a_crash_column_is_refused(monkeypatch):
-    runs = _count_simplex_runs(monkeypatch)
+def test_equality_without_a_crash_column_is_refused():
     # max x + 2y st x + y == 3, x - y <= 1, y <= 2 has the optimum x=1,
-    # y=2, but the equality row shares both columns with the bounds
-    with pytest.raises(LpError, match="no crash column"):
-        maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[1, 1]], [3])
+    # y=2, but the equality row shares both columns with the bounds; then
     # the same row with a negated right-hand side
-    with pytest.raises(LpError, match="negative"):
-        maximize([1, 2], [[1, -1], [0, 1]], [1, 2], [[-1, -1]], [-3])
-    assert not runs
+    for lp in (
+        ([1, 2], [[1, -1], [0, 1]], [1, 2], [[1, 1]], [3]),
+        ([1, 2], [[1, -1], [0, 1]], [1, 2], [[-1, -1]], [-3]),
+    ):
+        for solve in (maximize, maximize_reference):
+            with pytest.raises(LpError):
+                solve(*lp)
 
 
-def test_structural_crash_column_skips_phase_one(monkeypatch):
-    runs = _count_simplex_runs(monkeypatch)
-    # max x st x + 2z == 4, x <= 3: z appears only in the equality row
-    res = maximize([1, 0], [[1, 0]], [3], [[1, 2]], [4])
-    assert res.status == "optimal"
-    assert res.value == 3 and res.solution == (3, Fraction(1, 2))
-    assert len(runs) == 1
+def _posed_lps(monkeypatch):
+    """Record every LP `dominated_rows` poses."""
+    posed = []
+    monkeypatch.setattr(
+        egs.dominance, "maximize", lambda *a: posed.append(a) or maximize(*a)
+    )
+    return posed
+
+
+def _assert_solved_as_the_reference(lp):
+    got, want = maximize(*lp), maximize_reference(*lp)
+    assert want.status == "optimal"
+    assert (got.value, got.solution) == (want.value, want.solution), lp
 
 
 def test_dominated_rows_lps_skip_phase_one(monkeypatch):
-    runs = _count_simplex_runs(monkeypatch)
+    posed = _posed_lps(monkeypatch)
     rows = [
         [Fraction(3), Fraction(0)],
         [Fraction(0), Fraction(3)],
@@ -135,9 +147,11 @@ def test_dominated_rows_lps_skip_phase_one(monkeypatch):
     # rows 0 and 1 are best responses to a column; row 2 is a best
     # response to no column nor to the uniform belief, and no row beats it
     # purely, so it alone gets an LP (the half/half mixture dominates it),
-    # solved by one phase-2 run over the mixture weights, eps and a slack
-    # per column
-    assert runs == [len(rows) + 1 + len(rows[0])]
+    # posed in integers and solved from the identity basis as the general
+    # simplex solves it from its crash basis
+    assert posed == [([0, 0, 0, 1], [[-2, 1, 0, 1], [1, -2, 0, 1]], [0, 0], [[1, 1, 1, 0]], [1])]
+    _assert_solved_as_the_reference(posed[0])
+    assert maximize(*posed[0]).solution == (Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2))
 
 
 def test_every_lp_of_bd_and_the_monotonicity_check_is_one_simplex_run(
@@ -162,16 +176,31 @@ def test_every_lp_of_bd_and_the_monotonicity_check_is_one_simplex_run(
         (Game(structure, random_payoffs(structure, rng)), ico)
         for structure, ico in ico_corpus(12, seed=8)
     ]
-    runs = _count_simplex_runs(monkeypatch)
-    posed = []
-    monkeypatch.setattr(
-        egs.dominance, "maximize", lambda *a: posed.append(a) or maximize(*a)
-    )
+    posed = _posed_lps(monkeypatch)
     for game, ico in cases:
         bd(game)
         check_monotonic(game, ico)
-    # each LP starts from a crash basis: phase 2 alone, one run per call
-    assert posed and len(runs) == len(posed)
+    # each LP is one phase from the identity basis, with the general
+    # simplex's optimum and solution
+    assert posed
+    for lp in posed:
+        _assert_solved_as_the_reference(lp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-6, 6), min_size=m, max_size=m), min_size=1, max_size=5
+        )
+    )
+)
+def test_every_lp_posed_is_solved_as_the_reference(rows):
+    with pytest.MonkeyPatch.context() as m:
+        posed = _posed_lps(m)
+        dominated_rows(rows)
+    for lp in posed:
+        _assert_solved_as_the_reference(lp)
 
 
 _entry = st.builds(
@@ -213,9 +242,8 @@ def test_rows_kept_without_an_lp_are_best_responses(entries):
         r for r in range(n)
         if any(all(a > b for a, b in zip(rows[k], rows[r])) for k in range(n) if k != r)
     }
-    posed = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(egs.dominance, "maximize", lambda *a: posed.append(a) or maximize(*a))
+        posed = _posed_lps(m)
         bad = dominated_rows(rows)
     assert bad == oracle_dominated(rows)
     # only the rows neither kept as best responses nor purely dominated

@@ -551,7 +551,7 @@ def test_a_structure_past_the_profile_bound_is_refused_at_once():
     # 2-5 has 2^5 plans, so 5 * 32^4 = 5,242,880 plan profiles.
     import time
 
-    from egs import Game
+    from egs import Game, bd
     from egs.strategy import _MAX_PROFILES, plan_space
 
     players = ["1", "2", "3", "4", "5"]
@@ -563,8 +563,10 @@ def test_a_structure_past_the_profile_bound_is_refused_at_once():
     assert plan_space(g).profile_count == 5 * 32**4 > _MAX_PROFILES
     with pytest.raises(PlanError, match="5242880 plan profiles"):
         reduced_normal_form(g)
+    # a game builds its payoff lists on first use
+    game = Game(g, {p: {z: 0 for z in g.terminals} for p in players})
     with pytest.raises(PlanError, match="5242880 plan profiles"):
-        Game(g, {p: {z: 0 for z in g.terminals} for p in players})
+        bd(game)
     assert time.perf_counter() - start < 1
     # the rnf route tabulates nothing, so it still answers
     assert behaviorally_equivalent(g, g, route="rnf")[0]
