@@ -13,27 +13,69 @@ from egs.lp import LpError, maximize
 from oracles import maximize_reference, oracle_dominated
 
 
-def test_maximize_refuses_every_other_lp():
-    # general LPs the reference solves: max x + y st x + y <= 1; with an
-    # equality row; unbounded; with fractions; with a structural crash
-    # column (z only in the equality row)
-    general = [
-        ([1, 1], [[1, 1]], [1]),
-        ([1, 0], [[1, 0]], [2], [[1, 1]], [1]),
-        ([1], [[-1]], [0]),
-        ([Fraction(1, 3), Fraction(1, 7)], [[1, 1], [Fraction(1, 2), 2]], [Fraction(5, 2), 3]),
-        ([1, 0], [[1, 0]], [3], [[1, 2]], [4]),
-    ]
-    solved = [maximize_reference(*lp) for lp in general]
-    assert [(r.status, r.value) for r in solved] == [
-        ("optimal", 1), ("optimal", 1), ("unbounded", None),
-        ("optimal", Fraction(5, 6)), ("optimal", 3),
-    ]
-    assert solved[-1].solution == (3, Fraction(1, 2))
-    # a negative right-hand side, where no crash basis is feasible
+def _count_reference_runs(monkeypatch):
+    import oracles
+
+    runs = []
+    original = oracles._run_simplex
+
+    def counting(tableau, basis, ncols):
+        runs.append(ncols)
+        return original(tableau, basis, ncols)
+
+    monkeypatch.setattr(oracles, "_run_simplex", counting)
+    return runs
+
+
+def test_simplex_basic():
+    # general LPs: the reference solves them, maximize refuses them
+    # max x + y st x + y <= 1
+    lp = ([1, 1], [[1, 1]], [1])
+    res = maximize_reference(*lp)
+    assert res.status == "optimal" and res.value == 1
+    # equality constraint
+    eq = ([1, 0], [[1, 0]], [2], [[1, 1]], [1])
+    res = maximize_reference(*eq)
+    assert res.status == "optimal" and res.value == 1
+    # a negative right-hand side: no crash basis is feasible
     negative = ([1], [[1], [-1]], [1, -3])
     with pytest.raises(LpError):
         maximize_reference(*negative)
+    # unbounded
+    unbounded = ([1], [[-1]], [0])
+    res = maximize_reference(*unbounded)
+    assert res.status == "unbounded"
+    for general in (lp, eq, negative, unbounded):
+        with pytest.raises(LpError):
+            maximize(*general)
+
+
+def test_simplex_exact_fractions():
+    lp = (
+        [Fraction(1, 3), Fraction(1, 7)],
+        [[1, 1], [Fraction(1, 2), 2]],
+        [Fraction(5, 2), 3],
+    )
+    res = maximize_reference(*lp)
+    assert res.status == "optimal"
+    assert res.value == Fraction(1, 3) * Fraction(5, 2)
+    with pytest.raises(LpError):
+        maximize(*lp)
+
+
+def test_structural_crash_column_skips_phase_one(monkeypatch):
+    runs = _count_reference_runs(monkeypatch)
+    # max x st x + 2z == 4, x <= 3: z appears only in the equality row
+    lp = ([1, 0], [[1, 0]], [3], [[1, 2]], [4])
+    res = maximize_reference(*lp)
+    assert res.status == "optimal"
+    assert res.value == 3 and res.solution == (3, Fraction(1, 2))
+    assert len(runs) == 1
+    with pytest.raises(LpError):
+        maximize(*lp)
+
+
+def test_maximize_refuses_every_other_lp():
     # the dominance LP of rows (3, 0), (0, 3), (1, 1) at row 2, and
     # variants each breaking one part of its shape
     lp = ([0, 0, 0, 1], [[-2, 1, 0, 1], [1, -2, 0, 1]], [0, 0], [[1, 1, 1, 0]], [1])
@@ -53,7 +95,7 @@ def test_maximize_refuses_every_other_lp():
         (c, a_ub, b_ub, a_eq * 2, b_eq * 2),      # two equality rows
         (c, [[-2, 1, 1, 1], a_ub[1]], b_ub, a_eq, b_eq),  # no zero weight
     ]
-    for lp in [*general, negative, *shapes]:
+    for lp in shapes:
         with pytest.raises(LpError):
             maximize(*lp)
 
