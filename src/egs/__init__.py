@@ -46,7 +46,6 @@ from .strategy import (
 from .transform import (
     CoalescingOpp,
     CompleteControl,
-    CompositeMap,
     HistoryMap,
     Ico,
     IsOpp,
@@ -68,8 +67,6 @@ from .transform import (
     is_non_crossing,
     minimize_uo,
     shift_depth,
-    transport_plan,
-    transport_plan_through,
 )
 from .validate import (
     Experience,

@@ -54,7 +54,7 @@ from math import lcm
 from .core import EgsError, History, InfoSet, ROOT, Structure, bit_indices, cached_property
 from .lp import maximize
 from .strategy import Plan, PlanSpace, plan_space
-from .transform import CompositeMap, Ico, apply_tau, transport_plan_through
+from .transform import HistoryMap, Ico, apply_tau
 from .validate import check_uo
 
 
@@ -475,9 +475,12 @@ class MonotonicityReport:
         return not self.violations
 
 
-def transport_game(game: Game, new_structure: Structure, comp: CompositeMap) -> Game:
+def transport_game(game: Game, new_structure: Structure, comp: HistoryMap) -> Game:
     """Move payoffs across a transformation via its terminal bijection."""
-    bijection = comp.terminal_bijection(game.structure, new_structure)
+    return _moved(game, new_structure, comp.terminal_bijection(game.structure, new_structure))
+
+
+def _moved(game: Game, new_structure: Structure, bijection: dict[History, History]) -> Game:
     payoffs = {
         p: {bijection[z]: v for z, v in table.items()}
         for p, table in game.payoffs.items()
@@ -512,18 +515,42 @@ def compare_bd(
 
 def check_monotonic(game: Game, ico: Ico) -> MonotonicityReport:
     """Run BD before and after the complete immediate compactification and
-    verify every eliminated plan stays eliminated."""
+    verify every eliminated plan stays eliminated.
+
+    A plan's image is the new plan consistent with the images of the
+    terminals it is consistent with, read off both plan spaces.  This is
+    the plan the coalescing and IS steps carry it to: τ sends each profile
+    to one reaching the image of its terminal, so the image plan is
+    consistent with exactly the image terminals; and no two plans of a
+    player share their terminals, since they first differ at an own set
+    both reach, below which a terminal is consistent with one of them
+    only."""
     new_structure, comp = apply_tau(game.structure, ico)
-    other = transport_game(game, new_structure, comp)
+    bijection = comp.terminal_bijection(game.structure, new_structure)
+    other = _moved(game, new_structure, bijection)
+    old, new = game._space, other._space
+    bit = new_structure._z  # a terminal's own bit
+    old_sets = _terminal_sets(old, {z: bit[bijection[z]] for z in old.terminals})
+    new_sets = _terminal_sets(new, bit)
     plan_map: dict[str, dict[Plan, Plan]] = {}
-    for player in game.structure.players:
-        mapping = {
-            plan: transport_plan_through(plan, comp)
-            for plan in game.plan_lists[player]
-        }
-        if set(mapping.values()) != set(other.plan_lists[player]):
+    for i, player in enumerate(old.players):
+        if sorted(old_sets[i]) != sorted(new_sets[i]):
             raise DominanceError(
                 f"plan transport for {player} is not onto the new plan set"
             )
-        plan_map[player] = mapping
+        image = dict(zip(new_sets[i], new.plan_lists[i]))
+        plan_map[player] = {
+            plan: image[bits] for plan, bits in zip(old.plan_lists[i], old_sets[i])
+        }
     return compare_bd(game, other, plan_map)
+
+
+def _terminal_sets(space: PlanSpace, bit: dict[History, int]) -> list[list[int]]:
+    """Per player, each plan's terminals as one bitset: the union of
+    bit[z] over the terminals z the plan is consistent with."""
+    out = [[0] * len(plan_list) for plan_list in space.plan_lists]
+    for z in space.terminals:
+        for row, plans_here in zip(out, space.reach.get(z, ())):
+            for x in bit_indices(plans_here):
+                row[x] |= bit[z]
+    return out

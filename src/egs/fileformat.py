@@ -14,8 +14,9 @@ profile product, and anything without a node line is a terminal.  History
 labels join profiles with '/'; a profile with one entry is the bare action
 and otherwise is '(player=action,...)' sorted by player.  Active histories
 not covered by an infoset line become singleton information sets, so only
-non-trivial blocks need declaring.  Payoff lines (rationals 'p/q') turn
-the file into a game.  '#' starts a comment outside quotes.
+non-trivial blocks need declaring.  Payoff lines (rationals 'p/q' or 'p',
+q positive; one line per terminal, each player at most once) turn the
+file into a game.  '#' starts a comment outside quotes.
 """
 
 from __future__ import annotations
@@ -70,16 +71,16 @@ def _unquote(token: str, lineno: int) -> str:
     return token[1:-1].replace('\\"', '"')
 
 
+# 'p/q' or 'p' in ASCII digits; q must be positive
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction(text: str, lineno: int) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
+    found = _RATIONAL.fullmatch(text)
+    den = int(found.group(2) or 1) if found else 0
+    if not den:
         raise FormatError(lineno, f"bad rational {text!r}")
-    return value
+    return Fraction(int(found.group(1)), den)
 
 
 def parse(text: str):
@@ -151,6 +152,8 @@ def parse(text: str):
                 if "=" not in tok:
                     raise FormatError(lineno, f"expected pid=p/q, got {tok}")
                 pid, num = tok.split("=", 1)
+                if pid in values:
+                    raise FormatError(lineno, f"payoff {label!r} names player {pid} twice")
                 values[pid] = _parse_fraction(num, lineno)
             payoff_lines.append((lineno, label, values))
         else:
@@ -217,10 +220,14 @@ def parse(text: str):
     if not payoff_lines:
         return structure
     payoffs: dict[str, dict[History, Fraction]] = {p: {} for p in players}
+    paid: set[History] = set()
     for lineno, label, values in payoff_lines:
         if label not in histories:
             raise FormatError(lineno, f"unknown terminal {label!r}")
         z = histories[label]
+        if z in paid:
+            raise FormatError(lineno, f"payoff for {label!r} given twice")
+        paid.add(z)
         for pid, v in values.items():
             if pid not in actions:
                 raise FormatError(lineno, f"payoff for undeclared player {pid}")

@@ -19,7 +19,9 @@ kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
 every image of their anchors, then coalescings, each re-found on the
 current structure through a running map its caller seeds: the identity
 of every history for `apply_tau`, which returns it, and otherwise only
-what the loop re-finds.
+what the loop re-finds.  One operator and a composition of them return
+the same `HistoryMap`, the images of histories and information sets;
+payoffs and plans follow the terminals, so the map holds nothing else.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .core import (
     sim_classes,
     strictly_precedes,
 )
-from .strategy import Plan
 from .validate import check_uo, check_vnm
 
 
@@ -81,45 +82,29 @@ class IsOpp:
 
 @dataclass(frozen=True)
 class HistoryMap:
-    """The natural correspondence of one transformation step.
+    """The natural correspondence of a transformation: one coalescing or
+    IS, or a composition of them.
 
     forward sends each old history to its replacements (one per mover
-    action for histories weakly between the opportunity's ends, exactly one
-    elsewhere); mover_lift records where the mover's own histories went
-    from the owner's point of view; infoset_map sends every old
-    information set to its identity in the new structure (the coalescing
-    mover maps onto its base).
+    action for histories weakly between an opportunity's ends, exactly one
+    elsewhere); infoset_map sends every old information set to its
+    identity in the new structure (a coalescing mover maps onto its base).
+    Plans follow their terminals (see `dominance.check_monotonic`), so the
+    map records nothing about the operators applied.
     """
 
-    kind: str
-    owner: str
     forward: dict[History, tuple[History, ...]]
     infoset_map: dict[InfoSet, InfoSet]
-    mover_lift: dict[History, tuple[History, ...]]
-    base: InfoSet | None = None
-    mover: InfoSet | None = None
-    link: str | None = None
-    anchor: History | None = None
-    submover: tuple[History, ...] = ()
-
-
-@dataclass
-class CompositeMap:
-    """Composition of several HistoryMaps, oldest step first."""
-
-    forward: dict[History, tuple[History, ...]]
-    infoset_map: dict[InfoSet, InfoSet]
-    steps: tuple[HistoryMap, ...] = ()
 
     @staticmethod
-    def identity(structure: Structure) -> "CompositeMap":
-        return CompositeMap(
+    def identity(structure: Structure) -> "HistoryMap":
+        return HistoryMap(
             {h: (h,) for h in structure.histories},
             {s: s for s in structure.info_sets},
-            (),
         )
 
-    def extend(self, step: HistoryMap) -> "CompositeMap":
+    def extend(self, step: "HistoryMap") -> "HistoryMap":
+        """This map followed by step."""
         forward = {}
         for h, mids in self.forward.items():
             if len(mids) == 1 and len(step.forward[mids[0]]) == 1:
@@ -129,7 +114,7 @@ class CompositeMap:
                     {img for mid in mids for img in step.forward[mid]}, key=history_key
                 ))
         infosets = {s: step.infoset_map[cur] for s, cur in self.infoset_map.items()}
-        return CompositeMap(forward, infosets, self.steps + (step,))
+        return HistoryMap(forward, infosets)
 
     def terminal_bijection(self, old: Structure, new: Structure) -> dict[History, History]:
         out = {}
@@ -353,11 +338,7 @@ def apply_coalescing(
                 top.update(dict.fromkeys([kid, *_descendants(structure, kid)], b))
     below = {g: m for m in opp.mover.members for g in _descendants(structure, m)}
     new_structure, forward, infoset_map = _lift(structure, i, top, below, opp.mover, None)
-    mover_lift = {m: (top[m],) for m in opp.mover.members}
-    return new_structure, HistoryMap(
-        kind="coalescing", owner=i, forward=forward, infoset_map=infoset_map,
-        mover_lift=mover_lift, base=opp.base, mover=opp.mover, link=opp.link,
-    )
+    return new_structure, HistoryMap(forward, infoset_map)
 
 
 # -- applying an interchange/simultanizing -------------------------------
@@ -380,46 +361,7 @@ def apply_is(structure: Structure, opp: IsOpp) -> tuple[Structure, HistoryMap]:
     new_structure, forward, infoset_map = _lift(
         structure, i, top, below, opp.mover, (anchor,) + kept
     )
-    mover_lift = {m: (anchor,) for m in opp.submover}
-    return new_structure, HistoryMap(
-        kind="is", owner=i, forward=forward, infoset_map=infoset_map,
-        mover_lift=mover_lift, mover=opp.mover, anchor=anchor,
-        submover=opp.submover,
-    )
-
-
-# -- plan transport -------------------------------------------------------
-
-
-def transport_plan(plan: Plan, step: HistoryMap) -> Plan:
-    """Carry a plan across one transformation step.
-
-    An IS step only re-keys information sets.  A coalescing step merges the
-    mover's choice into the base: plans that chose the link at the base now
-    choose the mover's action there instead.
-    """
-    if step.kind == "is" or plan.owner != step.owner:
-        return Plan(plan.owner, tuple(
-            (step.infoset_map[s], a) for s, a in plan.choices
-        ))
-    mover_choice = plan.get(step.mover)
-    out = []
-    for s, a in plan.choices:
-        if s == step.mover:
-            continue
-        if s == step.base and a == step.link:
-            if mover_choice is None:
-                raise TransformError(f"{plan!r} chose the link but not at the mover")
-            out.append((step.infoset_map[s], mover_choice))
-        else:
-            out.append((step.infoset_map[s], a))
-    return Plan(plan.owner, tuple(out))
-
-
-def transport_plan_through(plan: Plan, comp: CompositeMap) -> Plan:
-    for step in comp.steps:
-        plan = transport_plan(plan, step)
-    return plan
+    return new_structure, HistoryMap(forward, infoset_map)
 
 
 # -- minimization ---------------------------------------------------------
@@ -584,18 +526,18 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
         raise TransformError(fault)
 
 
-def _following(is_parts, coalescings) -> CompositeMap:
+def _following(is_parts, coalescings) -> HistoryMap:
     """The least map `_compose` runs on: the anchors, movers and bases."""
     sets = [p.mover for p in is_parts]
     sets.extend(s for c in coalescings for s in (c.base, c.mover))
-    return CompositeMap({p.anchor: (p.anchor,) for p in is_parts}, {s: s for s in sets})
+    return HistoryMap({p.anchor: (p.anchor,) for p in is_parts}, {s: s for s in sets})
 
 
-def _compose(structure: Structure, is_parts, coalescings, comp) -> tuple[Structure, CompositeMap]:
+def _compose(structure: Structure, is_parts, coalescings, comp) -> tuple[Structure, HistoryMap]:
     """Apply each IS part at every current image of its anchor, then each
     coalescing, re-finding every piece on the current structure through
     comp, the running map its caller seeds; returns the result and comp
-    extended by the steps taken."""
+    extended by each application."""
     current = structure
     for part in is_parts:
         for a in comp.forward[part.anchor]:
@@ -622,16 +564,16 @@ def _compose(structure: Structure, is_parts, coalescings, comp) -> tuple[Structu
     return current, comp
 
 
-def _tau(structure: Structure, ico: Ico, comp: CompositeMap) -> tuple[Structure, CompositeMap]:
+def _tau(structure: Structure, ico: Ico, comp: HistoryMap) -> tuple[Structure, HistoryMap]:
     _verify_complete(structure, ico)
     return _compose(structure, ico.is_parts, ico.coalescings, comp)
 
 
-def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, CompositeMap]:
+def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, HistoryMap]:
     """Compose the ICO's IS parts (input order) and then its coalescing
     parts.  Unambiguous ordering may break on intermediate structures and
     is restored by the final one."""
-    return _tau(structure, ico, CompositeMap.identity(structure))
+    return _tau(structure, ico, HistoryMap.identity(structure))
 
 
 def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:

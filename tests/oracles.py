@@ -15,7 +15,6 @@ from egs import (
     DominanceError,
     EgsError,
     History,
-    HistoryMap,
     InfoSet,
     IsOpp,
     Plan,
@@ -38,7 +37,6 @@ from egs import (
     play,
     relation,
     sim_classes,
-    transport_plan_through,
 )
 from egs.core import history_key, strictly_precedes
 from egs.dominance import MonotonicityReport, MonotonicityViolation
@@ -246,8 +244,23 @@ def is_non_crossing_reference(structure, opp):
 # -- the two operators as separate rewrites ----------------------------------
 #
 # Coalescing and IS as the library wrote them before both became one lift:
-# each builds its own forward map, partitions and structure.  The property
-# tests require the shared lift to give equal structures and maps.
+# each builds its own forward map, partitions and structure, and records
+# the step the way plan transport reads it.  The property tests require the
+# shared lift to give equal structures and maps.
+
+
+@dataclass(frozen=True)
+class StepReference:
+    """One coalescing or IS step: the history and information-set maps,
+    and what the step rule of `transport_plan_reference` reads."""
+
+    kind: str
+    owner: str
+    forward: dict
+    infoset_map: dict
+    base: InfoSet | None = None
+    mover: InfoSet | None = None
+    link: str | None = None
 
 
 def _descendants(structure, h):
@@ -334,10 +347,8 @@ def apply_coalescing_reference(structure, opp):
         structure.players, structure.actions, new_histories,
         {p: tuple(blocks) for p, blocks in partitions.items()},
     )
-    mover_lift = {m: (base_prefix[m],) for m in opp.mover.members}
-    return new_structure, HistoryMap(
-        kind="coalescing", owner=i, forward=forward, infoset_map=infoset_map,
-        mover_lift=mover_lift, base=opp.base, mover=opp.mover, link=opp.link,
+    return new_structure, StepReference(
+        "coalescing", i, forward, infoset_map, opp.base, opp.mover, opp.link
     )
 
 
@@ -421,12 +432,67 @@ def apply_is_reference(structure, opp):
         structure.players, structure.actions, new_histories,
         {p: tuple(blocks) for p, blocks in partitions.items()},
     )
-    mover_lift = {m: (anchor,) for m in opp.submover}
-    return new_structure, HistoryMap(
-        kind="is", owner=i, forward=forward, infoset_map=infoset_map,
-        mover_lift=mover_lift, mover=opp.mover, anchor=anchor,
-        submover=opp.submover,
-    )
+    return new_structure, StepReference("is", i, forward, infoset_map)
+
+
+def transport_plan_reference(plan, step):
+    """Carry a plan across one step.  An IS step, or a step of another
+    player, only re-keys information sets.  A coalescing merges the
+    mover's choice into the base: a plan that chose the link there now
+    chooses its mover action instead."""
+    if step.kind == "is" or plan.owner != step.owner:
+        return Plan(plan.owner, tuple((step.infoset_map[s], a) for s, a in plan.choices))
+    mover_choice = plan.get(step.mover)
+    out = []
+    for s, a in plan.choices:
+        if s == step.mover:
+            continue
+        if s == step.base and a == step.link:
+            if mover_choice is None:
+                raise TransformError(f"{plan!r} chose the link but not at the mover")
+            out.append((step.infoset_map[s], mover_choice))
+        else:
+            out.append((step.infoset_map[s], a))
+    return Plan(plan.owner, tuple(out))
+
+
+def tau_reference(structure, ico):
+    """τ replayed on the reference operators, step by step: each IS part at
+    every image of its anchor, then each coalescing, every piece re-found
+    through the maps so far.  Returns the result, its forward and
+    infoset maps from `structure`, and the steps taken."""
+    current, steps = structure, []
+    forward = {h: (h,) for h in structure.histories}
+    infosets = {s: s for s in structure.info_sets}
+    for part in ico.is_parts:
+        for a in forward[part.anchor]:
+            mover_now = infosets[part.mover]
+            piece = tuple(m for m in mover_now.members if strictly_precedes(a, m))
+            current, step = apply_is_reference(current, IsOpp(part.owner, a, piece, mover_now))
+            forward, infosets = composite_extend_reference(forward, infosets, step)
+            steps.append(step)
+    for part in ico.coalescings:
+        base_now, mover_now = infosets[part.base], infosets[part.mover]
+        link = controls(current, base_now, mover_now)
+        current, step = apply_coalescing_reference(
+            current, CoalescingOpp(part.owner, base_now, mover_now, link)
+        )
+        forward, infosets = composite_extend_reference(forward, infosets, step)
+        steps.append(step)
+    return current, forward, infosets, steps
+
+
+def plan_map_reference(structure, steps):
+    """Every player's plans, each carried through the steps in turn."""
+    out = {}
+    for p in structure.players:
+        out[p] = {}
+        for plan in plans(structure, p):
+            image = plan
+            for step in steps:
+                image = transport_plan_reference(image, step)
+            out[p][plan] = image
+    return out
 
 
 # -- behavioral equivalence --------------------------------------------------
@@ -819,19 +885,24 @@ def bd_reference(game):
 
 
 def check_monotonic_reference(game, ico):
-    """BD before and after the complete ICO, on fresh reference games."""
-    new_structure, comp = apply_tau(game.structure, ico)
-    bijection = comp.terminal_bijection(game.structure, new_structure)
+    """BD before and after the complete ICO, on fresh reference games, with
+    τ and the plans replayed step by step."""
+    new_structure, forward, _, steps = tau_reference(game.structure, ico)
+    bijection = {
+        z: next(h for h in forward[z] if new_structure.is_terminal(h))
+        for z in game.structure.terminals
+    }
     other = GameReference(new_structure, {
         p: {bijection[z]: v for z, v in table.items()} for p, table in game.payoffs.items()
     })
     before, after = bd_reference(game), bd_reference(other)
+    plan_map = plan_map_reference(game.structure, steps)
     violations = []
     for player in game.structure.players:
         for plan in game.plan_lists[player]:
             if plan in before.survivors[player]:
                 continue
-            if transport_plan_through(plan, comp) in after.survivors[player]:
+            if plan_map[player][plan] in after.survivors[player]:
                 violations.append(MonotonicityViolation(
                     player, plan, before.eliminated_round.get((player, plan), -1)
                 ))
@@ -1011,7 +1082,7 @@ def terminals_reference(structure):
 # `transform._lift` as the library wrote it before a lift edited its
 # predecessor: every history is rewritten, every block is made anew, and the
 # successor is a fresh `Structure` of the new history set, so images that
-# equal kept histories merge as the set merges them.  `CompositeMap.extend`
+# equal kept histories merge as the set merges them.  `HistoryMap.extend`
 # as it was before single images were reused.  The tests require the edit to
 # give equal structures, indices and maps.
 
@@ -1084,16 +1155,15 @@ def minimize_uo_reference(structure, rng=None):
             current, _ = apply_is(current, opp)
 
 
-def composite_extend_reference(comp, step):
-    """The forward and infoset maps of comp followed by step."""
-    forward = {
+def composite_extend_reference(forward, infosets, step):
+    """The forward and infoset maps of (forward, infosets) followed by step."""
+    out = {
         h: tuple(sorted(
             {img for mid in mids for img in step.forward[mid]}, key=history_key
         ))
-        for h, mids in comp.forward.items()
+        for h, mids in forward.items()
     }
-    infosets = {s: step.infoset_map[cur] for s, cur in comp.infoset_map.items()}
-    return forward, infosets
+    return out, {s: step.infoset_map[cur] for s, cur in infosets.items()}
 
 
 def transitively_simultaneous_reference(structure, a, b):

@@ -33,10 +33,9 @@ from egs import (
     rnf_isomorphic,
     structure_isomorphic,
     transport_game,
-    transport_plan,
     validate_structure,
 )
-from egs.transform import CompositeMap, IsOpp
+from egs.transform import IsOpp
 
 from corpus import ico_corpus, uo_corpus, vnm_corpus
 from fixtures import (
@@ -51,7 +50,12 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import equivalent_by_both_routes, oracle_dominated
+from oracles import (
+    apply_is_reference,
+    equivalent_by_both_routes,
+    oracle_dominated,
+    plan_map_reference,
+)
 from test_transform import relation_conservation_holds
 
 
@@ -116,12 +120,12 @@ def test_criterion_3():
     for structure in uo_corpus(300, seed=101) + crossing_rich:
         for opp in find_coalescing(structure):
             new, hmap = apply_coalescing(structure, opp)
-            assert relation_conservation_holds(structure, new, hmap)
+            assert relation_conservation_holds(structure, new, hmap, opp)
         for opp in find_is(structure):
             if not is_non_crossing(structure, opp):
                 seen_crossing += 1
             new, hmap = apply_is(structure, opp)
-            assert relation_conservation_holds(structure, new, hmap)
+            assert relation_conservation_holds(structure, new, hmap, opp)
     assert seen_crossing > 0
 
 
@@ -180,12 +184,8 @@ def test_criterion_7():
     opp = [o for o in find_is(g) if o.owner == "2"][0]
     assert is_non_crossing(g, opp)
     new, hmap = apply_is(g, opp)
-    comp = CompositeMap.identity(g).extend(hmap)
-    moved = transport_game(game, new, comp)
-    plan_map = {
-        p: {plan: transport_plan(plan, hmap) for plan in game.plan_lists[p]}
-        for p in g.players
-    }
+    moved = transport_game(game, new, hmap)
+    plan_map = plan_map_reference(g, [apply_is_reference(g, opp)[1]])
     report = compare_bd(game, moved, plan_map)
     assert {(v.player, v.plan.label()) for v in report.violations} == {("3", "F")}
     after = {q.label() for q in report.after.survivors["3"]}

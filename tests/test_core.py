@@ -54,7 +54,7 @@ from fixtures import (
     red1_infosets,
 )
 from egs import transform
-from egs.transform import CompositeMap, _available_reductions
+from egs.transform import HistoryMap, _available_reductions
 from oracles import (
     anchored_members_reference,
     check_uo_pairwise,
@@ -540,7 +540,7 @@ def _lifts_checked_against_the_rebuild():
     """Every lift inside the block must give what the rebuild gives, and
     every composite map what the old composition gives; yields the list of
     checked successors."""
-    lift, extend = transform._lift, CompositeMap.extend
+    lift, extend = transform._lift, HistoryMap.extend
     checked = []
 
     def checked_lift(structure, owner, top, below, mover, mover_block):
@@ -559,11 +559,13 @@ def _lifts_checked_against_the_rebuild():
 
     def checked_extend(comp, step):
         out = extend(comp, step)
-        assert (out.forward, out.infoset_map) == composite_extend_reference(comp, step)
+        assert (out.forward, out.infoset_map) == composite_extend_reference(
+            comp.forward, comp.infoset_map, step
+        )
         return out
 
     with mock.patch.object(transform, "_lift", checked_lift), \
-            mock.patch.object(CompositeMap, "extend", checked_extend):
+            mock.patch.object(HistoryMap, "extend", checked_extend):
         yield checked
 
 

@@ -1,9 +1,10 @@
 import inspect
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from egs import (
@@ -11,6 +12,8 @@ from egs import (
     DominanceError,
     EgsError,
     Game,
+    GenError,
+    GenParams,
     IsOpp,
     Structure,
     apply_is,
@@ -23,6 +26,7 @@ from egs import (
     find_complete_icos,
     find_is,
     format_trace,
+    gen_random,
     is_non_crossing,
     plans,
     random_payoffs,
@@ -32,11 +36,10 @@ from egs import (
     strictly_dominated,
     transitively_simultaneous,
     transport_game,
-    transport_plan,
 )
+import egs.dominance
 from egs.dominance import _weak_follow_matrix
 from egs.strategy import plan_space
-from egs.transform import CompositeMap
 
 import fixtures
 from corpus import ico_corpus, profile_count, seeded_structures, uo_corpus
@@ -54,11 +57,15 @@ from fixtures import (
 )
 from oracles import (
     GameReference,
+    apply_coalescing_reference,
+    apply_is_reference,
     bd_reference,
     check_monotonic_reference,
+    plan_map_reference,
     reaching_reference,
     reduced_normal_form_reference,
     strictly_dominated_reference,
+    tau_reference,
     weak_follow_pairwise,
 )
 
@@ -141,12 +148,8 @@ def test_bd_nul_after_sigma_f_survives():
     g = game.structure
     opp = [o for o in find_is(g) if o.owner == "2"][0]
     new, hmap = apply_is(g, opp)
-    comp = CompositeMap.identity(g).extend(hmap)
-    moved = transport_game(game, new, comp)
-    plan_map = {
-        p: {plan: transport_plan(plan, hmap) for plan in game.plan_lists[p]}
-        for p in g.players
-    }
+    moved = transport_game(game, new, hmap)
+    plan_map = plan_map_reference(g, [apply_is_reference(g, opp)[1]])
     report = compare_bd(game, moved, plan_map)
     assert not report.ok
     assert {(v.player, v.plan.label()) for v in report.violations} == {("3", "F")}
@@ -164,6 +167,65 @@ def test_nul_complete_ico_is_monotonic():
     report = check_monotonic(game, both[0])
     assert report.ok
     assert _label_set(report.after.survivors["3"]) == {"G"}
+
+
+def _monotonic_plan_map(game, ico):
+    """The plan map `check_monotonic` hands to `compare_bd`, BD not run."""
+    seen = []
+    with mock.patch.object(
+        egs.dominance, "compare_bd", lambda before, after, plan_map: seen.append(plan_map)
+    ):
+        check_monotonic(game, ico)
+    return seen[0]
+
+
+def _step_rule_plan_map(structure, ico):
+    return plan_map_reference(structure, tau_reference(structure, ico)[3])
+
+
+@st.composite
+def uo_games(draw):
+    """A seeded UO game of 2 or 3 players, simultaneous moves likely, with
+    random exact payoffs."""
+    seed = draw(st.integers(0, 2**32))
+    rng = random.Random(seed)
+    params = GenParams(
+        players=rng.choice((2, 3)),
+        max_depth=rng.choice((2, 3, 4)),
+        max_branching=2,
+        simultaneity=rng.choice((0.35, 0.5)),
+        merge_prob=rng.choice((0.5, 0.8, 0.95)),
+        continue_prob=rng.choice((0.5, 0.65)),
+        seed=seed,
+    )
+    try:
+        structure = gen_random(params, require_uo=True)
+    except GenError:
+        assume(False)
+    return Game(structure, random_payoffs(structure, rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uo_games())
+def test_monotonic_plan_map_is_the_step_rule(game):
+    # the plan consistent with the images of a plan's terminals is the
+    # plan the coalescing and IS steps of τ carry it to
+    for ico in find_complete_icos(game.structure):
+        assert _monotonic_plan_map(game, ico) == _step_rule_plan_map(game.structure, ico)
+
+
+def test_monotonic_plan_map_is_the_step_rule_on_the_corpus():
+    rng = random.Random(21)
+    games, three_players, simultaneous = {}, 0, 0
+    pairs = ico_corpus(1000, seed=8, max_profiles=20000)
+    for structure, ico in pairs:
+        game = games.get(structure)
+        if game is None:
+            game = games[structure] = Game(structure, random_payoffs(structure, rng))
+        assert _monotonic_plan_map(game, ico) == _step_rule_plan_map(structure, ico)
+        three_players += len(structure.players) == 3
+        simultaneous += any(len(h.moves[-1]) > 1 for h in structure.histories[1:])
+    assert len(pairs) == 1000 and three_players > 100 and simultaneous > 500
 
 
 def test_monotonicity_on_random_ico_games():
@@ -184,15 +246,11 @@ def test_reaching_unchanged_under_is_and_grows_under_coalescing():
     g = game.structure
     for opp in find_is(g):
         new, hmap = apply_is(g, opp)
-        comp = CompositeMap.identity(g).extend(hmap)
-        moved = transport_game(game, new, comp)
+        moved = transport_game(game, new, hmap)
+        bmap = plan_map_reference(g, [apply_is_reference(g, opp)[1]])
         for s in g.info_sets:
             before = reaching(game, s)
             after = reaching(moved, hmap.infoset_map[s])
-            bmap = {
-                p: {plan: transport_plan(plan, hmap) for plan in game.plan_lists[p]}
-                for p in g.players
-            }
             assert {bmap[s.owner][p] for p in before.own} == set(after.own)
             axes = [q for q in g.players if q != s.owner]
             moved_rest = {
@@ -206,12 +264,8 @@ def test_reaching_unchanged_under_is_and_grows_under_coalescing():
     game2 = Game(g2, payoffs)
     opp = find_coalescing(g2)[0]
     new, hmap = apply_coalescing(g2, opp)
-    comp = CompositeMap.identity(g2).extend(hmap)
-    moved = transport_game(game2, new, comp)
-    bmap = {
-        p: {plan: transport_plan(plan, hmap) for plan in game2.plan_lists[p]}
-        for p in g2.players
-    }
+    moved = transport_game(game2, new, hmap)
+    bmap = plan_map_reference(g2, [apply_coalescing_reference(g2, opp)[1]])
     for s in g2.info_sets:
         before = reaching(game2, s)
         after = reaching(moved, hmap.infoset_map[s])

@@ -191,6 +191,33 @@ def test_parse_refuses_a_node_line_naming_a_player_twice():
     assert err.value.line == 3 and "player 1 twice" in str(err.value)
 
 
+_ONE_MOVE = 'egs 1\nplayer 1 actions L,R\nnode "" 1:L|R\npayoff "R" 1=0/1\n'
+
+
+def test_parse_refuses_a_second_payoff_line_for_a_terminal():
+    # the second line used to win silently
+    with pytest.raises(FormatError) as err:
+        parse(_ONE_MOVE + 'payoff "L" 1=1/1\npayoff "L" 1=5/1\n')
+    assert err.value.line == 6 and "'L' given twice" in str(err.value)
+
+
+def test_parse_refuses_a_payoff_line_naming_a_player_twice():
+    with pytest.raises(FormatError) as err:
+        parse(_ONE_MOVE + 'payoff "L" 1=1/1 1=7/1\n')
+    assert err.value.line == 5 and "player 1 twice" in str(err.value)
+
+
+def test_parse_reads_rationals_as_p_over_q_with_positive_q():
+    # int() alone also took a negative q, '+', '_' and non-ASCII digits
+    bad_values = ("1/-2", "1/0", "-1/-2", "0/-1", "+2/3", "2/+3", "1_0/3", "\u0663/4", "1/", "/2")
+    for bad in bad_values:
+        with pytest.raises(FormatError) as err:
+            parse(_ONE_MOVE + f'payoff "L" 1={bad}\n')
+        assert err.value.line == 5 and f"bad rational {bad!r}" in str(err.value)
+    game = parse(_ONE_MOVE + 'payoff "L" 1=-1/2\n')
+    assert game.payoffs["1"][path({"1": "L"})] == Fraction(-1, 2)
+
+
 def test_parse_bad_rational():
     text = "egs 1\nplayer 1 actions a,b\nnode \"\" 1:a|b\npayoff \"a\" 1=1/0\n"
     with pytest.raises(FormatError):
@@ -476,6 +503,21 @@ def test_cli_refuses_a_rootless_structure_and_an_undeclared_mover(tmp_path):
     out = run("validate", "undeclared-game")
     assert out.returncode == 1, (out.stdout, out.stderr)
     assert "active-players: unknown player 3 at ''" in out.stdout
+
+
+def test_cli_bd_refuses_a_malformed_payoff_line(tmp_path):
+    lines = {
+        "twice": 'payoff "L" 1=1/1\npayoff "L" 1=5/1\n',
+        "player-twice": 'payoff "L" 1=1/1 1=7/1\n',
+        "negative-q": 'payoff "L" 1=1/-2\n',
+    }
+    for name, text in lines.items():
+        game = tmp_path / f"{name}.egs"
+        game.write_text(_ONE_MOVE + text)
+        out = run_cli("bd", str(game))
+        assert out.returncode == 2 and out.stdout == "", (name, out.stdout)
+        line = 6 if name == "twice" else 5
+        assert out.stderr.startswith(f"error: line {line}: "), (name, out.stderr)
 
 
 def test_cli_bd_and_monotonic(tmp_path):

