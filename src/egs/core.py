@@ -103,6 +103,14 @@ def make_profile(entries: dict[str, str]) -> Profile:
     return tuple(sorted(entries.items()))
 
 
+def profile_label(profile: Profile) -> str:
+    """A profile as history labels show it: a one-mover profile is its bare
+    action, others '(player=action,...)' sorted by player."""
+    if len(profile) == 1:
+        return profile[0][1]
+    return "(" + ",".join(f"{p}={a}" for p, a in profile) + ")"
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class History:
     """A finite sequence of action profiles from the root.
@@ -161,16 +169,9 @@ class History:
         return n <= len(other.moves) and other.moves[:n] == self.moves
 
     def label(self) -> str:
-        """Canonical display form: profiles joined by '/', singleton
-        profiles shown as the bare action, others parenthesised with
-        entries 'player=action' sorted by player."""
-        parts = []
-        for profile in self.moves:
-            if len(profile) == 1:
-                parts.append(profile[0][1])
-            else:
-                parts.append("(" + ",".join(f"{p}={a}" for p, a in profile) + ")")
-        return "/".join(parts)
+        """Canonical display form: each profile's `profile_label`, joined
+        by '/'."""
+        return "/".join(map(profile_label, self.moves))
 
     def __repr__(self) -> str:
         return f"History({self.label()!r})"
@@ -665,6 +666,8 @@ def relation(structure: Structure, a: InfoSet, b: InfoSet) -> RelationSet:
 def transitively_simultaneous(structure: Structure, a: InfoSet, b: InfoSet) -> bool:
     """True iff the member histories of a and b are linked by a chain of
     co-memberships (the reflexive-symmetric-transitive closure of ~)."""
+    structure.require_info_set(a)
+    structure.require_info_set(b)
     idx = structure._sim_index
     return a == b or not {idx[m] for m in a.members if m in idx}.isdisjoint(
         idx[m] for m in b.members if m in idx

@@ -5,14 +5,7 @@ overlap).  Output is deterministic."""
 
 from __future__ import annotations
 
-from .core import History, Structure
-
-
-def _profile_text(h: History) -> str:
-    move = h.moves[-1]
-    if len(move) == 1:
-        return move[0][1]
-    return "(" + ",".join(f"{p}={a}" for p, a in move) + ")"
+from .core import Structure, profile_label
 
 
 def to_dot(obj) -> str:
@@ -37,7 +30,7 @@ def to_dot(obj) -> str:
     for h in structure.histories:
         for kid in structure.children(h):
             lines.append(
-                f'  {ids[h]} -> {ids[kid]} [label="{_profile_text(kid)}"];'
+                f'  {ids[h]} -> {ids[kid]} [label="{profile_label(kid.moves[-1])}"];'
             )
     hull = 0
     for p in structure.players:

@@ -16,7 +16,8 @@ and otherwise is '(player=action,...)' sorted by player.  Active histories
 not covered by an infoset line become singleton information sets, so only
 non-trivial blocks need declaring.  Payoff lines (rationals 'p/q' or 'p',
 q positive; one line per terminal, each player at most once) turn the
-file into a game.  '#' starts a comment outside quotes.
+file into a game.  No line repeats a player, an action or a history.
+'#' starts a comment outside quotes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .core import EgsError, History, InfoSet, ROOT, Structure
+from .core import EgsError, History, InfoSet, ROOT, Structure, profile_label
 from .dominance import Game
 
 
@@ -63,6 +64,15 @@ def _name(kind: str, name: str, syntax: re.Pattern, lineno: int | None = None) -
         message = f"{kind} {name!r} {what}, which the format cannot carry"
         raise EgsError(message) if lineno is None else FormatError(lineno, message)
     return name
+
+
+def _once(names: list[str], kind: str, lineno: int) -> list[str]:
+    """The names, if none repeats; otherwise a FormatError naming the first
+    repeat, which a set of the names would silently drop."""
+    if len(set(names)) < len(names):
+        repeat = next(n for k, n in enumerate(names) if n in names[:k])
+        raise FormatError(lineno, f"{kind} {repeat!r} named twice")
+    return names
 
 
 def _unquote(token: str, lineno: int) -> str:
@@ -112,9 +122,9 @@ def parse(text: str):
             if pid in actions:
                 raise FormatError(lineno, f"player {pid} declared twice")
             players.append(pid)
-            actions[pid] = {
+            actions[pid] = set(_once([
                 _name("action", a, _ACTION_SYNTAX, lineno) for a in tokens[3].split(",")
-            }
+            ], "action", lineno))
         elif kind == "node":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: node \"<history>\" pid:a|b ...")
@@ -126,9 +136,9 @@ def parse(text: str):
                 pid, acts = tok.split(":", 1)
                 if any(q == pid for q, _ in specs):
                     raise FormatError(lineno, f"node {label!r} names player {pid} twice")
-                specs.append((pid, [
+                specs.append((pid, _once([
                     _name("action", a, _ACTION_SYNTAX, lineno) for a in acts.split("|")
-                ]))
+                ], "action", lineno)))
             if label in nodes:
                 raise FormatError(lineno, f"node {label!r} declared twice")
             nodes[label] = (lineno, specs)
@@ -138,10 +148,10 @@ def parse(text: str):
             body = line.split(None, 2)[2].strip()
             if not (body.startswith("{") and body.endswith("}")):
                 raise FormatError(lineno, "infoset members must be {...}")
-            labels = [
+            labels = _once([
                 _unquote(t, lineno)
                 for t in re.findall(r'"(?:[^"\\]|\\.)*"', body[1:-1])
-            ]
+            ], "history", lineno)
             infoset_lines.append((lineno, tokens[1], labels))
         elif kind == "payoff":
             if len(tokens) < 3:
@@ -177,9 +187,7 @@ def parse(text: str):
             pools = [[(pid, a) for a in acts] for pid, acts in spec[1]]
             for combo in itertools.product(*pools):
                 profile = tuple(sorted(combo))
-                part = profile[0][1] if len(profile) == 1 else (
-                    "(" + ",".join(f"{p}={a}" for p, a in profile) + ")"
-                )
+                part = profile_label(profile)
                 child = h.extend(profile)
                 child_label = f"{label}/{part}" if label else part
                 histories[child_label] = child

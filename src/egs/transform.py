@@ -17,9 +17,9 @@ opportunities for von Neumann structures, and the backward
 (leaves-to-root) compactification.  The composed transformations of both
 kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
 every image of their anchors, then coalescings, each re-found on the
-current structure through a running map its caller seeds: the identity
-of every history for `apply_tau`, which returns it, and otherwise only
-what the loop re-finds.  One operator and a composition of them return
+current structure through the running map, which is the first step's
+map extended by each later one; `backward_compactify` applies each ICO
+through `apply_tau`.  One operator and a composition of them return
 the same `HistoryMap`, the images of histories and information sets;
 payoffs and plans follow the terminals, so the map holds nothing else.
 """
@@ -95,13 +95,6 @@ class HistoryMap:
 
     forward: dict[History, tuple[History, ...]]
     infoset_map: dict[InfoSet, InfoSet]
-
-    @staticmethod
-    def identity(structure: Structure) -> "HistoryMap":
-        return HistoryMap(
-            {h: (h,) for h in structure.histories},
-            {s: s for s in structure.info_sets},
-        )
 
     def extend(self, step: "HistoryMap") -> "HistoryMap":
         """This map followed by step."""
@@ -506,6 +499,8 @@ def find_complete_icos(structure: Structure) -> list[Ico]:
 
 
 def _verify_complete(structure: Structure, ico: Ico) -> None:
+    if not ico.coalescings and not ico.is_parts:
+        raise TransformError("an ICO needs at least one part")
     for opp in ico.coalescings:
         if controls(structure, opp.base, opp.mover) != opp.link:
             raise TransformError(f"stale coalescing part {opp!r}")
@@ -519,29 +514,27 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
         if not is_immediate_is(structure, opp):
             raise TransformError(f"IS part {opp!r} is not immediate")
     # the participants, checked above, must make up the class of the first
-    first = ico.participants()[:1]
-    home = next((g for g in sim_classes(structure) if first[0] in g), ()) if first else ()
+    first = ico.participants()[0]
+    home = next((g for g in sim_classes(structure) if first in g), ())
     fault = _incompleteness(ico, frozenset(home))
     if fault is not None:
         raise TransformError(fault)
 
 
-def _following(is_parts, coalescings) -> HistoryMap:
-    """The least map `_compose` runs on: the anchors, movers and bases."""
-    sets = [p.mover for p in is_parts]
-    sets.extend(s for c in coalescings for s in (c.base, c.mover))
-    return HistoryMap({p.anchor: (p.anchor,) for p in is_parts}, {s: s for s in sets})
-
-
-def _compose(structure: Structure, is_parts, coalescings, comp) -> tuple[Structure, HistoryMap]:
+def _compose(structure: Structure, is_parts, coalescings) -> tuple[Structure, HistoryMap]:
     """Apply each IS part at every current image of its anchor, then each
-    coalescing, re-finding every piece on the current structure through
-    comp, the running map its caller seeds; returns the result and comp
-    extended by each application."""
-    current = structure
+    coalescing, re-finding every piece on the current structure; returns
+    the result and the composition of the steps' maps.  Before the first
+    step every anchor, mover and base is its own image; from then on the
+    running map is the first step's, extended by each later one."""
+    current, comp = structure, None
+
+    def now(s: InfoSet) -> InfoSet:
+        return s if comp is None else comp.infoset_map[s]
+
     for part in is_parts:
-        for a in comp.forward[part.anchor]:
-            mover_now = comp.infoset_map[part.mover]
+        for a in (part.anchor,) if comp is None else comp.forward[part.anchor]:
+            mover_now = now(part.mover)
             d = tuple(m for m in mover_now.members if strictly_precedes(a, m))
             if not d or not dictates(current, a, d, part.owner):
                 raise TransformError(
@@ -550,30 +543,25 @@ def _compose(structure: Structure, is_parts, coalescings, comp) -> tuple[Structu
             # Sibling anchor images live in disjoint subtrees, so the
             # remaining ones are untouched by this application.
             current, step = apply_is(current, IsOpp(part.owner, a, d, mover_now))
-            comp = comp.extend(step)
+            comp = step if comp is None else comp.extend(step)
     for part in coalescings:
-        base_now = comp.infoset_map[part.base]
-        mover_now = comp.infoset_map[part.mover]
+        base_now, mover_now = now(part.base), now(part.mover)
         link = controls(current, base_now, mover_now)
         if link is None:
             raise TransformError(f"coalescing part {part!r} no longer controls")
         current, step = apply_coalescing(
             current, CoalescingOpp(part.owner, base_now, mover_now, link)
         )
-        comp = comp.extend(step)
+        comp = step if comp is None else comp.extend(step)
     return current, comp
-
-
-def _tau(structure: Structure, ico: Ico, comp: HistoryMap) -> tuple[Structure, HistoryMap]:
-    _verify_complete(structure, ico)
-    return _compose(structure, ico.is_parts, ico.coalescings, comp)
 
 
 def apply_tau(structure: Structure, ico: Ico) -> tuple[Structure, HistoryMap]:
     """Compose the ICO's IS parts (input order) and then its coalescing
     parts.  Unambiguous ordering may break on intermediate structures and
     is restored by the final one."""
-    return _tau(structure, ico, HistoryMap.identity(structure))
+    _verify_complete(structure, ico)
+    return _compose(structure, ico.is_parts, ico.coalescings)
 
 
 def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
@@ -596,7 +584,7 @@ def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
             icos = _complete_in_class(current, group, _class_atoms(current, group))
             if icos:
                 ico = icos[0]
-                current, _ = _tau(current, ico, _following(ico.is_parts, ico.coalescings))
+                current, _ = apply_tau(current, ico)
                 schedule.append(ico)
                 break
         else:
@@ -710,6 +698,8 @@ def find_synthesized(structure: Structure) -> list[SynthOpp]:
 
 
 def _verify_synth(structure: Structure, opp: SynthOpp) -> None:
+    if not opp.coalescings and not opp.controls:
+        raise TransformError("a synthesized opportunity needs at least one part")
     for c in opp.coalescings:
         if controls(structure, c.base, c.mover) != c.link:
             raise TransformError(f"stale coalescing part {c!r}")
@@ -750,7 +740,7 @@ def apply_phi(structure: Structure, opp: SynthOpp) -> Structure:
         opp.coalescings,
         key=lambda c: (-max(m.length for m in c.mover.members), _infoset_key(c.mover)),
     )
-    current, _ = _compose(structure, pieces, coals, _following(pieces, coals))
+    current, _ = _compose(structure, pieces, coals)
     ok, witness = check_vnm(current)
     if not ok:
         raise TransformError(f"transformation result lost equal length at {witness!r}")

@@ -222,6 +222,16 @@ def test_relation_foreign_infoset_rejected():
         relation(other, foreign, foreign)
 
 
+def test_transitively_simultaneous_foreign_infoset_rejected():
+    # a foreign set was simultaneous with itself and with nothing else
+    foreign = InfoSet("1", (A,))
+    other = g_chain()
+    own = other.info_sets[0]
+    for a, b in ((foreign, foreign), (foreign, own), (own, foreign)):
+        with pytest.raises(EgsError):
+            transitively_simultaneous(other, a, b)
+
+
 def test_info_set_membership_by_value():
     g = g_red1()
     assert g.info_sets is g.info_sets
@@ -336,19 +346,26 @@ def test_simultaneous_implies_transitively_simultaneous():
 
 def _assert_transitive_simultaneity_matches(structure):
     # the blocks, and sets that are no block: the first members of two
-    # neighbouring blocks, terminals, and a history outside the tree
-    sets = list(structure.info_sets)
-    sets += [InfoSet(a.owner, (a.members[0], b.members[0])) for a, b in zip(sets, sets[1:])]
+    # neighbouring blocks, terminals, and a history outside the tree; a
+    # pair with a set that is no block is refused
+    blocks = list(structure.info_sets)
+    sets = blocks + [
+        InfoSet(a.owner, (a.members[0], b.members[0])) for a, b in zip(blocks, blocks[1:])
+    ]
     sets += [InfoSet("1", (z,)) for z in structure.terminals[:3]]
     sets.append(InfoSet("1", (STRAY,)))
     for a in sets:
         for b in sets:
-            assert transitively_simultaneous(structure, a, b) == (
-                transitively_simultaneous_reference(structure, a, b)
-            )
+            if structure.has_info_set(a) and structure.has_info_set(b):
+                assert transitively_simultaneous(structure, a, b) == (
+                    transitively_simultaneous_reference(structure, a, b)
+                )
+            else:
+                with pytest.raises(EgsError):
+                    transitively_simultaneous(structure, a, b)
     # the classes are found once per structure, not once per call
     index = structure._sim_index
-    transitively_simultaneous(structure, sets[0], sets[-1])
+    transitively_simultaneous(structure, blocks[0], blocks[-1])
     assert structure._sim_index is index
 
 

@@ -191,6 +191,20 @@ def test_parse_refuses_a_node_line_naming_a_player_twice():
     assert err.value.line == 3 and "player 1 twice" in str(err.value)
 
 
+@pytest.mark.parametrize("text, line, repeat", [
+    # two children "L", and player 1's plans listed as L,R
+    ('egs 1\nplayer 1 actions L,R\nnode "" 1:L|L|R\n', 3, "action 'L' named twice"),
+    ('egs 1\nplayer 1 actions L,R,L\nnode "" 1:L|R\n', 2, "action 'L' named twice"),
+    ('egs 1\nplayer 1 actions L,R\nplayer 2 actions a,b\nnode "" 1:L|R\n'
+     'node "L" 2:a|b\nnode "R" 2:a|b\ninfoset 2 {"L","L"}\n', 7, "history 'L' named twice"),
+], ids=["node", "player", "infoset"])
+def test_parse_refuses_a_repeated_name(text, line, repeat):
+    # a set of the names dropped the repeat silently
+    with pytest.raises(FormatError) as err:
+        parse(text)
+    assert err.value.line == line and repeat in str(err.value)
+
+
 _ONE_MOVE = 'egs 1\nplayer 1 actions L,R\nnode "" 1:L|R\npayoff "R" 1=0/1\n'
 
 

@@ -147,6 +147,12 @@ def test_apply_tau_names_why_an_ico_is_incomplete():
         apply_tau(g, Ico((), (part4[0], part5[0])))
 
 
+def test_apply_tau_refuses_an_ico_with_no_part():
+    # nothing to compose: it used to be applied and return its input
+    with pytest.raises(TransformError, match="at least one part"):
+        apply_tau(g_uom(), Ico((), ()))
+
+
 def test_nul_sigma_alone_not_complete():
     g = g_nul()
     icos = find_complete_icos(g)
@@ -240,6 +246,25 @@ def test_backward_icot_schedule_starts_with_deepest_theta():
         current, _ = apply_tau(current, ico)
     assert current == result
     assert check_uo(result)[0]
+
+
+def test_backward_compactify_applies_each_scheduled_ico_through_apply_tau():
+    applied = []
+    real = transform.apply_tau
+
+    def counting(structure, ico):
+        applied.append(ico)
+        return real(structure, ico)
+
+    structures = [g_g76(), g_icot()] + [s for s, _ in ico_corpus(20, seed=7)]
+    scheduled = 0
+    with mock.patch.object(transform, "apply_tau", counting):
+        for structure in structures:
+            applied.clear()
+            _, schedule = backward_compactify(structure)
+            assert applied == schedule
+            scheduled += len(schedule)
+    assert scheduled >= len(structures)
 
 
 def test_apply_tau_composes_the_identity_through_its_steps():

@@ -6,6 +6,7 @@ from egs import (
     EgsError,
     ROOT,
     SynthOpp,
+    TransformError,
     apply_phi,
     check_vnm,
     find_is,
@@ -90,6 +91,12 @@ def test_find_synthesized_requires_vnm():
         find_synthesized(g_uneven())
     with pytest.raises(EgsError):
         apply_phi(g_uneven(), SynthOpp((), ()))
+
+
+def test_apply_phi_refuses_an_opportunity_with_no_part():
+    # nothing to compose: it used to be applied and return its input
+    with pytest.raises(TransformError, match="at least one part"):
+        apply_phi(g_ga(), SynthOpp((), ()))
 
 
 def test_phi_preserves_vnm_and_rnf_on_corpus():
