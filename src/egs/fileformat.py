@@ -16,8 +16,9 @@ and otherwise is '(player=action,...)' sorted by player.  Active histories
 not covered by an infoset line become singleton information sets, so only
 non-trivial blocks need declaring.  Payoff lines (rationals 'p/q' or 'p',
 q positive; one line per terminal, each player at most once) turn the
-file into a game.  No line repeats a player, an action or a history.
-'#' starts a comment outside quotes.
+file into a game.  No line repeats a player, an action or a history, and
+an infoset line holds only commas and whitespace between its quoted
+histories.  '#' starts a comment outside quotes.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ class FormatError(EgsError):
 
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|\S+')
 
+# An infoset line's members: a quoted history, its text inside the quotes
+# in the first group; or in the second, stray text: a run of anything but
+# commas, whitespace and quotes, or a quote that opens no history.
+_MEMBER = re.compile(r'"((?:[^"\\]|\\.)*)"|([^\s,"]+|")')
+
 
 # Runs of plain text and quoted spans (an unclosed one runs to the end of
 # the line); the match stops at the first '#' outside quotes.
@@ -52,7 +58,10 @@ def _strip_comment(line: str) -> str:
 # format reads it as syntax, and '#' starts a comment.  An action holding
 # history-label syntax would give two histories one label.
 _ID_SYNTAX = re.compile(r"[\s:=,#]")
-_ACTION_SYNTAX = re.compile(r'[\s/(),="|#]')
+_ACTION_CHARS = r'\s/(),="|#'
+_ACTION_SYNTAX = re.compile(f"[{_ACTION_CHARS}]")
+# The same, less the separator, searched once over a run of names joined by it
+_RUN_SYNTAX = {sep: re.compile(f"[{_ACTION_CHARS.replace(sep, '')}]") for sep in ",|"}
 
 
 def _name(kind: str, name: str, syntax: re.Pattern, lineno: int | None = None) -> str:
@@ -73,6 +82,17 @@ def _once(names: list[str], kind: str, lineno: int) -> list[str]:
         repeat = next(n for k, n in enumerate(names) if n in names[:k])
         raise FormatError(lineno, f"{kind} {repeat!r} named twice")
     return names
+
+
+def _actions(run: str, sep: str, lineno: int) -> list[str]:
+    """The action names of a run joined by sep, if the format can carry
+    each and none repeats.  One search covers the whole run; only when it
+    finds something are the names checked one by one, to name the first."""
+    names = run.split(sep)
+    if _RUN_SYNTAX[sep].search(run) or "" in names:
+        for a in names:
+            _name("action", a, _ACTION_SYNTAX, lineno)
+    return _once(names, "action", lineno)
 
 
 def _unquote(token: str, lineno: int) -> str:
@@ -98,74 +118,80 @@ def parse(text: str):
     are present.  Diagnostics carry line numbers; semantic problems are
     left for validate_structure."""
     players: list[str] = []
-    actions: dict[str, set[str]] = {}
-    nodes: dict[str, tuple[int, list[tuple[str, list[str]]]]] = {}
+    actions: dict[str, frozenset[str]] = {}
+    # each node's line, its players in line order and its children's profiles
+    nodes: dict[str, tuple[int, list[str], list[tuple]]] = {}
     infoset_lines: list[tuple[int, str, list[str]]] = []
     payoff_lines: list[tuple[int, str, dict[str, Fraction]]] = []
     header_seen = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = _strip_comment(line)
         tokens = _TOKEN.findall(line)
+        if not tokens:
+            continue
         if not header_seen:
             if tokens[:2] != ["egs", "1"]:
                 raise FormatError(lineno, "expected header 'egs 1'")
             header_seen = True
             continue
         kind = tokens[0]
-        if kind == "player":
-            if len(tokens) != 4 or tokens[2] != "actions":
-                raise FormatError(lineno, "expected: player <id> actions a,b,...")
-            pid = _name("player id", tokens[1], _ID_SYNTAX, lineno)
-            if pid in actions:
-                raise FormatError(lineno, f"player {pid} declared twice")
-            players.append(pid)
-            actions[pid] = set(_once([
-                _name("action", a, _ACTION_SYNTAX, lineno) for a in tokens[3].split(",")
-            ], "action", lineno))
-        elif kind == "node":
+        if kind == "node":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: node \"<history>\" pid:a|b ...")
             label = _unquote(tokens[1], lineno)
-            specs = []
+            pids, pools = [], []
             for tok in tokens[2:]:
-                if ":" not in tok:
+                pid, colon, acts = tok.partition(":")
+                if not colon:
                     raise FormatError(lineno, f"expected pid:a|b|..., got {tok}")
-                pid, acts = tok.split(":", 1)
-                if any(q == pid for q, _ in specs):
+                if pid in pids:
                     raise FormatError(lineno, f"node {label!r} names player {pid} twice")
-                specs.append((pid, _once([
-                    _name("action", a, _ACTION_SYNTAX, lineno) for a in acts.split("|")
-                ], "action", lineno)))
+                pids.append(pid)
+                pools.append([(pid, a) for a in _actions(acts, "|", lineno)])
             if label in nodes:
                 raise FormatError(lineno, f"node {label!r} declared twice")
-            nodes[label] = (lineno, specs)
+            # A child's profile takes one entry from each pool, sorted by
+            # player: when the line lists its players in order, as
+            # serialize writes them, every combination already is.
+            profiles = list(itertools.product(*pools))
+            if pids != sorted(pids):
+                profiles = [tuple(sorted(combo)) for combo in profiles]
+            nodes[label] = (lineno, pids, profiles)
         elif kind == "infoset":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: infoset <pid> {\"h\",...}")
             body = line.split(None, 2)[2].strip()
             if not (body.startswith("{") and body.endswith("}")):
                 raise FormatError(lineno, "infoset members must be {...}")
-            labels = _once([
-                _unquote(t, lineno)
-                for t in re.findall(r'"(?:[^"\\]|\\.)*"', body[1:-1])
-            ], "history", lineno)
-            infoset_lines.append((lineno, tokens[1], labels))
+            labels = []
+            for quoted, stray in _MEMBER.findall(body, 1, len(body) - 1):
+                if stray:
+                    raise FormatError(lineno, f"expected quoted histories, got {stray!r}")
+                labels.append(quoted.replace('\\"', '"'))
+            infoset_lines.append((lineno, tokens[1], _once(labels, "history", lineno)))
         elif kind == "payoff":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: payoff \"<terminal>\" pid=p/q ...")
             label = _unquote(tokens[1], lineno)
             values: dict[str, Fraction] = {}
             for tok in tokens[2:]:
-                if "=" not in tok:
+                pid, equals, num = tok.partition("=")
+                if not equals:
                     raise FormatError(lineno, f"expected pid=p/q, got {tok}")
-                pid, num = tok.split("=", 1)
                 if pid in values:
                     raise FormatError(lineno, f"payoff {label!r} names player {pid} twice")
                 values[pid] = _parse_fraction(num, lineno)
             payoff_lines.append((lineno, label, values))
+        elif kind == "player":
+            if len(tokens) != 4 or tokens[2] != "actions":
+                raise FormatError(lineno, "expected: player <id> actions a,b,...")
+            pid = _name("player id", tokens[1], _ID_SYNTAX, lineno)
+            if pid in actions:
+                raise FormatError(lineno, f"player {pid} declared twice")
+            players.append(pid)
+            actions[pid] = frozenset(_actions(tokens[3], ",", lineno))
         else:
             raise FormatError(lineno, f"unknown directive {kind!r}")
     if not header_seen:
@@ -180,16 +206,14 @@ def parse(text: str):
         histories[""] = ROOT
         while stack:
             h, label = stack.pop()
-            spec = nodes.get(label)
-            if spec is None:
+            node = nodes.get(label)
+            if node is None:
                 continue
             used_nodes.add(label)
-            pools = [[(pid, a) for a in acts] for pid, acts in spec[1]]
-            for combo in itertools.product(*pools):
-                profile = tuple(sorted(combo))
-                part = profile_label(profile)
-                child = h.extend(profile)
-                child_label = f"{label}/{part}" if label else part
+            prefix = label + "/" if label else ""
+            for profile in node[2]:
+                child = History(h.moves + (profile,))
+                child_label = prefix + profile_label(profile)
                 histories[child_label] = child
                 stack.append((child, child_label))
     unreachable = sorted(set(nodes) - used_nodes)
@@ -197,7 +221,7 @@ def parse(text: str):
         lineno = nodes[unreachable[0]][0]
         raise FormatError(lineno, f"node {unreachable[0]!r} is not reachable from the root")
 
-    declared: dict[str, list[InfoSet]] = {p: [] for p in players}
+    partitions: dict[str, list[InfoSet]] = {p: [] for p in players}
     declared_members: dict[str, set[History]] = {p: set() for p in players}
     for lineno, pid, labels in infoset_lines:
         if pid not in actions:
@@ -209,21 +233,17 @@ def parse(text: str):
             members.append(histories[lbl])
         if not members:
             raise FormatError(lineno, "empty infoset")
-        declared[pid].append(InfoSet(pid, tuple(members)))
+        partitions[pid].append(InfoSet(pid, tuple(members)))
         declared_members[pid].update(members)
 
     # A node line names the players active at its history; each such
     # history no infoset line covers gets a singleton set.
-    partitions = {p: list(declared[p]) for p in players}
-    for label, (_, entries) in nodes.items():
+    for label, (_, pids, _) in nodes.items():
         h = histories[label]
-        for pid in {pid for pid, _ in entries}:
+        for pid in pids:
             if pid in partitions and h not in declared_members[pid]:
                 partitions[pid].append(InfoSet(pid, (h,)))
-    structure = Structure(
-        players, {p: frozenset(a) for p, a in actions.items()},
-        histories.values(), {p: tuple(v) for p, v in partitions.items()},
-    )
+    structure = Structure(players, actions, histories.values(), partitions)
 
     if not payoff_lines:
         return structure
@@ -232,6 +252,8 @@ def parse(text: str):
     for lineno, label, values in payoff_lines:
         if label not in histories:
             raise FormatError(lineno, f"unknown terminal {label!r}")
+        if label in nodes:
+            raise FormatError(lineno, f"payoff for non-terminal {label!r}")
         z = histories[label]
         if z in paid:
             raise FormatError(lineno, f"payoff for {label!r} given twice")

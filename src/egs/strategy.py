@@ -8,12 +8,15 @@ Sets and choices go in block order, the sort key each information set
 keeps; a set's own predecessor is found scanning back from its first member.
 
 Each structure keeps one plan space, a cached property of the structure
-like its order index: every player's plans under integer indices, and per
-history the bitsets of plans consistent with reaching it, from one root
-walk.  The plan space's own derived facts, the outcome of every profile
-and the index of every plan, are cached properties of it in turn.  Reduced
-normal forms, the equivalence route and games read it; `play` remains the
-reference for what a single profile reaches.
+like its order index: every player's plans under integer indices, held as
+their choice tuples from the enumeration `plans` shares, and per history
+the bitsets of plans consistent with reaching it, from one root walk.  The
+plan space's own derived facts, the `Plan` objects (`plan_lists`, built on
+first read), the outcome of every profile and the index of every plan, are
+cached properties of it in turn.  Reduced normal forms, the equivalence
+route and games read it; the rnf route reads only plan counts, bitsets
+and the incidence, so it builds no `Plan`.  `play` remains the reference
+for what a single profile reaches.
 
 Plans are counted without enumerating them (`plan_counts`, a cached fact of
 the structure): one reverse pass over each player's own-predecessor
@@ -141,11 +144,9 @@ def plan_counts(structure: Structure) -> tuple[int, ...]:
     return structure._plan_counts
 
 
-def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
-    """Enumerate the player's plans of action, lexicographically by
-    information set and then action."""
-    if player not in structure.players:
-        raise EgsError(f"unknown player {player}")
+def _plan_choices(structure: Structure, player: str) -> tuple[tuple[tuple[InfoSet, str], ...], ...]:
+    """The choices of each of the player's plans, in `plans` order: the one
+    enumeration behind `plans` and the plan space."""
     # The partition is in block order, and so is every list of the forest.
     minimal, successors = _own_forest(structure, player)
 
@@ -157,16 +158,24 @@ def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
     while stack:
         frontier, choices = stack.pop()
         if not frontier:
-            out.append(Plan(player, choices))
+            out.append(choices)
             continue
         head, rest = frontier[0], frontier[1:]
         for action in reversed(structure.feasible_at(head)):
-            grown = tuple(sorted(
-                rest + tuple(successors.get((head, action), ())),
-                key=lambda s: s._members_key,
-            ))
+            grown = rest  # in key order already
+            after = successors.get((head, action))
+            if after:
+                grown = tuple(sorted(rest + tuple(after), key=lambda s: s._members_key))
             stack.append((grown, choices + ((head, action),)))
     return tuple(out)
+
+
+def plans(structure: Structure, player: str) -> tuple[Plan, ...]:
+    """Enumerate the player's plans of action, lexicographically by
+    information set and then action."""
+    if player not in structure.players:
+        raise EgsError(f"unknown player {player}")
+    return tuple(Plan(player, choices) for choices in _plan_choices(structure, player))
 
 
 def play(structure: Structure, profile: dict[str, Plan]) -> History:
@@ -205,17 +214,18 @@ class PlanSpace:
     """Each player's plans under integer indices, and which of them are
     consistent with reaching each history.
 
-    `plan_lists[i]` holds player i's plans in `plans` order, so a plan's
-    index is its position there, and a profile is a tuple of indices whose
-    position in `itertools.product` order is its dot product with
-    `strides`.  `reach[h][i]` is the bitset Cᵢ(h) of player i's plans that
-    make i's choices along h.  Play is deterministic and each step applies
-    every active player's own choice, so the profiles reaching h are
-    exactly the product Πᵢ Cᵢ(h).  One walk from the root fills `reach`:
-    it carries the bitsets and, at each move, keeps only the plans choosing
-    the action taken at the player's information set there.  It descends
-    only where every player keeps a plan, so a history no profile reaches
-    has no entry.
+    `choices[i]` holds the choices of player i's plans in `plans` order, so
+    a plan's index is its position there, and a profile is a tuple of
+    indices whose position in `itertools.product` order is its dot product
+    with `strides`.  The `Plan`s themselves, `plan_lists`, are built on
+    first read: sizes, bitsets and the incidence need none.  `reach[h][i]`
+    is the bitset Cᵢ(h) of player i's plans that make i's choices along h.
+    Play is deterministic and each step applies every active player's own
+    choice, so the profiles reaching h are exactly the product Πᵢ Cᵢ(h).
+    One walk from the root fills `reach`: it carries the bitsets and, at
+    each move, keeps only the plans choosing the action taken at the
+    player's information set there.  It descends only where every player
+    keeps a plan, so a history no profile reaches has no entry.
 
     Preimages of distinct terminals are disjoint, so every profile reaches
     a terminal exactly when Σ_z Πᵢ |Cᵢ(z)| = Πᵢ |plansᵢ|; otherwise
@@ -225,15 +235,15 @@ class PlanSpace:
     def __init__(self, structure: Structure):
         _require_root_and_movers(structure)
         self.players = tuple(structure.players)
-        self.plan_lists = tuple(plans(structure, p) for p in self.players)
-        sizes = [len(pl) for pl in self.plan_lists]
+        self.choices = tuple(_plan_choices(structure, p) for p in self.players)
+        sizes = self.shape()
         self.strides = tuple(prod(sizes[i + 1:]) for i in range(len(sizes)))
         self.profile_count = prod(sizes)
         choosing: dict[tuple[InfoSet, str], int] = {}
-        for plan_list in self.plan_lists:
-            for k, plan in enumerate(plan_list):
-                for s, a in plan.choices:
-                    choosing[(s, a)] = choosing.get((s, a), 0) | 1 << k
+        for plan_choices in self.choices:
+            for k, choices in enumerate(plan_choices):
+                for choice in choices:
+                    choosing[choice] = choosing.get(choice, 0) | 1 << k
         seat = {p: i for i, p in enumerate(self.players)}
         reach: dict[History, tuple[int, ...]] = {}
         stack = [(structure.root, tuple((1 << n) - 1 for n in sizes))]
@@ -257,6 +267,17 @@ class PlanSpace:
         self.terminals = structure.terminals  # in history order
         if sum(self.multiplicities()) != self.profile_count:
             raise PlanError("some plan profile reaches no terminal")
+
+    def shape(self) -> tuple[int, ...]:
+        return tuple(map(len, self.choices))
+
+    @cached_property
+    def plan_lists(self) -> tuple[tuple[Plan, ...], ...]:
+        """Each player's plans, in `plans` order."""
+        return tuple(
+            tuple(Plan(p, choices) for choices in plan_choices)
+            for p, plan_choices in zip(self.players, self.choices)
+        )
 
     @cached_property
     def outcomes(self) -> list[int]:
@@ -330,7 +351,7 @@ def reduced_normal_form(structure: Structure) -> ReducedNormalForm:
     """rn_Z(G): the terminal reached by every plan profile, read from the
     plan space rather than played out profile by profile."""
     space = plan_space(structure)
-    combos = itertools.product(*(range(len(pl)) for pl in space.plan_lists))
+    combos = itertools.product(*map(range, space.shape()))
     return ReducedNormalForm(
         space.players, space.plan_lists, space.terminals,
         tuple(zip(combos, space.outcomes)),
@@ -353,10 +374,10 @@ def _plan_vertices(form, by_name: bool, colours: list, adj: list):
     colours += [("player", p if by_name else None) for p in form.players]
     adj += [[] for _ in form.players]
     ends = []
-    for i, plan_list in enumerate(form.plan_lists):
-        ends.append(list(range(len(adj), len(adj) + len(plan_list))))
-        colours += [("plan",)] * len(plan_list)
-        adj += [[base + i] for _ in plan_list]
+    for i, size in enumerate(form.shape()):
+        ends.append(list(range(len(adj), len(adj) + size)))
+        colours += [("plan",)] * size
+        adj += [[base + i] for _ in range(size)]
         adj[base + i] += ends[i]
     ends.append(list(range(len(adj), len(adj) + len(form.terminals))))
     colours += [("terminal",)] * len(form.terminals)
@@ -378,12 +399,12 @@ def _cell_edges(rnf: ReducedNormalForm, ends, colours: list, adj: list) -> None:
 
 
 def _plan_isomorphism(f1, f2, allow_player_permutation: bool, multiplicities, edges):
-    """The engine's answer for two forms with players, plan_lists and
-    terminals whose counted invariants agree (`_counted_difference`): the
-    sorted outcome multiplicities must agree, and `edges` joins each form's
-    plans and terminals.  Returns the certificate, which indexes plans and
-    terminals by list position, and None; or None and the first check that
-    failed."""
+    """The engine's answer for two forms with players, plan counts (`shape`)
+    and terminals whose counted invariants agree (`_counted_difference`):
+    the sorted outcome multiplicities must agree, and `edges` joins each
+    form's plans and terminals.  Returns the certificate, which indexes
+    plans and terminals by list position, and None; or None and the first
+    check that failed."""
     if sorted(multiplicities(f1)) != sorted(multiplicities(f2)):
         return None, "outcome multiplicities differ"
     colours: list = []
@@ -496,7 +517,7 @@ def behaviorally_equivalent(
 
     if route == "rnf":
         s1, s2 = plan_space(g1), plan_space(g2)
-        sides = [(len(s.terminals), s.players, [len(pl) for pl in s.plan_lists]) for s in (s1, s2)]
+        sides = [(len(s.terminals), s.players, s.shape()) for s in (s1, s2)]
         why = _counted_difference(*sides, allow_player_permutation)
         iso = None
         if why is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,8 +39,18 @@ from egs import (
     relation,
     sim_classes,
 )
-from egs.core import history_key, strictly_precedes
-from egs.dominance import MonotonicityReport, MonotonicityViolation
+from egs.core import history_key, profile_label, strictly_precedes
+from egs.fileformat import (
+    _ACTION_SYNTAX,
+    _ID_SYNTAX,
+    _TOKEN,
+    FormatError,
+    _name,
+    _once,
+    _parse_fraction,
+    _unquote,
+)
+from egs.dominance import Game, MonotonicityReport, MonotonicityViolation
 from egs.lp import LpError
 
 
@@ -1012,6 +1023,164 @@ def strip_comment_reference(line):
             break
         out.append(ch)
     return "".join(out)
+
+
+def parse_reference(text):
+    """`parse` as it read each line before the one-pass reading: every line's
+    comment stripped by the character loop, every name checked and every
+    repeat searched for one by one, each child's profile sorted, infoset
+    labels found by an uncompiled scan.  It refuses, as `parse` does, stray
+    text between an infoset line's quoted histories and a payoff line for a
+    history with a node line."""
+    players: list[str] = []
+    actions: dict[str, set[str]] = {}
+    nodes: dict[str, tuple[int, list[tuple[str, list[str]]]]] = {}
+    infoset_lines: list[tuple[int, str, list[str]]] = []
+    payoff_lines: list[tuple[int, str, dict[str, Fraction]]] = []
+    header_seen = False
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = strip_comment_reference(raw).strip()
+        if not line:
+            continue
+        tokens = _TOKEN.findall(line)
+        if not header_seen:
+            if tokens[:2] != ["egs", "1"]:
+                raise FormatError(lineno, "expected header 'egs 1'")
+            header_seen = True
+            continue
+        kind = tokens[0]
+        if kind == "player":
+            if len(tokens) != 4 or tokens[2] != "actions":
+                raise FormatError(lineno, "expected: player <id> actions a,b,...")
+            pid = _name("player id", tokens[1], _ID_SYNTAX, lineno)
+            if pid in actions:
+                raise FormatError(lineno, f"player {pid} declared twice")
+            players.append(pid)
+            actions[pid] = set(_once([
+                _name("action", a, _ACTION_SYNTAX, lineno) for a in tokens[3].split(",")
+            ], "action", lineno))
+        elif kind == "node":
+            if len(tokens) < 3:
+                raise FormatError(lineno, "expected: node \"<history>\" pid:a|b ...")
+            label = _unquote(tokens[1], lineno)
+            specs = []
+            for tok in tokens[2:]:
+                if ":" not in tok:
+                    raise FormatError(lineno, f"expected pid:a|b|..., got {tok}")
+                pid, acts = tok.split(":", 1)
+                if any(q == pid for q, _ in specs):
+                    raise FormatError(lineno, f"node {label!r} names player {pid} twice")
+                specs.append((pid, _once([
+                    _name("action", a, _ACTION_SYNTAX, lineno) for a in acts.split("|")
+                ], "action", lineno)))
+            if label in nodes:
+                raise FormatError(lineno, f"node {label!r} declared twice")
+            nodes[label] = (lineno, specs)
+        elif kind == "infoset":
+            if len(tokens) < 3:
+                raise FormatError(lineno, "expected: infoset <pid> {\"h\",...}")
+            body = line.split(None, 2)[2].strip()
+            if not (body.startswith("{") and body.endswith("}")):
+                raise FormatError(lineno, "infoset members must be {...}")
+            # the text between the quoted histories holds only commas and spaces
+            pieces = re.split(r'("(?:[^"\\]|\\.)*")', body[1:-1])
+            for between in pieces[::2]:
+                stray = re.search(r'[^\s,"]+|"', between)
+                if stray:
+                    raise FormatError(lineno, f"expected quoted histories, got {stray.group()!r}")
+            labels = _once([_unquote(t, lineno) for t in pieces[1::2]], "history", lineno)
+            infoset_lines.append((lineno, tokens[1], labels))
+        elif kind == "payoff":
+            if len(tokens) < 3:
+                raise FormatError(lineno, "expected: payoff \"<terminal>\" pid=p/q ...")
+            label = _unquote(tokens[1], lineno)
+            values: dict[str, Fraction] = {}
+            for tok in tokens[2:]:
+                if "=" not in tok:
+                    raise FormatError(lineno, f"expected pid=p/q, got {tok}")
+                pid, num = tok.split("=", 1)
+                if pid in values:
+                    raise FormatError(lineno, f"payoff {label!r} names player {pid} twice")
+                values[pid] = _parse_fraction(num, lineno)
+            payoff_lines.append((lineno, label, values))
+        else:
+            raise FormatError(lineno, f"unknown directive {kind!r}")
+    if not header_seen:
+        raise FormatError(1, "empty input; expected header 'egs 1'")
+
+    histories: dict[str, History] = {}
+    used_nodes: set[str] = set()
+    if "" in nodes:
+        # Each history carries its label down the walk: its parent's, a '/'
+        # and its last move's part, as `History.label` writes them.
+        stack = [(ROOT, "")]
+        histories[""] = ROOT
+        while stack:
+            h, label = stack.pop()
+            spec = nodes.get(label)
+            if spec is None:
+                continue
+            used_nodes.add(label)
+            pools = [[(pid, a) for a in acts] for pid, acts in spec[1]]
+            for combo in itertools.product(*pools):
+                profile = tuple(sorted(combo))
+                part = profile_label(profile)
+                child = h.extend(profile)
+                child_label = f"{label}/{part}" if label else part
+                histories[child_label] = child
+                stack.append((child, child_label))
+    unreachable = sorted(set(nodes) - used_nodes)
+    if unreachable:
+        lineno = nodes[unreachable[0]][0]
+        raise FormatError(lineno, f"node {unreachable[0]!r} is not reachable from the root")
+
+    declared: dict[str, list[InfoSet]] = {p: [] for p in players}
+    declared_members: dict[str, set[History]] = {p: set() for p in players}
+    for lineno, pid, labels in infoset_lines:
+        if pid not in actions:
+            raise FormatError(lineno, f"infoset for undeclared player {pid}")
+        members = []
+        for lbl in labels:
+            if lbl not in histories:
+                raise FormatError(lineno, f"unknown history {lbl!r} in infoset")
+            members.append(histories[lbl])
+        if not members:
+            raise FormatError(lineno, "empty infoset")
+        declared[pid].append(InfoSet(pid, tuple(members)))
+        declared_members[pid].update(members)
+
+    # A node line names the players active at its history; each such
+    # history no infoset line covers gets a singleton set.
+    partitions = {p: list(declared[p]) for p in players}
+    for label, (_, entries) in nodes.items():
+        h = histories[label]
+        for pid in {pid for pid, _ in entries}:
+            if pid in partitions and h not in declared_members[pid]:
+                partitions[pid].append(InfoSet(pid, (h,)))
+    structure = Structure(
+        players, {p: frozenset(a) for p, a in actions.items()},
+        histories.values(), {p: tuple(v) for p, v in partitions.items()},
+    )
+
+    if not payoff_lines:
+        return structure
+    payoffs: dict[str, dict[History, Fraction]] = {p: {} for p in players}
+    paid: set[History] = set()
+    for lineno, label, values in payoff_lines:
+        if label not in histories:
+            raise FormatError(lineno, f"unknown terminal {label!r}")
+        if label in nodes:
+            raise FormatError(lineno, f"payoff for non-terminal {label!r}")
+        z = histories[label]
+        if z in paid:
+            raise FormatError(lineno, f"payoff for {label!r} given twice")
+        paid.add(z)
+        for pid, v in values.items():
+            if pid not in actions:
+                raise FormatError(lineno, f"payoff for undeclared player {pid}")
+            payoffs[pid][z] = v
+    return Game(structure, payoffs)
 
 
 def recall_violations_reference(structure):

@@ -32,7 +32,7 @@ from egs import (
 
 from corpus import profile_count, seeded_structures
 from fixtures import g_chain, g_red1, game_nul, g_sim, path
-from oracles import strip_comment_reference
+from oracles import parse_reference, strip_comment_reference
 
 
 def test_round_trip_fixtures():
@@ -205,6 +205,33 @@ def test_parse_refuses_a_repeated_name(text, line, repeat):
     assert err.value.line == line and repeat in str(err.value)
 
 
+_TWO_SETS = (
+    'egs 1\nplayer 1 actions L,R\nplayer 2 actions a,b\n'
+    'node "" 1:L|R\nnode "L" 2:a|b\nnode "R" 2:a|b\n'
+)
+
+
+@pytest.mark.parametrize("members, stray", [
+    ('"" junk', "junk"),
+    ('"L" "R" x', "x"),
+    ('"L"x,"R"', "x"),
+    ('"L";"R"', ";"),
+    ('"L","R', '"'),
+    ('"L"} {"R"', "}"),
+])
+def test_parse_refuses_stray_text_between_infoset_members(members, stray):
+    # the text between the quoted histories was dropped, and validate said ok
+    with pytest.raises(FormatError) as err:
+        parse(_TWO_SETS + f"infoset 2 {{{members}}}\n")
+    assert err.value.line == 7 and f"got {stray!r}" in str(err.value)
+
+
+def test_parse_reads_only_commas_and_whitespace_between_infoset_members():
+    assert parse(_TWO_SETS + 'infoset 2 { "L" ,, "R" ,}\n') == parse(
+        _TWO_SETS + 'infoset 2 {"L","R"}\n'
+    )
+
+
 _ONE_MOVE = 'egs 1\nplayer 1 actions L,R\nnode "" 1:L|R\npayoff "R" 1=0/1\n'
 
 
@@ -213,6 +240,13 @@ def test_parse_refuses_a_second_payoff_line_for_a_terminal():
     with pytest.raises(FormatError) as err:
         parse(_ONE_MOVE + 'payoff "L" 1=1/1\npayoff "L" 1=5/1\n')
     assert err.value.line == 6 and "'L' given twice" in str(err.value)
+
+
+def test_parse_refuses_a_payoff_line_for_a_non_terminal():
+    # the game refused it with no line number: payoffs must cover the terminals
+    with pytest.raises(FormatError) as err:
+        parse('egs 1\nplayer 1 actions L,R\nnode "" 1:L|R\npayoff "" 1=1\n')
+    assert err.value.line == 4 and "non-terminal ''" in str(err.value)
 
 
 def test_parse_refuses_a_payoff_line_naming_a_player_twice():
@@ -308,6 +342,64 @@ def test_strip_comment_matches_the_character_loop(line):
     from egs.fileformat import _strip_comment
 
     assert _strip_comment(line) == strip_comment_reference(line)
+
+
+def _parsed(read, text):
+    """What a parse of the text gives: the value, or the error's type,
+    message and line."""
+    try:
+        value = read(text)
+    except EgsError as err:
+        return type(err), str(err), getattr(err, "line", None)
+    if isinstance(value, Game):
+        return Game, value.structure, value.payoffs
+    return Structure, value
+
+
+# Stray text put at some place in a line: into a label, a spec, a name or
+# between an infoset line's members
+_STRAY = (" ", "x", " junk", "|", ",", ":", "=", "/", "(", '"', '\\"', "{", "}", "1:z", "a\\")
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A serialized corpus structure or game, with up to three lines
+    dropped, repeated, given a '#' comment, an escaped quote in a label,
+    stray text, or their node specs in reverse player order."""
+    g = draw(seeded_structures())
+    if draw(st.booleans()) and profile_count(g) <= 2000:
+        g = Game(g, random_payoffs(g, random.Random(draw(st.integers(0, 2**32)))))
+    lines = serialize(g).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("drop", "repeat", "comment", "quote", "stray", "reverse")))
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        at = draw(st.integers(0, len(line)))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, line)
+        elif kind == "comment":
+            lines[i] = line[:at] + draw(st.sampled_from(("#", " # note", '#"', "#x"))) + line[at:]
+        elif kind == "quote":
+            quotes = [k for k, ch in enumerate(line) if ch == '"']
+            if quotes:
+                k = draw(st.sampled_from(quotes)) + 1
+                lines[i] = line[:k] + '\\"' + line[k:]
+        elif kind == "stray":
+            lines[i] = line[:at] + draw(st.sampled_from(_STRAY)) + line[at:]
+        elif line.startswith("node "):
+            head, _, specs = line.rpartition('" ')
+            lines[i] = head + '" ' + " ".join(reversed(specs.split()))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_texts())
+def test_parse_agrees_with_the_line_by_line_reference(text):
+    assert _parsed(parse, text) == _parsed(parse_reference, text)
 
 
 def test_gen_deterministic():

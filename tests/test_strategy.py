@@ -31,7 +31,7 @@ from egs import (
     reduced_normal_form,
     rnf_isomorphic,
 )
-from egs.strategy import own_predecessor, plan_counts
+from egs.strategy import own_predecessor, plan_counts, plan_space
 
 from corpus import (
     profile_count,
@@ -40,6 +40,7 @@ from corpus import (
     seeded_structures,
     shuffled_rnf,
     uo_corpus,
+    vnm_corpus,
 )
 import fixtures
 from fixtures import (
@@ -173,6 +174,37 @@ def test_plans_match_brute_force_on_fixtures_and_corpus():
 def test_plans_match_the_recursive_reference(structure):
     for p in structure.players:
         assert plans(structure, p) == plans_reference(structure, p)
+
+
+def test_plan_spaces_list_the_plans_plans_enumerates():
+    for structure in uo_corpus(40, seed=31) + vnm_corpus(20):
+        space = plan_space(structure)
+        want = tuple(plans(structure, p) for p in structure.players)
+        assert space.plan_lists == want
+        assert space.indices == tuple({plan: k for k, plan in enumerate(pl)} for pl in want)
+
+
+def _fresh(structure):
+    """The structure rebuilt, holding no plan space yet."""
+    return egs.Structure(
+        structure.players, structure.actions, structure.histories, structure.partitions
+    )
+
+
+def test_the_rnf_route_builds_no_plan(monkeypatch):
+    # sizes, the choosing bitsets and the incidence decide the verdict
+    rng = random.Random(808)
+    corpus = uo_corpus(40, seed=31)
+    pairs = [(_fresh(g), random_chain(g, rng)) for g in corpus]
+    pairs += [(_fresh(g), _fresh(h)) for g, h in zip(corpus, corpus[1:])]
+
+    def refuse(self):
+        raise AssertionError("the rnf route built a Plan")
+
+    monkeypatch.setattr(egs.Plan, "__post_init__", refuse)
+    verdicts = [behaviorally_equivalent(g, h, route="rnf")[0] for g, h in pairs]
+    monkeypatch.undo()
+    assert verdicts[:40] == [True] * 40 and not all(verdicts[40:])
 
 
 def _assert_own_predecessor_matches(structure):
