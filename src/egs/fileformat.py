@@ -95,10 +95,15 @@ def _actions(run: str, sep: str, lineno: int) -> list[str]:
     return _once(names, "action", lineno)
 
 
+def _unescape(text: str) -> str:
+    """A history label from its text inside the quotes."""
+    return text.replace('\\"', '"')
+
+
 def _unquote(token: str, lineno: int) -> str:
     if len(token) < 2 or token[0] != '"' or token[-1] != '"':
         raise FormatError(lineno, f"expected a quoted history, got {token}")
-    return token[1:-1].replace('\\"', '"')
+    return _unescape(token[1:-1])
 
 
 # 'p/q' or 'p' in ASCII digits; q must be positive
@@ -152,13 +157,9 @@ def parse(text: str):
                 pools.append([(pid, a) for a in _actions(acts, "|", lineno)])
             if label in nodes:
                 raise FormatError(lineno, f"node {label!r} declared twice")
-            # A child's profile takes one entry from each pool, sorted by
-            # player: when the line lists its players in order, as
-            # serialize writes them, every combination already is.
-            profiles = list(itertools.product(*pools))
-            if pids != sorted(pids):
-                profiles = [tuple(sorted(combo)) for combo in profiles]
-            nodes[label] = (lineno, pids, profiles)
+            # A child's profile takes one entry from each pool; with the
+            # pools sorted by player, so is every combination.
+            nodes[label] = (lineno, pids, list(itertools.product(*sorted(pools))))
         elif kind == "infoset":
             if len(tokens) < 3:
                 raise FormatError(lineno, "expected: infoset <pid> {\"h\",...}")
@@ -169,7 +170,7 @@ def parse(text: str):
             for quoted, stray in _MEMBER.findall(body, 1, len(body) - 1):
                 if stray:
                     raise FormatError(lineno, f"expected quoted histories, got {stray!r}")
-                labels.append(quoted.replace('\\"', '"'))
+                labels.append(_unescape(quoted))
             infoset_lines.append((lineno, tokens[1], _once(labels, "history", lineno)))
         elif kind == "payoff":
             if len(tokens) < 3:

@@ -162,10 +162,10 @@ def _plan_choices(structure: Structure, player: str) -> tuple[tuple[tuple[InfoSe
             continue
         head, rest = frontier[0], frontier[1:]
         for action in reversed(structure.feasible_at(head)):
-            grown = rest  # in key order already
-            after = successors.get((head, action))
-            if after:
-                grown = tuple(sorted(rest + tuple(after), key=lambda s: s._members_key))
+            grown = tuple(sorted(
+                rest + tuple(successors.get((head, action), ())),
+                key=lambda s: s._members_key,
+            ))
             stack.append((grown, choices + ((head, action),)))
     return tuple(out)
 
