@@ -33,18 +33,22 @@ check, coalescing, the non-crossing test and IS discovery (which climbs
 from each member while the terminal sets stay inside the set's) test
 these bits instead of scanning pairs.
 
-Histories are interned: there is one object per move sequence, found in a
-process-wide table of weak references (which keeps no history alive), so
-equality and hashing are by identity and a dict or set lookup on a history
-never calls into Python.  A lookup that finds the live object takes no
-lock; the miss path creates under one, so threads sharing values never get
-two objects for one sequence.  Information sets hash once, at
-construction.
+Histories and information sets are interned: there is one object per
+value, found in a process-wide table of weak references (which keeps no
+object alive), so equality and hashing are by identity and a dict or set
+lookup on either never calls into Python.  A history is a node filed under
+its parent and its last move, so `extend` and `parent` take constant time
+and a lookup hashes an address and one profile, never the whole move
+sequence; `moves` is kept on the node for labels, keys and pickling.  An
+information set is filed under its owner and its member set.  A lookup
+that finds the live object takes no lock; a miss files under one, so
+threads sharing values never get two objects for one value.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
@@ -81,10 +85,12 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# The intern table: each move sequence to a weak reference to its one live
-# History.  A lookup that finds a live object takes no lock; a miss creates
-# under the lock, so two threads never make two objects for one sequence.
-# A freed history's callback removes its entry only if that entry is still
+# The intern table, shared by histories and information sets: a history is
+# filed under its parent and its last move, a set under its owner and its
+# members, each key to a weak reference to the one live object.  A lookup
+# that finds the live object takes no lock; a miss files its new object
+# under the lock, so two threads never make two objects for one value.  A
+# freed object's callback removes its entry only if that entry is still
 # dead (as `weakref.WeakValueDictionary` does), since a later miss may have
 # put a live object under the same key; it takes no lock, so a collection
 # that runs while the lock is held cannot deadlock.
@@ -93,8 +99,23 @@ _intern_lock = threading.Lock()
 
 
 def _forget(ref: _Ref, table=_interned, remove=_remove_dead_weakref) -> None:
-    # the defaults bind the table, so a history freed at exit still finds it
+    # the defaults bind the table, so an object freed at exit still finds it
     remove(table, ref.key)
+
+
+def _file(key: tuple, obj):
+    """File a new object under key, unless another thread filed a live one
+    since the caller's lookup; returns the one filed."""
+    ref = _Ref(obj, _forget)
+    ref.key = key
+    with _intern_lock:
+        found = _interned.setdefault(key, ref)
+        if found is not ref:
+            live = found()
+            if live is not None:
+                return live
+            _interned[key] = ref  # dead, its callback not yet run
+    return obj
 
 
 def make_profile(entries: dict[str, str]) -> Profile:
@@ -115,58 +136,57 @@ def profile_label(profile: Profile) -> str:
 class History:
     """A finite sequence of action profiles from the root.
 
-    Interned: `History(moves)` returns the one live object for its move
-    sequence, so two histories are equal exactly when they are the same
-    object, and equality and hashing are the identity's, computed in C."""
+    Interned: a history is a node holding its parent, its length and its
+    moves, and `extend` returns the one live node for its parent and last
+    move, so two histories are equal exactly when they are the same object,
+    and equality and hashing are the identity's, computed in C.
+    `History(moves)` extends the root move by move."""
 
-    __slots__ = ("moves", "__weakref__")
+    __slots__ = ("_parent", "length", "moves", "__weakref__")
     moves: tuple[Profile, ...]
 
     def __new__(cls, moves: tuple[Profile, ...] = ()):
-        ref = _interned.get(moves)
-        if ref is not None:
-            h = ref()
-            if h is not None:
-                return h
-        with _intern_lock:
-            h = object.__new__(cls)
-            object.__setattr__(h, "moves", moves)
-            ref = _Ref(h, _forget)
-            ref.key = moves
-            found = _interned.setdefault(moves, ref)
-            if found is not ref:
-                live = found()
-                if live is not None:
-                    return live  # another thread interned it since the read
-                _interned[moves] = ref  # dead, its callback not yet run
-            return h
+        h = ROOT
+        for profile in moves:
+            h = h.extend(profile)
+        return h
 
     def __reduce__(self):
         # rebuilt through the constructor, so unpickling finds the live object
         return History, (self.moves,)
 
-    @property
-    def length(self) -> int:
-        return len(self.moves)
-
     def prefix(self, n: int) -> "History":
-        return History(self.moves[:n])
+        """The history of `moves[:n]`, climbing the parents."""
+        h = self
+        for _ in range(self.length - len(range(self.length)[:n])):
+            h = h._parent
+        return h
 
     @property
     def parent(self) -> "History":
-        if not self.moves:
+        if self._parent is None:
             raise EgsError("the root history has no predecessor")
-        return History(self.moves[:-1])
+        return self._parent
 
     def extend(self, profile: Profile) -> "History":
-        return History(self.moves + (profile,))
+        key = (self, profile)
+        ref = _interned.get(key)
+        if ref is not None:
+            h = ref()
+            if h is not None:
+                return h
+        h = object.__new__(History)
+        object.__setattr__(h, "_parent", self)
+        object.__setattr__(h, "length", self.length + 1)
+        object.__setattr__(h, "moves", self.moves + (profile,))
+        return _file(key, h)
 
     def move_at(self, index: int) -> Profile:
         return self.moves[index]
 
     def is_prefix_of(self, other: "History") -> bool:
-        n = len(self.moves)
-        return n <= len(other.moves) and other.moves[:n] == self.moves
+        n = self.length
+        return n <= other.length and other.moves[:n] == self.moves
 
     def label(self) -> str:
         """Canonical display form: each profile's `profile_label`, joined
@@ -177,7 +197,10 @@ class History:
         return f"History({self.label()!r})"
 
 
-ROOT = History()
+ROOT = object.__new__(History)
+object.__setattr__(ROOT, "_parent", None)
+object.__setattr__(ROOT, "length", 0)
+object.__setattr__(ROOT, "moves", ())
 
 
 def is_prefix(x: History, y: History) -> bool:
@@ -189,33 +212,37 @@ def strictly_precedes(x: History, y: History) -> bool:
     return x.length < y.length and x.is_prefix_of(y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class InfoSet:
     """An information set: the owning player plus a block of her histories.
 
-    Two information sets with equal member sets but different owners are
-    distinct values, which the identity of this type preserves.
+    Interned like a history, under the owner and the members as a set, so
+    two information sets are equal exactly when they are the same object;
+    equal member sets under different owners are distinct values.
     """
 
+    __slots__ = ("owner", "members", "member_set", "_members_key", "__weakref__")
     owner: str
     members: tuple[History, ...]
 
-    def __post_init__(self):
-        member_set = frozenset(self.members)
-        ordered = tuple(sorted(member_set, key=lambda h: h.moves))
-        object.__setattr__(self, "members", ordered)
-        if not ordered:
+    def __new__(cls, owner: str, members):
+        member_set = frozenset(members)
+        key = (owner, member_set)
+        ref = _interned.get(key)
+        if ref is not None:
+            s = ref()
+            if s is not None:
+                return s
+        if not member_set:
             raise EgsError("an information set needs at least one member")
-        object.__setattr__(self, "_hash", hash((self.owner, ordered)))
-        # The order of blocks in a partition and the members as a set, kept
-        # like the hash: set later, an attribute no longer fits the keys the
-        # class's many instances share, and on CPython 3.11 and 3.12 the
-        # instance then reads its fields from a dict of its own, more slowly.
-        object.__setattr__(self, "_members_key", tuple(h.moves for h in ordered))
-        object.__setattr__(self, "member_set", member_set)
-
-    def __hash__(self) -> int:
-        return self._hash
+        s = object.__new__(cls)
+        ordered = tuple(sorted(member_set, key=history_key))
+        object.__setattr__(s, "owner", owner)
+        object.__setattr__(s, "members", ordered)
+        # the members as a set, and the order of blocks in a partition
+        object.__setattr__(s, "member_set", member_set)
+        object.__setattr__(s, "_members_key", tuple(h.moves for h in ordered))
+        return _file(key, s)
 
     def __reduce__(self):
         return InfoSet, (self.owner, self.members)
@@ -243,8 +270,8 @@ class RelationSet:
         return self.before or self.simultaneous
 
 
-def history_key(h: History):
-    return h.moves
+# a history's sort key, its moves: lexicographic, a prefix first
+history_key = operator.attrgetter("moves")
 
 
 def bit_indices(bits: int) -> list[int]:
@@ -293,7 +320,9 @@ class Structure:
         if _edit is None or not self._build_indices(histories, *_edit):
             self._build_indices(histories)
 
-    def _build_indices(self, histories: frozenset, pred=None, region=None, forward=None) -> bool:
+    def _build_indices(
+        self, histories: frozenset, pred=None, region=None, forward=None, dropped=(), added=()
+    ) -> bool:
         """Index the histories and information sets: history order, child
         lists, active players, feasible actions, Z(h) masks and the set of
         each (player, member).
@@ -301,9 +330,10 @@ class Structure:
         With no predecessor every history and set is new, and a terminal's
         bit is its position in `terminals`.  An edit (`_lift` passes its
         predecessor; the region, which maps each rewritten history, whole
-        subtrees, to the kept top above it; and forward) keeps every entry
-        outside the region and indexes only the region's images and the
-        tops, each image terminal taking the bit of the terminal it replaces.
+        subtrees, to the kept top above it; forward; and the (player, block)
+        pairs it drops and adds) keeps every entry outside the region and
+        indexes only the region's images, the tops and the added blocks,
+        each image terminal taking the bit of the terminal it replaces.
         It returns False, and the caller builds afresh, where it could not
         give what a fresh build gives: an image equal to a kept history, an
         image whose parent is neither an image nor a top, a terminal without
@@ -342,25 +372,19 @@ class Structure:
                     return False
                 bit_of[img[0]] = mask
                 bits[mask.bit_length() - 1] = img[0]
-            # the blocks the lift kept are the same objects; the rest are new
-            index, blocks = dict(pred._infoset_index), []
-            gone = {(p, id(s)): s for p, bs in pred.partitions.items() for s in bs}
-            for p, bs in self.partitions.items():
-                for s in bs:
-                    if gone.pop((p, id(s)), None) is None:
-                        blocks.append((p, s))
-            for (p, _), s in gone.items():
+            index, blocks = dict(pred._infoset_index), added
+            for p, s in dropped:
                 for m in s.members:
                     del index[(p, m)]
-        # Child lists of the new histories and the tops, found by moves.
+        # Child lists of the new histories and the tops, found by parent.
         kids = [[] for _ in new]
-        by_moves = dict(zip([h.moves for h in new], kids))
+        by_parent = dict(zip(new, kids))
         for t in tops:
-            by_moves[t.moves] = [c for c in children[t] if c not in region]
+            by_parent[t] = [c for c in children[t] if c not in region]
         regular = True
         for h in new:
-            if h.moves:
-                siblings = by_moves.get(h.moves[:-1])
+            if h.length:
+                siblings = by_parent.get(h._parent)
                 if siblings is not None:
                     siblings.append(h)
                 elif pred is None:
@@ -368,7 +392,7 @@ class Structure:
                 else:
                     return False
         changed = list(zip(new, map(tuple, kids)))  # appended in order: sorted
-        changed.extend((t, tuple(sorted(by_moves[t.moves], key=history_key))) for t in tops)
+        changed.extend((t, tuple(sorted(by_parent[t], key=history_key))) for t in tops)
         # Active players at h: every player in a child's last move, with the
         # actions taken there.  The validator checks that all children agree.
         for h, c in changed:
@@ -390,17 +414,10 @@ class Structure:
             if len(new_terminals) != len(bit_of) or not bit_of.keys() >= set(new_terminals):
                 return False
             z.update(bit_of)
-            # the child lists are sorted, so the preorder is the history order
-            order, terminals, nonterminals, stack = [], [], [], [ROOT]
-            while stack:
-                h = stack.pop()
-                order.append(h)
-                c = children[h]
-                if c:
-                    nonterminals.append(h)
-                    stack.extend(reversed(c))
-                else:
-                    terminals.append(h)
+            # the kept histories and the images, each in history order, merged
+            order = sorted([h for h in pred.histories if h not in region] + new, key=history_key)
+            terminals = [h for h in order if not children[h]]
+            nonterminals = [h for h in order if children[h]]
             for h, c in reversed(changed[:len(new)]):
                 if c:
                     z[h] = sum(z[k] for k in c)
@@ -551,12 +568,13 @@ class Structure:
                 seen = before[h] | at.get(h, 0)
                 for c in self._children[h]:
                     before[c] = seen
-        # Histories and members the walk cannot reach (a malformed tree) are
-        # read prefix by prefix, so the index answers for every partition.
+        # Histories and members the walk cannot reach (a malformed tree)
+        # climb their parents, so the index answers for every partition.
         for h in self._hist_set.union(at).difference(before):
-            seen = 0
-            for n in range(h.length):
-                seen |= at.get(h.prefix(n), 0)
+            seen, g = 0, h._parent
+            while g is not None:
+                seen |= at.get(g, 0)
+                g = g._parent
             before[h] = seen
         earlier = {}
         for s in self.info_sets:

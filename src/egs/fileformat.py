@@ -213,7 +213,7 @@ def parse(text: str):
             used_nodes.add(label)
             prefix = label + "/" if label else ""
             for profile in node[2]:
-                child = History(h.moves + (profile,))
+                child = h.extend(profile)
                 child_label = prefix + profile_label(profile)
                 histories[child_label] = child
                 stack.append((child, child_label))

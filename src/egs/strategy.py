@@ -90,14 +90,14 @@ class Plan:
 def own_predecessor(structure: Structure, s: InfoSet) -> tuple[InfoSet, str] | None:
     """The unique immediate own predecessor of s and the action leading to
     s, or None when s is minimal.  Well-defined under perfect recall.  The
-    scan runs back from the first member, building one prefix per own move."""
+    scan climbs from the first member toward the root."""
     h = s.members[0]
     if not structure.has_history(h):
         raise EgsError(f"{h.label()!r} is not a history of this structure")
-    for n in range(h.length - 1, -1, -1):
-        action = dict(h.moves[n]).get(s.owner)
-        if action is not None and s.owner in structure.active(g := h.prefix(n)):
-            return structure.info_set_of(s.owner, g), action
+    while h.length:
+        action, h = dict(h.moves[-1]).get(s.owner), h.parent
+        if action is not None and s.owner in structure.active(h):
+            return structure.info_set_of(s.owner, h), action
     return None
 
 

@@ -254,23 +254,51 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
     """The one rewrite behind both operators.
 
     top sends each history of the affected region to the history the
-    mover's choice moves up to; below sends each history strictly past a
+    mover's choice moves up to, listing each after its parent (as
+    `_descendants` gives them); below sends each history strictly past a
     moving member to that member.  A region history up to a moving member,
     the member included, gets one replica per mover action; one past a
     member takes the action chosen there into the top's outgoing move, and
     the member's move loses the owner's component (vanishing when nobody
-    else acted).  Returns the new structure, forward and infoset_map.
-    mover_block lists the members, before the lift, of the mover's new
-    block; None drops the block and maps the mover onto the block of the
-    histories its members move up to.
+    else acted).  Each image is built one move past its parent's image.
+    Returns the new structure, forward and infoset_map.  mover_block lists
+    the members, before the lift, of the mover's new block; None drops the
+    block and maps the mover onto the block of the histories its members
+    move up to.
     """
     mover_actions = structure.feasible_at(mover)
     forward: dict[History, tuple[History, ...]] = {g: (g,) for g in structure.histories}
+    # each move out of a top with the owner's action set to each mover
+    # action: sorted, as the actions are, so forward lists replicas in order
+    replicas: dict[tuple, tuple] = {}
     for g, t in top.items():
-        first = dict(g.move_at(t.length))
-        m = below.get(g)
+        p, last, m = g._parent, g.moves[-1], below.get(g)
         if m is None:
-            # weakly between the top and the mover: one replica per action
+            if p is t:
+                if last not in replicas:
+                    replicas[last] = tuple(sorted(
+                        make_profile({**dict(last), owner: c}) for c in mover_actions
+                    ))
+                forward[g] = tuple(map(t.extend, replicas[last]))
+                continue
+            if top.get(p) is t and p not in below:
+                forward[g] = tuple(h.extend(last) for h in forward[p])
+                continue
+        elif top.get(p) is t:
+            if p is m and m not in below:
+                rest = dict(last)
+                taken = rest.pop(owner)
+                if taken in mover_actions:
+                    h = forward[m][mover_actions.index(taken)]
+                    forward[g] = (h.extend(make_profile(rest)) if rest else h,)
+                    continue
+            elif below.get(p) is m:
+                forward[g] = (forward[p][0].extend(last),)
+                continue
+        # regions of malformed structures (nested tops or movers, an action
+        # the mover does not offer): the image from its moves
+        first = dict(g.move_at(t.length))
+        if m is None:
             forward[g] = tuple(sorted(
                 (History(t.moves
                          + (make_profile({**first, owner: c}),)
@@ -289,21 +317,27 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
     new_histories = structure._hist_set.difference(top).union(
         *(forward[g] for g in top)
     )
+    # the blocks kept as they are, and the (player, block) pairs dropped and
+    # added, which the edit indexes instead of comparing the partitions
     infoset_map: dict[InfoSet, InfoSet] = {}
     partitions: dict[str, list[InfoSet]] = {p: [] for p in structure.players}
+    dropped = [(p, s) for p, bs in structure.partitions.items() if p not in partitions for s in bs]
+    added = []
     for p in structure.players:
         for block in structure.partitions.get(p, ()):
             members = block.members
-            if block == mover:
-                if mover_block is None:
-                    continue
-                members = mover_block
-            elif block.owner == p and top.keys().isdisjoint(members):
+            if block is not mover and block.owner == p and top.keys().isdisjoint(members):
                 partitions[p].append(block)
                 infoset_map[block] = block
                 continue
+            dropped.append((p, block))
+            if block is mover:
+                if mover_block is None:
+                    continue
+                members = mover_block
             new_block = InfoSet(p, tuple(h for m in members for h in forward[m]))
             partitions[p].append(new_block)
+            added.append((p, new_block))
             infoset_map[block] = new_block
     if mover_block is None:
         infoset_map[mover] = infoset_map[structure.info_set_of(owner, top[mover.members[0]])]
@@ -311,7 +345,7 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
     new_structure = Structure(
         structure.players, structure.actions, new_histories,
         {p: tuple(blocks) for p, blocks in partitions.items()},
-        _edit=(structure, top, forward),
+        _edit=(structure, top, forward, dropped, added),
     )
     return new_structure, forward, infoset_map
 
@@ -653,9 +687,9 @@ def shift_depth(structure: Structure, h: History, movers: frozenset[InfoSet]) ->
     information sets (each such move is absorbed upward by the composed
     transformation)."""
     count = 0
-    for n in range(h.length):
-        g = h.prefix(n)
-        sets = [structure.info_set_of(p, g) for p in structure.active(g)]
+    while h.length:
+        h = h.parent
+        sets = [structure.info_set_of(p, h) for p in structure.active(h)]
         if sets and all(s in movers for s in sets):
             count += 1
     return count

@@ -67,16 +67,15 @@ class Experience:
 
 def experience(structure: Structure, player: str, h: History) -> Experience:
     """Collect the own info sets the player crossed en route to h and the
-    actions she took there."""
+    actions she took there, climbing from h to the root."""
     if not structure.has_history(h):
         raise EgsError(f"{h.label()!r} is not a history of this structure")
     pairs = []
-    for n in range(h.length):
-        g = h.prefix(n)
-        move = dict(h.move_at(n))
-        if player in move and player in structure.active(g):
-            pairs.append((structure.info_set_of(player, g), move[player]))
-    return Experience(tuple(pairs))
+    while h.length:
+        move, h = dict(h.moves[-1]), h.parent
+        if player in move and player in structure.active(h):
+            pairs.append((structure.info_set_of(player, h), move[player]))
+    return Experience(tuple(reversed(pairs)))
 
 
 def _label(h: History) -> str:
@@ -100,8 +99,12 @@ def validate_structure(structure: Structure) -> ValidationReport:
             ))
             tree_ok = False
             break
+    # A history's earlier moves are its ancestors' last moves, so the first
+    # history with an empty profile has it last, or lacks its parent.
     for h in structure.histories:
-        if any(not p for p in h.moves):
+        if h.length and not all(
+            h.moves[-1:] if structure.has_history(h.parent) else h.moves
+        ):
             out.append(Violation("profile", f"{_label(h)} contains an empty profile"))
             tree_ok = False
             break

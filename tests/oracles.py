@@ -1222,6 +1222,18 @@ def own_disjoint_reference(structure):
     return tuple(out)
 
 
+def empty_profile_reference(structure):
+    """The empty-profile witness of `validate_structure`, every move of
+    every history read: the first history in order with an empty profile
+    anywhere, as a tuple of at most one violation."""
+    from egs.validate import Violation
+
+    for h in structure.histories:
+        if any(not p for p in h.moves):
+            return (Violation("profile", f"{h.label() or repr('')} contains an empty profile"),)
+    return ()
+
+
 def terminals_reference(structure):
     """Z(h) of every history, by recursion over the children, and Z(h_i a_i)
     of every feasible action at every set whose members are all histories,

@@ -145,28 +145,122 @@ def test_a_move_sequence_is_one_history_however_built(moves, other, structure):
     assert built is h.prefix(len(moves)) is h
     assert pickle.loads(pickle.dumps(h)) is h
     assert (History(other) is h) == (other == moves)
+    # the node's length, parent and prefixes against the tuple definitions
+    assert h.length == len(moves)
+    if moves:
+        assert h.parent is History(moves[:-1])
+    else:
+        with pytest.raises(EgsError):
+            h.parent
+    for n in range(-len(moves) - 2, len(moves) + 3):
+        assert h.prefix(n) is History(moves[:n])
+    g = History(other)
+    assert h.is_prefix_of(g) == (other[:len(moves)] == moves)
+    assert g.is_prefix_of(h) == (moves[:len(other)] == other)
     assert len({History(moves[:n]) for n in range(len(moves) + 1)}) == len(moves) + 1
     parsed = egs.parse(egs.serialize(structure))
     assert all(a is b for a, b in zip(parsed.histories, structure.histories, strict=True))
 
 
 def test_a_history_only_the_intern_table_holds_is_freed():
-    moves = (make_profile({"1": "held-by-nothing-else"}),)
-    h = History(moves)
+    # a history is filed under its parent and its last move
+    move = make_profile({"1": "held-by-nothing-else"})
+    key = (ROOT, move)
+    h = ROOT.extend(move)
+    assert egs.core._interned[key]() is h
     ref = weakref.ref(h)
     del h
     gc.collect()
     assert ref() is None
-    assert moves not in egs.core._interned
+    assert key not in egs.core._interned
     # a dead entry's callback may run after a new object took the key: it
     # must leave the live entry in place
-    held = {moves}
+    held = {move}
     stale = egs.core._Ref(held)
-    stale.key = moves
+    stale.key = key
     del held
-    h = History(moves)
+    h = ROOT.extend(move)
     egs.core._forget(stale)
-    assert History(moves) is h
+    assert egs.core._interned[key]() is h
+    assert ROOT.extend(move) is h
+
+
+def test_a_chain_only_its_last_history_holds_is_freed_whole():
+    # each history holds its parent, so freeing the last frees them all, a
+    # chain far deeper than the recursion limit included
+    before = len(egs.core._interned)
+    h = ROOT
+    for k in range(5 * sys.getrecursionlimit()):
+        h = h.extend(make_profile({"1": f"chain-{k % 3}"}))
+    assert len(egs.core._interned) == before + h.length
+    ref = weakref.ref(h.prefix(1))
+    del h
+    gc.collect()
+    assert ref() is None
+    assert len(egs.core._interned) == before
+
+
+_members = st.lists(_move_sequences.map(History), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_members, st.randoms(use_true_random=False), st.sampled_from("12"))
+def test_an_information_set_is_one_object_however_built(members, rnd, owner):
+    s = InfoSet(owner, tuple(members))
+    repeated = members + rnd.choices(members, k=3)
+    rnd.shuffle(repeated)
+    assert InfoSet(owner, repeated) is s
+    assert InfoSet(owner, iter(repeated)) is s
+    assert InfoSet(owner, frozenset(members)) is s
+    assert s.members == tuple(sorted(set(members), key=lambda h: h.moves))
+    assert s.member_set == frozenset(members)
+    other = InfoSet("2" if owner == "1" else "1", members)
+    assert other is not s and other != s
+    assert pickle.loads(pickle.dumps(s)) is s
+
+
+def test_an_information_set_only_the_intern_table_holds_is_freed():
+    h = ROOT.extend(make_profile({"1": "set-held-by-nothing-else"}))
+    key = ("1", frozenset({h}))
+    s = InfoSet("1", (h,))
+    assert egs.core._interned[key]() is s
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
+    assert key not in egs.core._interned
+
+
+def test_threads_building_one_information_set_get_one_object():
+    # each round's members are fresh histories, so its set is made, not found
+    rounds, workers = 40, 8
+    members = [
+        [ROOT.extend(make_profile({"1": f"set-{r}-{k}"})) for k in range(4)]
+        for r in range(rounds)
+    ]
+    barrier = threading.Barrier(workers, timeout=60)
+    results = [[] for _ in range(workers)]
+
+    def work(k):
+        rnd = random.Random(k)
+        for r in range(rounds):
+            order = rnd.sample(members[r], len(members[r]))
+            barrier.wait()
+            results[k].append(InfoSet("1", order))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r in range(rounds):
+        assert all(got[r] is results[0][r] for got in results)
 
 
 def test_threads_parsing_one_text_get_one_object_per_history():
@@ -237,7 +331,7 @@ def test_info_set_membership_by_value():
     assert g.info_sets is g.info_sets
     for s in g.info_sets:
         copy = InfoSet(s.owner, tuple(reversed(s.members)))
-        assert copy is not s and g.has_info_set(copy)
+        assert copy is s and g.has_info_set(copy)
         g.require_info_set(copy)
     h11, h12, h21, h22 = red1_infosets(g)
     # same members as a set of player 1, but owned by player 2

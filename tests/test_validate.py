@@ -2,11 +2,12 @@ import inspect
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egs import (
     EgsError,
+    History,
     InfoSet,
     ROOT,
     Structure,
@@ -34,7 +35,8 @@ from fixtures import (
     path,
     red1_infosets,
 )
-from oracles import own_disjoint_reference, recall_violations_reference
+from oracles import empty_profile_reference, own_disjoint_reference, recall_violations_reference
+from test_core import CANNOT_CARRY
 
 
 def test_experience_red1():
@@ -222,3 +224,45 @@ def test_own_disjointness_matches_the_pairwise_reference_on_shared_actions():
         multi += sum(", " in v.witness.rpartition("share actions")[2] for v in found)
     # the pools make many pairs share, some one action and some more
     assert shared > multi > 100
+
+
+@st.composite
+def _with_empty_profiles(draw):
+    """A seeded structure with a few histories given an empty profile at
+    some position, each with some of its prefixes, and a few histories
+    dropped: empty profiles under present and missing parents."""
+    g = draw(seeded_structures())
+    kept = set(g.histories)
+    for h in draw(st.lists(st.sampled_from(g.histories), max_size=3)):
+        k = draw(st.integers(0, h.length))
+        moves = h.moves[:k] + ((),) + h.moves[k:]
+        lengths = draw(st.sets(st.integers(0, len(moves)), min_size=1))
+        kept.update(History(moves[:n]) for n in lengths)
+    kept.difference_update(draw(st.lists(st.sampled_from(g.histories), max_size=2)))
+    return Structure(g.players, g.actions, kept, g.partitions)
+
+
+def _profile_violations(structure):
+    return tuple(v for v in validate_structure(structure).violations if v.axiom == "profile")
+
+
+# an empty profile whose history is present, under a parent that is not
+_EMPTY_UNDER_A_MISSING_PARENT = Structure(
+    ["1"], {"1": {"a", "b"}},
+    [ROOT, History(((("1", "a"),), (), (("1", "b"),)))],
+    {"1": []},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_with_empty_profiles())
+@example(_EMPTY_UNDER_A_MISSING_PARENT)
+def test_the_empty_profile_scan_matches_the_scan_of_every_move(structure):
+    # the witness reads last moves, climbing only where a parent is missing
+    assert _profile_violations(structure) == empty_profile_reference(structure)
+
+
+def test_the_empty_profile_scan_matches_the_scan_of_every_move_on_lifts_the_edit_refuses():
+    for _, g in CANNOT_CARRY.values():
+        assert _profile_violations(g) == empty_profile_reference(g)
+    assert empty_profile_reference(_EMPTY_UNDER_A_MISSING_PARENT)
