@@ -23,7 +23,8 @@ keeps every history, information set and index entry outside the
 rewritten subtrees, gives each terminal's image the terminal's bit, and
 indexes only the images and the histories just above them, so the
 terminal sets of kept histories and the action masks of untouched sets
-carry over unchanged.  The order-and-control index is derived lazily by
+carry over unchanged; a malformed predecessor it cannot carry is refused
+with an `EgsError`.  The order-and-control index is derived lazily by
 every structure: one walk from the root gives each history the bitset,
 over positions in `info_sets`, of the sets with a member strictly before
 it, and each set's earlier sets (those with a member strictly before one
@@ -291,7 +292,7 @@ class Structure:
     defensively, so malformed data can still be represented and then
     reported on by the validator rather than raising here.  `_edit` is
     private to `transform._lift`, which builds a successor by editing its
-    predecessor (see `_build_indices`).
+    predecessor, and refuses a malformed one (see `_build_indices`).
     """
 
     def __init__(
@@ -316,13 +317,11 @@ class Structure:
         self._info_set_set = frozenset(
             s for p, blocks in self.partitions.items() for s in blocks if s.owner == p
         )
-        histories = frozenset(histories)
-        if _edit is None or not self._build_indices(histories, *_edit):
-            self._build_indices(histories)
+        self._build_indices(frozenset(histories), *(_edit or ()))
 
     def _build_indices(
         self, histories: frozenset, pred=None, region=None, forward=None, dropped=(), added=()
-    ) -> bool:
+    ) -> None:
         """Index the histories and information sets: history order, child
         lists, active players, feasible actions, Z(h) masks and the set of
         each (player, member).
@@ -334,11 +333,12 @@ class Structure:
         pairs it drops and adds) keeps every entry outside the region and
         indexes only the region's images, the tops and the added blocks,
         each image terminal taking the bit of the terminal it replaces.
-        It returns False, and the caller builds afresh, where it could not
-        give what a fresh build gives: an image equal to a kept history, an
-        image whose parent is neither an image nor a top, a terminal without
-        one terminal image of its own, overlapping blocks, or a predecessor
-        that is not a tree.
+        It raises `EgsError` naming the condition where it could not give
+        what a fresh build gives: a predecessor that is not a tree, an image
+        equal to a kept history, a top in the region, an image without a
+        parent, terminals not one to one with the terminal images, or
+        overlapping blocks.  A fresh build refuses nothing, so the validator
+        can report on a malformed structure.
         """
         if pred is None:
             new, tops, region = sorted(histories, key=history_key), (), {}
@@ -347,12 +347,12 @@ class Structure:
         else:
             images = {h for g in region for h in forward[g]}
             tops = set(region.values())
-            if (
-                not pred._regular
-                or len(histories) != len(pred.histories) - len(region) + len(images)
-                or not region.keys().isdisjoint(tops)
-            ):
-                return False
+            if not pred._regular:
+                raise EgsError("the predecessor of the step is not a tree")
+            if len(histories) != len(pred.histories) - len(region) + len(images):
+                raise EgsError("an image of the step equals a kept history")
+            if not region.keys().isdisjoint(tops):
+                raise EgsError("a top of the step lies in its region")
             new = sorted(images, key=history_key)
             children, active, feasible = (
                 dict(pred._children), dict(pred._active), dict(pred._feasible)
@@ -369,7 +369,7 @@ class Structure:
                     continue
                 img = forward[g]
                 if len(img) != 1 or img[0] in bit_of:
-                    return False
+                    raise EgsError(f"the terminal {g.label()!r} has no image of its own")
                 bit_of[img[0]] = mask
                 bits[mask.bit_length() - 1] = img[0]
             index, blocks = dict(pred._infoset_index), added
@@ -390,7 +390,7 @@ class Structure:
                 elif pred is None:
                     regular = False
                 else:
-                    return False
+                    raise EgsError(f"the image {h.label()!r} has no parent")
         changed = list(zip(new, map(tuple, kids)))  # appended in order: sorted
         changed.extend((t, tuple(sorted(by_parent[t], key=history_key))) for t in tops)
         # Active players at h: every player in a child's last move, with the
@@ -411,8 +411,8 @@ class Structure:
             order, terminals = new, new_terminals
             nonterminals = [h for h, c in changed if c]
         else:
-            if len(new_terminals) != len(bit_of) or not bit_of.keys() >= set(new_terminals):
-                return False
+            if bit_of.keys() != set(new_terminals):
+                raise EgsError("the terminals do not map one to one onto the terminal images")
             z.update(bit_of)
             # the kept histories and the images, each in history order, merged
             order = sorted([h for h in pred.histories if h not in region] + new, key=history_key)
@@ -428,7 +428,7 @@ class Structure:
                 index[(p, m)] = s
         if size != len(index):
             if pred is not None:
-                return False
+                raise EgsError("the blocks of the step overlap")
             regular = False  # overlapping blocks: the last one wins
         self.histories: tuple[History, ...] = tuple(order)
         self._hist_set = histories
@@ -446,7 +446,6 @@ class Structure:
         self._za_cache: dict[InfoSet, dict[str, int]] = {} if pred is None else {
             s: masks for s, masks in pred._za_cache.items() if touched.isdisjoint(s.members)
         }
-        return True
 
     # -- basic queries -------------------------------------------------
 

@@ -8,6 +8,11 @@ from __future__ import annotations
 from .core import Structure, profile_label
 
 
+def _escaped(text: str) -> str:
+    """Text for a DOT quoted string: `\\` and `"` escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(obj) -> str:
     from .dominance import Game
 
@@ -16,7 +21,7 @@ def to_dot(obj) -> str:
     ids = {h: f"n{k}" for k, h in enumerate(structure.histories)}
     lines = ["digraph egs {", "  rankdir=TB;"]
     for h in structure.histories:
-        label = h.label() or "root"
+        label = _escaped(h.label() or "root")
         if structure.is_terminal(h):
             if game is not None:
                 pay = ",".join(
@@ -25,12 +30,12 @@ def to_dot(obj) -> str:
                 label = f"{label}\\n[{pay}]"
             lines.append(f'  {ids[h]} [label="{label}", shape=point, xlabel="{label}"];')
         else:
-            owners = ",".join(structure.active(h))
+            owners = _escaped(",".join(structure.active(h)))
             lines.append(f'  {ids[h]} [label="{label}\\n{owners}", shape=circle];')
     for h in structure.histories:
         for kid in structure.children(h):
             lines.append(
-                f'  {ids[h]} -> {ids[kid]} [label="{profile_label(kid.moves[-1])}"];'
+                f'  {ids[h]} -> {ids[kid]} [label="{_escaped(profile_label(kid.moves[-1]))}"];'
             )
     hull = 0
     for p in structure.players:
@@ -38,7 +43,7 @@ def to_dot(obj) -> str:
             name = f"iset{hull}"
             hull += 1
             lines.append(
-                f'  {name} [label="{p}:{k}", shape=box, style=dashed];'
+                f'  {name} [label="{_escaped(p)}:{k}", shape=box, style=dashed];'
             )
             for m in block.members:
                 lines.append(

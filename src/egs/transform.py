@@ -16,12 +16,13 @@ compactification opportunities, the equal-length-preserving synthesized
 opportunities for von Neumann structures, and the backward
 (leaves-to-root) compactification.  The composed transformations of both
 kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
-every image of their anchors, then coalescings, each re-found on the
-current structure through the running map, which is the first step's
-map extended by each later one; `backward_compactify` applies each ICO
-through `apply_tau`.  One operator and a composition of them return
-the same `HistoryMap`, the images of histories and information sets;
-payoffs and plans follow the terminals, so the map holds nothing else.
+every image of their anchors, then coalescings under their named links,
+each carried to the current structure through the running map, which is
+the first step's map extended by each later one; `backward_compactify`
+applies each ICO through `apply_tau`.  One operator and a composition of
+them return the same `HistoryMap`, the images of histories and
+information sets; payoffs and plans follow the terminals, so the map
+holds nothing else.
 """
 
 from __future__ import annotations
@@ -264,7 +265,9 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
     Returns the new structure, forward and infoset_map.  mover_block lists
     the members, before the lift, of the mover's new block; None drops the
     block and maps the mover onto the block of the histories its members
-    move up to.
+    move up to.  A region history these rules do not cover (in a malformed
+    structure: nested tops or movers, an action the mover does not offer)
+    raises `TransformError` naming it.
     """
     mover_actions = structure.feasible_at(mover)
     forward: dict[History, tuple[History, ...]] = {g: (g,) for g in structure.histories}
@@ -295,24 +298,7 @@ def _lift(structure: Structure, owner: str, top, below, mover: InfoSet, mover_bl
             elif below.get(p) is m:
                 forward[g] = (forward[p][0].extend(last),)
                 continue
-        # regions of malformed structures (nested tops or movers, an action
-        # the mover does not offer): the image from its moves
-        first = dict(g.move_at(t.length))
-        if m is None:
-            forward[g] = tuple(sorted(
-                (History(t.moves
-                         + (make_profile({**first, owner: c}),)
-                         + g.moves[t.length + 1:])
-                 for c in mover_actions),
-                key=history_key,
-            ))
-        else:
-            rest = dict(g.move_at(m.length))
-            taken = rest.pop(owner)
-            tail = g.moves[t.length + 1:m.length] \
-                + ((make_profile(rest),) if rest else ()) \
-                + g.moves[m.length + 1:]
-            forward[g] = (History(t.moves + (make_profile({**first, owner: taken}),) + tail),)
+        raise TransformError(f"the lift has no image for {g.label()!r}")
 
     new_histories = structure._hist_set.difference(top).union(
         *(forward[g] for g in top)
@@ -536,8 +522,6 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
     if not ico.coalescings and not ico.is_parts:
         raise TransformError("an ICO needs at least one part")
     for opp in ico.coalescings:
-        if controls(structure, opp.base, opp.mover) != opp.link:
-            raise TransformError(f"stale coalescing part {opp!r}")
         if not is_immediate_coalescing(structure, opp):
             raise TransformError(f"coalescing part {opp!r} is not immediate")
     for opp in ico.is_parts:
@@ -557,34 +541,27 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
 
 def _compose(structure: Structure, is_parts, coalescings) -> tuple[Structure, HistoryMap]:
     """Apply each IS part at every current image of its anchor, then each
-    coalescing, re-finding every piece on the current structure; returns
-    the result and the composition of the steps' maps.  Before the first
-    step every anchor, mover and base is its own image; from then on the
-    running map is the first step's, extended by each later one."""
+    coalescing under its named link, and let each step refuse a piece that
+    no longer dictates or controls; returns the result and the composition
+    of the steps' maps.  Before the first step every anchor, mover and
+    base is its own image; from then on the running map is the first
+    step's, extended by each later one (a foreign set maps to itself)."""
     current, comp = structure, None
 
     def now(s: InfoSet) -> InfoSet:
-        return s if comp is None else comp.infoset_map[s]
+        return s if comp is None else comp.infoset_map.get(s, s)
 
     for part in is_parts:
         for a in (part.anchor,) if comp is None else comp.forward[part.anchor]:
             mover_now = now(part.mover)
             d = tuple(m for m in mover_now.members if strictly_precedes(a, m))
-            if not d or not dictates(current, a, d, part.owner):
-                raise TransformError(
-                    f"IS piece of {part.mover!r} no longer dictates at {a.label()!r}"
-                )
             # Sibling anchor images live in disjoint subtrees, so the
             # remaining ones are untouched by this application.
             current, step = apply_is(current, IsOpp(part.owner, a, d, mover_now))
             comp = step if comp is None else comp.extend(step)
     for part in coalescings:
-        base_now, mover_now = now(part.base), now(part.mover)
-        link = controls(current, base_now, mover_now)
-        if link is None:
-            raise TransformError(f"coalescing part {part!r} no longer controls")
         current, step = apply_coalescing(
-            current, CoalescingOpp(part.owner, base_now, mover_now, link)
+            current, CoalescingOpp(part.owner, now(part.base), now(part.mover), part.link)
         )
         comp = step if comp is None else comp.extend(step)
     return current, comp
@@ -734,9 +711,6 @@ def find_synthesized(structure: Structure) -> list[SynthOpp]:
 def _verify_synth(structure: Structure, opp: SynthOpp) -> None:
     if not opp.coalescings and not opp.controls:
         raise TransformError("a synthesized opportunity needs at least one part")
-    for c in opp.coalescings:
-        if controls(structure, c.base, c.mover) != c.link:
-            raise TransformError(f"stale coalescing part {c!r}")
     for k in opp.controls:
         structure.require_info_set(k.mover)
         if len({a.length for a in k.anchors}) != 1:

@@ -680,28 +680,35 @@ def _lifts_checked_against_the_rebuild():
         yield checked
 
 
+@settings(max_examples=60, deadline=None)
+@given(seeded_structures(), st.integers(0, 2**32 - 1))
+@example(g_red1(), 1)
+@example(g_ent(), 2)
+def test_each_lift_equals_the_rebuild(structure, seed):
+    assume(check_uo(structure)[0])
+    with _lifts_checked_against_the_rebuild():
+        minimize_uo(structure)
+        minimize_uo(structure, rng=random.Random(seed))
+        backward_compactify(structure)
+
+
 # Player 1 names an action R at the root and again one move later, so the
 # coalescing of the later set into the root's replicates L under the name R:
-# the replica equals the kept history R, and the set merges the two.
+# the replica equals the kept history R.  Actions shared by two of one
+# player's sets are malformed, and the step refuses the merge a fresh build
+# of the new history set would make.
 SHARED_NAME = egs.parse(
     'egs 1\nplayer 1 actions L,R,X\nplayer 2 actions c,d\n'
     'node "" 1:L|R\nnode "L" 1:R|X\nnode "R" 2:c|d\n'
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(seeded_structures(), st.integers(0, 2**32 - 1))
-@example(SHARED_NAME, 0)
-@example(g_red1(), 1)
-@example(g_ent(), 2)
-def test_each_lift_equals_the_rebuild(structure, seed):
-    assume(check_uo(structure)[0])
-    with _lifts_checked_against_the_rebuild() as checked:
-        minimize_uo(structure)
-        minimize_uo(structure, rng=random.Random(seed))
-        backward_compactify(structure)
-    if structure == SHARED_NAME:
-        assert checked and checked[0].has_history(path({"1": "R"}))
+def test_a_coalescing_whose_replica_equals_a_kept_history_is_refused():
+    assert egs.validate_structure(SHARED_NAME).axioms() == ("own-disjoint",)
+    opp = egs.find_coalescing(SHARED_NAME)[0]
+    assert opp.mover.members == (path({"1": "L"}),)
+    with pytest.raises(EgsError, match="an image of the step equals a kept history"):
+        apply_coalescing(SHARED_NAME, opp)
 
 
 def _is_at_the_root(g):
@@ -721,8 +728,8 @@ def _with_history(text, label):
 
 HEAD = "egs 1\nplayer 1 actions L,R,a,b,c,d,e\nplayer 2 actions u,v,x,y\n"
 
-# Lifts of malformed structures, each of which one check of the edit
-# refuses, so the successor is built afresh.
+# Lifts of malformed structures, each of which the lift or one check of the
+# structure edit refuses, for the reason in REFUSED_FOR.
 CANNOT_CARRY = {
     # y is a terminal in 1's set: the IS gives it one image per action
     "a terminal with two images": (_is_at_the_root, egs.parse(
@@ -755,13 +762,24 @@ CANNOT_CARRY = {
 }
 
 
+REFUSED_FOR = {
+    "a terminal with two images": "the terminal 'y' has no image of its own",
+    "a terminal with no preimage":
+        "the terminals do not map one to one onto the terminal images",
+    "an image equal to a top": "an image of the step equals a kept history",
+    "an image without a parent": "the lift has no image for 'L/v/e'",
+    "a kept history whose parent is an image": "the predecessor of the step is not a tree",
+    "a top in the region": "a top of the step lies in its region",
+}
+
+
 @pytest.mark.parametrize("case", CANNOT_CARRY)
-def test_a_lift_the_edit_refuses_equals_the_rebuild(case):
+def test_a_step_refuses_a_malformed_lift(case):
     opportunity, g = CANNOT_CARRY[case]
+    assert not egs.validate_structure(g).ok
     apply, opp = opportunity(g)
-    with _lifts_checked_against_the_rebuild() as checked:
+    with pytest.raises(EgsError, match=REFUSED_FOR[case]):
         apply(g, opp)
-    assert len(checked) == 1
 
 
 def _scans_agreeing_with_dictation(g) -> int:

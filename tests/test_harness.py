@@ -1,3 +1,4 @@
+import re
 import string
 import subprocess
 import sys
@@ -29,6 +30,8 @@ from egs import (
     to_dot,
     validate_structure,
 )
+
+from egs.core import profile_label
 
 from corpus import profile_count, seeded_structures
 from fixtures import g_chain, g_red1, game_nul, g_sim, path
@@ -485,6 +488,36 @@ def test_dot_counts():
 def test_dot_game_payoffs_shown():
     text = to_dot(game_nul())
     assert "[1," in text or "[0," in text
+
+
+_DOT_ATTRIBUTES = re.compile(r'\[((?:\w+=(?:"(?:[^"\\]|\\.)*"|\w+)(?:, |(?=\])))*)\];$')
+_DOT_ATTRIBUTE = re.compile(r'(\w+)=("(?:[^"\\]|\\.)*"|\w+)')
+
+
+@pytest.mark.parametrize("text", [
+    # a player id may hold '"' and an action '\\'; the file is valid
+    'egs 1\nplayer a"b actions x,y\nplayer 2 actions c,d\nnode "" a"b:x|y 2:c|d\n',
+    'egs 1\nplayer a"b\\c actions x\\y,z\nplayer 2 actions c,d\nnode "" a"b\\c:x\\y|z 2:c|d\n',
+], ids=["quote", "quote and backslash"])
+def test_dot_quotes_every_label_whatever_the_names_hold(text):
+    g = parse(text)
+    assert validate_structure(g).ok
+    labels = []
+    for line in to_dot(g).splitlines()[2:-1]:
+        attributes = _DOT_ATTRIBUTES.search(line)
+        assert attributes, line
+        for name, value in _DOT_ATTRIBUTE.findall(attributes.group(1)):
+            if value.startswith('"'):
+                # DOT's escapes: a line break, a quote and a backslash
+                value = re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], value[1:-1])
+                labels.append((name, value))
+    players = ",".join(g.active(ROOT))
+    expected = [("label", f"root\n{players}")]
+    for t in g.terminals:
+        expected += [("label", t.label()), ("xlabel", t.label())]
+    expected += [("label", profile_label(t.moves[-1])) for t in g.terminals]
+    expected += [("label", f"{p}:0") for p in g.players]
+    assert labels == expected
 
 
 # -- command-line interface ---------------------------------------------

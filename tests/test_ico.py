@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import pytest
@@ -7,16 +8,19 @@ from hypothesis import strategies as st
 from egs import (
     EgsError,
     Ico,
+    InfoSet,
     TransformError,
     apply_is,
     apply_tau,
     backward_compactify,
     check_uo,
+    dictates,
     find_coalescing,
     find_complete_icos,
     find_is,
     is_immediate_coalescing,
     is_immediate_is,
+    make_profile,
     relation,
     sim_classes,
     transform,
@@ -280,6 +284,73 @@ def test_apply_tau_composes_the_identity_through_its_steps():
         assert (comp.forward, comp.infoset_map) == (forward, infosets)
         folded += len(steps) > 1
     assert folded > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(seeded_structures())
+def test_apply_tau_equals_the_reference_on_every_complete_ico(structure):
+    # the reference re-finds each coalescing's link on the current
+    # structure; τ carries the link the part names
+    assume(check_uo(structure)[0])
+    try:
+        icos = find_complete_icos(structure)
+    except TransformError:  # too many atoms in one class
+        assume(False)
+    for ico in icos:
+        new, comp = apply_tau(structure, ico)
+        ref_new, forward, infosets, _ = tau_reference(structure, ico)
+        assert new == ref_new and new.partitions == ref_new.partitions
+        assert (comp.forward, comp.infoset_map) == (forward, infosets)
+
+
+def replaced_part(parts, k, **changes):
+    """The parts with the k-th one's fields changed."""
+    return parts[:k] + (dataclasses.replace(parts[k], **changes),) + parts[k + 1:]
+
+
+def test_apply_tau_refuses_a_coalescing_part_that_names_another_link():
+    refused = 0
+    for structure, ico in ico_corpus(30, seed=7):
+        for k, part in enumerate(ico.coalescings):
+            for other in structure.feasible_at(part.base):
+                if other != part.link:
+                    stale = Ico(replaced_part(ico.coalescings, k, link=other), ico.is_parts)
+                    with pytest.raises(TransformError, match="stale coalescing"):
+                        apply_tau(structure, stale)
+                    refused += 1
+    assert refused >= 20
+
+
+def test_apply_tau_refuses_a_coalescing_part_whose_base_is_not_a_set_of_the_structure():
+    # the base holds one history more than a set of the structure, so the
+    # part is immediate; after the IS parts its step finds no such set
+    refused = 0
+    for structure, ico in ico_corpus(30, seed=7):
+        if not ico.is_parts:
+            continue
+        for k, part in enumerate(ico.coalescings):
+            stray = part.base.members[0].extend(make_profile({"9": "stray"}))
+            base = InfoSet(part.owner, part.base.members + (stray,))
+            stale = Ico(replaced_part(ico.coalescings, k, base=base), ico.is_parts)
+            with pytest.raises(TransformError, match="stale coalescing"):
+                apply_tau(structure, stale)
+            refused += 1
+    assert refused >= 2
+
+
+def test_apply_tau_refuses_an_is_part_whose_anchor_does_not_dictate():
+    refused = 0
+    for structure, ico in ico_corpus(30, seed=7):
+        for k, part in enumerate(ico.is_parts):
+            for h in structure.histories:
+                if part.owner not in structure.active(h) and not dictates(
+                    structure, h, part.submover, part.owner
+                ):
+                    stale = Ico(ico.coalescings, replaced_part(ico.is_parts, k, anchor=h))
+                    with pytest.raises(TransformError, match="stale IS part"):
+                        apply_tau(structure, stale)
+                    refused += 1
+    assert refused >= 5
 
 
 def test_compactification_preserves_orderings_on_corpus():

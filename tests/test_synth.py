@@ -9,6 +9,7 @@ from egs import (
     TransformError,
     apply_phi,
     check_vnm,
+    dictates,
     find_is,
     find_synthesized,
     parse,
@@ -23,6 +24,7 @@ from egs.transform import _complete_controls_for
 from corpus import vnm_corpus
 from fixtures import g_ga, g_uneven, ga_infosets, path
 from oracles import complete_controls_reference
+from test_ico import replaced_part
 
 
 def test_ga_is_vnm():
@@ -111,6 +113,41 @@ def test_phi_preserves_vnm_and_rnf_on_corpus():
             )
             checked += 1
     assert checked > 0
+
+
+def test_apply_phi_refuses_a_coalescing_part_that_names_another_link():
+    refused = 0
+    for structure in vnm_corpus(30, seed=5):
+        for opp in find_synthesized(structure):
+            for k, part in enumerate(opp.coalescings):
+                for other in structure.feasible_at(part.base):
+                    if other != part.link:
+                        stale = SynthOpp(replaced_part(opp.coalescings, k, link=other), opp.controls)
+                        with pytest.raises(TransformError, match="stale coalescing"):
+                            apply_phi(structure, stale)
+                        refused += 1
+    assert refused >= 20
+
+
+def test_apply_phi_refuses_a_control_whose_anchor_does_not_dictate():
+    # the replacement anchor has the length of the others, so the control
+    # is refused for its dictation, not for unequal anchors
+    refused = 0
+    for structure in vnm_corpus(30, seed=5):
+        for opp in find_synthesized(structure):
+            for j, k in enumerate(opp.controls):
+                for i, (anchor, piece) in enumerate(zip(k.anchors, k.pieces)):
+                    for h in structure.histories:
+                        if h.length != anchor.length or h in k.anchors:
+                            continue
+                        if k.owner in structure.active(h) or dictates(structure, h, piece, k.owner):
+                            continue
+                        anchors = k.anchors[:i] + (h,) + k.anchors[i + 1:]
+                        stale = SynthOpp(opp.coalescings, replaced_part(opp.controls, j, anchors=anchors))
+                        with pytest.raises(TransformError, match="stale control part"):
+                            apply_phi(structure, stale)
+                        refused += 1
+    assert refused >= 5
 
 
 def test_complete_controls_match_the_reference_on_the_corpus():
