@@ -65,6 +65,8 @@ from .transform import (
     is_immediate_coalescing,
     is_immediate_is,
     is_non_crossing,
+    iter_complete_icos,
+    iter_synthesized,
     minimize_uo,
     shift_depth,
 )

@@ -6,6 +6,7 @@ Exit codes: 0 success / affirmative verdict, 1 negative verdict, 2 error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 
@@ -22,10 +23,10 @@ from .transform import (
     apply_tau,
     backward_compactify,
     find_coalescing,
-    find_complete_icos,
     find_is,
-    find_synthesized,
     is_non_crossing,
+    iter_complete_icos,
+    iter_synthesized,
     minimize_uo,
 )
 from .validate import check_uo, check_vnm, validate_structure
@@ -96,19 +97,27 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def _list_opps(structure, kind):
-    if kind == "coalescing":
-        return find_coalescing(structure)
-    if kind == "is":
-        return find_is(structure)
-    if kind == "ico":
-        return find_complete_icos(structure)
-    return find_synthesized(structure)
+# each kind's opportunities in listing order, ICOs and synthesized ones lazily
+_OPPS = {
+    "coalescing": find_coalescing,
+    "is": find_is,
+    "ico": iter_complete_icos,
+    "synth": iter_synthesized,
+}
+
+
+def _nth(opps, k: int, missing: str):
+    """The k-th of the opportunities, reading none past it."""
+    seen = list(itertools.islice(opps, k + 1) if k >= 0 else opps)
+    if not 0 <= k < len(seen):
+        raise EgsError(f"{missing} #{k} (found {len(seen)})")
+    return seen[k]
 
 
 def cmd_opps(args) -> int:
     structure = _structure_of(_load(args.file))
-    for k, opp in enumerate(_list_opps(structure, args.kind)):
+    # all found before the first is printed, so a refused search prints none
+    for k, opp in enumerate(list(_OPPS[args.kind](structure))):
         print(f"[{k}] {opp!r}")
     return 0
 
@@ -116,10 +125,7 @@ def cmd_opps(args) -> int:
 def cmd_apply(args) -> int:
     obj = _load(args.file)
     structure = _structure_of(obj)
-    opps = _list_opps(structure, args.kind)
-    if not 0 <= args.opp < len(opps):
-        raise EgsError(f"no {args.kind} opportunity #{args.opp} (found {len(opps)})")
-    opp = opps[args.opp]
+    opp = _nth(_OPPS[args.kind](structure), args.opp, f"no {args.kind} opportunity")
     if args.kind == "coalescing":
         result, _ = apply_coalescing(structure, opp)
     elif args.kind == "is":
@@ -154,10 +160,8 @@ def cmd_bd(args) -> int:
 
 def cmd_monotonic(args) -> int:
     game = _game_of(_load(args.file), args.file)
-    icos = find_complete_icos(game.structure)
-    if not 0 <= args.ico < len(icos):
-        raise EgsError(f"no complete ICO #{args.ico} (found {len(icos)})")
-    report = check_monotonic(game, icos[args.ico])
+    ico = _nth(iter_complete_icos(game.structure), args.ico, "no complete ICO")
+    report = check_monotonic(game, ico)
     if report.ok:
         print("monotonic: every plan eliminated before stays eliminated after")
         return 0

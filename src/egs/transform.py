@@ -14,15 +14,17 @@ predecessor's indices instead of rebuilding them.  On top of these two
 operators sit UO-preserving minimization, complete immediate
 compactification opportunities, the equal-length-preserving synthesized
 opportunities for von Neumann structures, and the backward
-(leaves-to-root) compactification.  The composed transformations of both
-kinds of opportunity, τ and φ, run one loop, `_compose`: IS pieces at
-every image of their anchors, then coalescings under their named links,
-each carried to the current structure through the running map, which is
-the first step's map extended by each later one; `backward_compactify`
-applies each ICO through `apply_tau`.  One operator and a composition of
-them return the same `HistoryMap`, the images of histories and
-information sets; payoffs and plans follow the terminals, so the map
-holds nothing else.
+(leaves-to-root) compactification.  Both kinds of opportunity come lazily
+from one walk over subsets of their atoms, `_subsets`, which cuts each
+branch that cannot serve and refuses past a bound on subsets tested.  The
+composed transformations of both kinds of opportunity, τ and φ, run one
+loop, `_compose`: IS pieces at every image of their anchors, then
+coalescings under their named links, each carried to the current
+structure through the running map, which is the first step's map
+extended by each later one; `backward_compactify` applies each ICO
+through `apply_tau`.  One operator and a composition of them return the
+same `HistoryMap`, the images of histories and information sets; payoffs
+and plans follow the terminals, so the map holds nothing else.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ class TransformError(EgsError):
     pass
 
 
-# Opportunity searches try every subset of their atoms; past these counts
-# they refuse the instance instead.
-_MAX_ICO_ATOMS = 16
-_MAX_SYNTH_ATOMS = 14
+# An opportunity search refuses the instance past this many subsets tested:
+# every subset of 16 atoms for one class's ICOs, of 14 for synthesized ones.
+_MAX_ICO_SUBSETS = 2**16 - 1
+_MAX_SYNTH_SUBSETS = 2**14 - 1
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class CoalescingOpp:
     base: InfoSet
     mover: InfoSet
     link: str
+
+    # the owner and the histories moved, as an ICO names its parts
+    part = property(lambda self: (self.owner, self.mover.member_set))
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,7 @@ class IsOpp:
         submover_set = frozenset(self.submover)
         object.__setattr__(self, "submover", tuple(sorted(submover_set, key=history_key)))
         object.__setattr__(self, "submover_set", submover_set)  # as InfoSet.member_set
+        object.__setattr__(self, "part", (self.owner, submover_set))  # as CoalescingOpp.part
 
 
 @dataclass(frozen=True)
@@ -434,16 +440,6 @@ class Ico:
     coalescings: tuple[CoalescingOpp, ...]
     is_parts: tuple[IsOpp, ...]
 
-    def elements(self) -> tuple[tuple[str, frozenset[History]], ...]:
-        out = [(c.owner, c.mover.member_set) for c in self.coalescings]
-        out.extend((p.owner, p.submover_set) for p in self.is_parts)
-        return tuple(out)
-
-    def participants(self) -> tuple[InfoSet, ...]:
-        sets = [c.mover for c in self.coalescings]
-        sets.extend(p.mover for p in self.is_parts)
-        return tuple(dict.fromkeys(sets))
-
 
 def _class_atoms(structure: Structure, group) -> list:
     """The immediate atoms whose mover is in the transitive-simultaneity
@@ -460,66 +456,90 @@ def _class_atoms(structure: Structure, group) -> list:
     return atoms
 
 
-def _complete_in_class(structure: Structure, class_sets, atoms) -> list[Ico]:
-    """All complete ICOs built from the class's immediate atoms."""
-    if len(atoms) > _MAX_ICO_ATOMS:
-        raise TransformError(
-            f"too many immediate atoms in one class ({len(atoms)}); instance too large"
-        )
+def _complete_in_class(structure: Structure, class_sets, atoms):
+    """The complete ICOs of the class's immediate atoms, in walk order.  A
+    part fixes its mover, so a branch completes iff it repeats no part and
+    one atom for each part that it and the later atoms name is complete."""
     class_sets = frozenset(class_sets)
-    out: list[Ico] = []
-    for chosen in _subsets(atoms):
-        ico = Ico(
-            tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
-            tuple(a for a in chosen if isinstance(a, IsOpp)),
-        )
-        if _incompleteness(ico, class_sets) is None:
-            out.append(ico)
-    return out
+
+    def hopeless(chosen, later):
+        return len({a.part for a in chosen}) < len(chosen) or _incompleteness(
+            {a.part: a for a in (*chosen, *later)}.values(), class_sets
+        ) is not None
+
+    for chosen in _subsets(atoms, hopeless, _MAX_ICO_SUBSETS):
+        if _incompleteness(chosen, class_sets) is None:
+            yield Ico(
+                tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
+                tuple(a for a in chosen if isinstance(a, IsOpp)),
+            )
 
 
-def _incompleteness(ico: Ico, class_sets: frozenset) -> str | None:
-    """Why the ICO is not complete for its transitive-simultaneity class,
-    or None: the named parts must be pairwise distinct, every set of the
-    class must participate and no other, and every overlap of two
-    participants must be exactly the intersection of two named parts, one
-    inside each (so overlaps move as a whole)."""
-    elements = ico.elements()
-    if len(set(elements)) != len(elements):
+def _incompleteness(atoms, class_sets: frozenset) -> str | None:
+    """Why the atoms are not a complete ICO for their transitive-
+    simultaneity class, or None: the named parts must be pairwise
+    distinct, every set of the class must participate and no other, and
+    every overlap of two participants must be exactly the intersection of
+    two named parts, one inside each (so overlaps move as a whole)."""
+    parts = [a.part for a in atoms]
+    if len(set(parts)) != len(parts):
         return "the named parts of the ICO are not distinct"
-    participants = ico.participants()
-    if set(participants) != class_sets:
+    participants = {a.mover for a in atoms}
+    if participants != class_sets:
         return "incomplete ICO: some transitively simultaneous set does not participate"
     for f, e in itertools.combinations(participants, 2):
         fs, es = f.member_set, e.member_set
         overlap = fs & es
         if overlap and not any(
             b & c == overlap
-            for owner_b, b in elements if owner_b == f.owner and b <= fs
-            for owner_c, c in elements if owner_c == e.owner and c <= es
+            for owner_b, b in parts if owner_b == f.owner and b <= fs
+            for owner_c, c in parts if owner_c == e.owner and c <= es
         ):
             return "incomplete ICO: an overlap does not move as a whole"
     return None
 
 
-def _subsets(atoms):
-    """Every non-empty subset of atoms, smallest first, each in list order."""
+def _subsets(atoms, hopeless, limit):
+    """The non-empty subsets of atoms, smallest first and each size in
+    combinations order, but none grown from a branch that hopeless(chosen,
+    later) cuts: no subset of chosen and the later atoms can serve.  Each
+    size is walked depth first, and past limit subsets yielded, refused."""
+    if not atoms or hopeless((), atoms):
+        return
+    tested = 0
     for r in range(1, len(atoms) + 1):
-        yield from itertools.combinations(atoms, r)
+        stack = [((), 0)]
+        while stack:
+            chosen, i = stack.pop()
+            if len(chosen) == r:
+                tested += 1
+                if tested > limit:
+                    raise TransformError(f"more than {limit} subsets to test; instance too large")
+                yield chosen
+                continue
+            # each next atom leaving enough after it, the first on top
+            for j in range(len(atoms) - r + len(chosen), i - 1, -1):
+                grown = chosen + (atoms[j],)
+                if not hopeless(grown, atoms[j + 1:]):
+                    stack.append((grown, j + 1))
 
 
-def find_complete_icos(structure: Structure) -> list[Ico]:
+def iter_complete_icos(structure: Structure):
+    """The complete ICOs class by class, smallest first, found as read."""
     ok, witness = check_uo(structure)
     if not ok:
         raise EgsError(f"complete ICOs require UO; offending pair {witness}")
-    out: list[Ico] = []
     for group in sim_classes(structure):
-        out.extend(_complete_in_class(structure, group, _class_atoms(structure, group)))
-    return out
+        yield from _complete_in_class(structure, group, _class_atoms(structure, group))
+
+
+def find_complete_icos(structure: Structure) -> list[Ico]:
+    return list(iter_complete_icos(structure))
 
 
 def _verify_complete(structure: Structure, ico: Ico) -> None:
-    if not ico.coalescings and not ico.is_parts:
+    atoms = ico.coalescings + ico.is_parts
+    if not atoms:
         raise TransformError("an ICO needs at least one part")
     for opp in ico.coalescings:
         if not is_immediate_coalescing(structure, opp):
@@ -532,9 +552,8 @@ def _verify_complete(structure: Structure, ico: Ico) -> None:
         if not is_immediate_is(structure, opp):
             raise TransformError(f"IS part {opp!r} is not immediate")
     # the participants, checked above, must make up the class of the first
-    first = ico.participants()[0]
-    home = next((g for g in sim_classes(structure) if first in g), ())
-    fault = _incompleteness(ico, frozenset(home))
+    home = next((g for g in sim_classes(structure) if atoms[0].mover in g), ())
+    fault = _incompleteness(atoms, frozenset(home))
     if fault is not None:
         raise TransformError(fault)
 
@@ -579,7 +598,7 @@ def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
     """Apply complete ICOs class by class from the deepest transitive-
     simultaneity class toward the root; ties break on the class's smallest
     member history.  Each class's atoms are found when it is visited, and
-    the first complete ICO found is applied."""
+    its search stops at the first complete ICO, which is applied."""
     ok, witness = check_uo(structure)
     if not ok:
         raise EgsError(f"backward compactification requires UO; offending pair {witness}")
@@ -592,9 +611,8 @@ def backward_compactify(structure: Structure) -> tuple[Structure, list[Ico]]:
             key=lambda group: -max(m.length for s in group for m in s.members),
         )
         for group in order:
-            icos = _complete_in_class(current, group, _class_atoms(current, group))
-            if icos:
-                ico = icos[0]
+            ico = next(_complete_in_class(current, group, _class_atoms(current, group)), None)
+            if ico is not None:
                 current, _ = apply_tau(current, ico)
                 schedule.append(ico)
                 break
@@ -631,11 +649,6 @@ class SynthOpp:
 
     coalescings: tuple[CoalescingOpp, ...]
     controls: tuple[CompleteControl, ...]
-
-    def movers(self) -> tuple[InfoSet, ...]:
-        out = [c.mover for c in self.coalescings]
-        out.extend(k.mover for k in self.controls)
-        return tuple(out)
 
 
 def _complete_controls_for(structure: Structure, mover: InfoSet, opps: list[IsOpp]):
@@ -682,7 +695,10 @@ def _uniform_shift(structure: Structure, movers: frozenset[InfoSet]) -> bool:
     return True
 
 
-def find_synthesized(structure: Structure) -> list[SynthOpp]:
+def iter_synthesized(structure: Structure):
+    """The synthesized opportunities, smallest first, found as read.  A
+    branch moving a set twice is cut; atoms added can restore equal length,
+    so it is tested on whole subsets."""
     ok, witness = check_vnm(structure)
     if not ok:
         raise EgsError(f"synthesized opportunities require a vNM structure; see {witness!r}")
@@ -690,22 +706,20 @@ def find_synthesized(structure: Structure) -> list[SynthOpp]:
     for mover in structure.info_sets:
         opps = sorted(_is_parts(structure, (mover,)), key=_is_key)
         atoms.extend(_complete_controls_for(structure, mover, opps))
-    if len(atoms) > _MAX_SYNTH_ATOMS:
-        raise TransformError(
-            f"too many candidate atoms ({len(atoms)}); instance too large"
-        )
-    out: list[SynthOpp] = []
-    for chosen in _subsets(atoms):
-        opp = SynthOpp(
-            tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
-            tuple(a for a in chosen if isinstance(a, CompleteControl)),
-        )
-        movers = opp.movers()
-        if len(set(movers)) != len(movers):
-            continue
-        if _uniform_shift(structure, frozenset(movers)):
-            out.append(opp)
-    return out
+
+    def hopeless(chosen, later):
+        return len({a.mover for a in chosen}) < len(chosen)
+
+    for chosen in _subsets(atoms, hopeless, _MAX_SYNTH_SUBSETS):
+        if _uniform_shift(structure, frozenset(a.mover for a in chosen)):
+            yield SynthOpp(
+                tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
+                tuple(a for a in chosen if isinstance(a, CompleteControl)),
+            )
+
+
+def find_synthesized(structure: Structure) -> list[SynthOpp]:
+    return list(iter_synthesized(structure))
 
 
 def _verify_synth(structure: Structure, opp: SynthOpp) -> None:
@@ -722,7 +736,7 @@ def _verify_synth(structure: Structure, opp: SynthOpp) -> None:
             covered |= set(piece)
         if covered != k.mover.member_set:
             raise TransformError(f"pieces of {k!r} do not partition the mover")
-    movers = opp.movers()
+    movers = [a.mover for a in (*opp.coalescings, *opp.controls)]
     if len(set(movers)) != len(movers):
         raise TransformError("movers of a synthesized opportunity must be distinct")
     if not _uniform_shift(structure, frozenset(movers)):

@@ -146,6 +146,23 @@ def g_deep_chain(n: int) -> Structure:
     return build(["1"], nodes)
 
 
+def g_fan(n: int) -> Structure:
+    """Player 2 picks one of n branches a_k at the root and then x_k or y_k;
+    player 1's one set holds all 2n histories of length 2, so the root and
+    each a_k dictate: anchors of two lengths, n of them of length 1."""
+    actions = [f"{c}{k}" for c in "axy" for k in range(n)]
+    lines = ["egs 1", "player 1 actions L,R", f"player 2 actions {','.join(actions)}"]
+    lines.append('node "" 2:' + "|".join(f"a{k}" for k in range(n)))
+    members = []
+    for k in range(n):
+        lines.append(f'node "a{k}" 2:x{k}|y{k}')
+        for c in (f"x{k}", f"y{k}"):
+            lines.append(f'node "a{k}/{c}" 1:L|R')
+            members.append(f'"a{k}/{c}"')
+    lines.append("infoset 1 {" + ",".join(members) + "}")
+    return parse("\n".join(lines) + "\n")
+
+
 def g_ladder() -> Structure:
     """Player 1 moves twice along L; player 2 owns the R branch.  The own
     pair ({root}, {L}) is a coalescing opportunity with link L."""

@@ -16,6 +16,7 @@ from egs import (
     DominanceError,
     EgsError,
     History,
+    Ico,
     InfoSet,
     IsOpp,
     Plan,
@@ -1426,22 +1427,72 @@ def _eager_class_atoms(structure):
     return classes, atoms
 
 
-def find_complete_icos_reference(structure):
-    """Every complete ICO, class by class, from atoms found up front."""
-    from egs.transform import _complete_in_class
+def _is_complete_reference(chosen, class_sets):
+    """Each part named once, every set of the class moving, and each overlap
+    of two of its sets the intersection of a part inside one and a part
+    inside the other."""
+    parts = [
+        (a.owner, set(a.mover.members if isinstance(a, CoalescingOpp) else a.submover))
+        for a in chosen
+    ]
+    if any(p == q for p, q in itertools.combinations(parts, 2)):
+        return False
+    if {a.mover for a in chosen} != set(class_sets):
+        return False
+    for f, e in itertools.combinations(class_sets, 2):
+        overlap = set(f.members) & set(e.members)
+        if overlap and not any(
+            b & c == overlap
+            for owner_b, b in parts if owner_b == f.owner and b <= set(f.members)
+            for owner_c, c in parts if owner_c == e.owner and c <= set(e.members)
+        ):
+            return False
+    return True
 
+
+def complete_in_class_reference(class_sets, atoms, limit=None):
+    """The complete ICOs of a class's atoms: every non-empty subset tested
+    in turn, smallest first and each size in combinations order.
+
+    With a limit, a subset counts as tested when some complete ICO begins
+    with it (its atoms up to the subset's last are the subset), as in a
+    walk that cuts each branch no complete ICO extends; past limit tested
+    subsets the search is refused."""
+    subsets = [
+        chosen for r in range(1, len(atoms) + 1)
+        for chosen in itertools.combinations(range(len(atoms)), r)
+    ]
+    complete = [
+        set(chosen) for chosen in subsets
+        if _is_complete_reference([atoms[j] for j in chosen], class_sets)
+    ]
+    tested = 0
+    for chosen in subsets:
+        if limit is not None and any(
+            {j for j in c if j <= chosen[-1]} == set(chosen) for c in complete
+        ):
+            tested += 1
+            if tested > limit:
+                raise TransformError(f"more than {limit} subsets to test; instance too large")
+        if set(chosen) in complete:
+            yield Ico(
+                tuple(atoms[j] for j in chosen if isinstance(atoms[j], CoalescingOpp)),
+                tuple(atoms[j] for j in chosen if isinstance(atoms[j], IsOpp)),
+            )
+
+
+def find_complete_icos_reference(structure, limit=None):
+    """Every complete ICO, class by class, from atoms found up front."""
     classes, atoms = _eager_class_atoms(structure)
     return [
-        ico for idx, group in enumerate(classes) if atoms[idx]
-        for ico in _complete_in_class(structure, group, atoms[idx])
+        ico for idx, group in enumerate(classes)
+        for ico in complete_in_class_reference(group, atoms[idx], limit)
     ]
 
 
-def backward_compactify_reference(structure):
+def backward_compactify_reference(structure, limit=None):
     """Complete ICOs applied deepest class first, with every class's atoms
     found up front at each step."""
-    from egs.transform import _complete_in_class
-
     current, schedule = structure, []
     while True:
         classes, atoms = _eager_class_atoms(current)
@@ -1450,10 +1501,10 @@ def backward_compactify_reference(structure):
             key=lambda idx: -max(m.length for s in classes[idx] for m in s.members),
         )
         for idx in order:
-            icos = _complete_in_class(current, classes[idx], atoms[idx]) if atoms[idx] else []
-            if icos:
-                current, _ = apply_tau(current, icos[0])
-                schedule.append(icos[0])
+            ico = next(complete_in_class_reference(classes[idx], atoms[idx], limit), None)
+            if ico is not None:
+                current, _ = apply_tau(current, ico)
+                schedule.append(ico)
                 break
         else:
             return current, schedule

@@ -22,6 +22,7 @@ from egs import (
     History,
     check_uo,
     check_vnm,
+    find_complete_icos,
     gen_random,
     make_profile,
     parse,
@@ -34,7 +35,7 @@ from egs import (
 from egs.core import profile_label
 
 from corpus import profile_count, seeded_structures
-from fixtures import g_chain, g_red1, game_nul, g_sim, path
+from fixtures import g_chain, g_fan, g_red1, game_nul, g_sim, path
 from oracles import parse_reference, strip_comment_reference
 
 
@@ -676,6 +677,27 @@ def test_cli_bd_and_monotonic(tmp_path):
     assert index is not None
     out = run_cli("monotonic", str(nul), "--ico", index)
     assert out.returncode == 0 and "monotonic" in out.stdout
+
+
+def test_cli_reads_opportunities_only_up_to_the_one_it_needs(tmp_path):
+    # listing the ICOs of the first fan, or the synthesized opportunities of
+    # the second, is refused at its subset bound
+    for n, kind in ((17, "ico"), (20, "synth")):
+        fan = tmp_path / f"fan-{n}.egs"
+        fan.write_text(serialize(g_fan(n)))
+        out = run_cli("apply", str(fan), "--kind", kind, "--opp", "1")
+        assert out.returncode == 0 and validate_structure(parse(out.stdout)).ok
+    # past the last, the message counts them all
+    nul = tmp_path / "nul.egs"
+    nul.write_text(serialize(game_nul()))
+    found = len(find_complete_icos(game_nul().structure))
+    for k in (found, -1):
+        out = run_cli("monotonic", str(nul), "--ico", str(k))
+        assert out.returncode == 2
+        assert out.stderr == f"error: no complete ICO #{k} (found {found})\n"
+        out = run_cli("apply", str(nul), "--kind", "ico", "--opp", str(k))
+        assert out.returncode == 2
+        assert out.stderr == f"error: no ico opportunity #{k} (found {found})\n"
 
 
 def test_cli_crossing_refused_without_force(tmp_path):

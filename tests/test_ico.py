@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -20,6 +22,7 @@ from egs import (
     find_is,
     is_immediate_coalescing,
     is_immediate_is,
+    iter_complete_icos,
     make_profile,
     relation,
     sim_classes,
@@ -27,8 +30,9 @@ from egs import (
     validate_structure,
 )
 
-from corpus import ico_corpus, seeded_structures
+from corpus import ico_corpus, renamed, seeded_structures
 from fixtures import (
+    g_fan,
     g_g76,
     g_icot,
     g_kms,
@@ -294,7 +298,7 @@ def test_apply_tau_equals_the_reference_on_every_complete_ico(structure):
     assume(check_uo(structure)[0])
     try:
         icos = find_complete_icos(structure)
-    except TransformError:  # too many atoms in one class
+    except TransformError:  # too many subsets of one class's atoms to test
         assume(False)
     for ico in icos:
         new, comp = apply_tau(structure, ico)
@@ -382,20 +386,53 @@ def _outcome(fn, structure):
         return str(error)
 
 
+@st.composite
+def renamed_fans(draw, most=10):
+    """A fan of at most `most` branches with its actions renamed in a
+    shuffled order, so that its atoms come in another order."""
+    fan = g_fan(draw(st.integers(2, most)))
+    return renamed(fan, random.Random(draw(st.integers(0, 2**32))))
+
+
 @settings(max_examples=60, deadline=None)
-@given(seeded_structures(), st.sampled_from([2, 3, transform._MAX_ICO_ATOMS]))
-def test_class_by_class_atom_search_matches_the_eager_one(structure, max_atoms):
-    # a low atom bound makes the too-many-atoms refusal common: it must come
-    # from the same class, with the same count, as when every class's atoms
-    # are found before the first is searched
+@given(
+    st.one_of(seeded_structures(), renamed_fans(6)),
+    st.sampled_from([0, 1, 2, 3, transform._MAX_ICO_SUBSETS]),
+)
+def test_class_by_class_atom_search_matches_the_eager_one(structure, limit):
+    # a low bound makes the too-many-subsets refusal common: it must come
+    # from the same class, after the same subsets, as when every class's
+    # atoms are found before the first is searched
     assume(check_uo(structure)[0])
-    with mock.patch.object(transform, "_MAX_ICO_ATOMS", max_atoms):
+    with mock.patch.object(transform, "_MAX_ICO_SUBSETS", limit):
         assert _outcome(find_complete_icos, structure) == _outcome(
-            find_complete_icos_reference, structure
+            lambda s: find_complete_icos_reference(s, limit), structure
         )
         assert _outcome(backward_compactify, structure) == _outcome(
-            backward_compactify_reference, structure
+            lambda s: backward_compactify_reference(s, limit), structure
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(seeded_structures(), renamed_fans()))
+def test_pruned_walk_yields_the_plain_walks_icos_in_order(structure):
+    assume(check_uo(structure)[0])
+    assert find_complete_icos(structure) == find_complete_icos_reference(structure)
+    assert backward_compactify(structure) == backward_compactify_reference(structure)
+
+
+def test_a_class_past_the_subset_bound_still_gives_its_first_icos():
+    # every non-empty subset of the fan's one-set class of six atoms is a
+    # complete ICO: listing them tests more subsets than the bound allows,
+    # while the first ten and each compactification step need fewer
+    g = g_fan(6)
+    with mock.patch.object(transform, "_MAX_ICO_SUBSETS", 10):
+        with pytest.raises(TransformError, match="more than 10 subsets to test"):
+            find_complete_icos(g)
+        first = list(itertools.islice(iter_complete_icos(g), 10))
+        compacted = backward_compactify(g)
+    assert first == find_complete_icos(g)[:10]
+    assert compacted == backward_compactify_reference(g)
 
 
 def test_class_by_class_atom_search_matches_the_eager_one_on_fixtures_and_corpus():

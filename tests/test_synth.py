@@ -1,4 +1,6 @@
+import itertools
 import time
+from unittest import mock
 
 import pytest
 
@@ -12,17 +14,18 @@ from egs import (
     dictates,
     find_is,
     find_synthesized,
-    parse,
+    iter_synthesized,
     reduced_normal_form,
     rnf_isomorphic,
     shift_depth,
+    transform,
     validate_structure,
 )
 
 from egs.transform import _complete_controls_for
 
 from corpus import vnm_corpus
-from fixtures import g_ga, g_uneven, ga_infosets, path
+from fixtures import g_fan, g_ga, g_uneven, ga_infosets, path
 from oracles import complete_controls_reference
 from test_ico import replaced_part
 
@@ -165,27 +168,10 @@ def test_complete_controls_match_the_reference_on_the_corpus():
     assert found > 20
 
 
-def _fan(n: int):
-    """Player 2 picks one of n branches a_k at the root and then x_k or y_k;
-    player 1's one set holds all 2n histories of length 2, so the root and
-    each a_k dictate: anchors of two lengths, n of them of length 1."""
-    actions = [f"{c}{k}" for c in "axy" for k in range(n)]
-    lines = ["egs 1", "player 1 actions L,R", f"player 2 actions {','.join(actions)}"]
-    lines.append('node "" 2:' + "|".join(f"a{k}" for k in range(n)))
-    members = []
-    for k in range(n):
-        lines.append(f'node "a{k}" 2:x{k}|y{k}')
-        for c in (f"x{k}", f"y{k}"):
-            lines.append(f'node "a{k}/{c}" 1:L|R')
-            members.append(f'"a{k}/{c}"')
-    lines.append("infoset 1 {" + ",".join(members) + "}")
-    return parse("\n".join(lines) + "\n")
-
-
 def test_complete_controls_of_twenty_equal_length_anchors_are_read_off_at_once():
     # 21 anchors would be 2^21 subsets to walk; only the two length groups
     # can cover the mover
-    g = _fan(20)
+    g = g_fan(20)
     assert check_vnm(g)[0]
     (mover,) = g.partitions["1"]
     opps = find_is(g)
@@ -197,3 +183,13 @@ def test_complete_controls_of_twenty_equal_length_anchors_are_read_off_at_once()
     assert root.anchors == (ROOT,) and set(root.pieces[0]) == mover.member_set
     assert group.anchors == tuple(o.anchor for o in opps[1:])
     assert [set(p) for p in group.pieces] == [o.submover_set for o in opps[1:]]
+
+
+def test_synthesized_opportunities_past_the_subset_bound_are_refused_naming_it():
+    g = g_fan(3)
+    found = find_synthesized(g)
+    assert len(found) == 17
+    with mock.patch.object(transform, "_MAX_SYNTH_SUBSETS", 8):
+        with pytest.raises(TransformError, match="more than 8 subsets to test"):
+            find_synthesized(g)
+        assert list(itertools.islice(iter_synthesized(g), 3)) == found[:3]
