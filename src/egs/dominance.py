@@ -79,7 +79,10 @@ class Game:
         for p in structure.players:
             if p not in payoffs:
                 raise DominanceError(f"missing payoffs for player {p}")
-            table = {z: Fraction(v) for z, v in payoffs[p].items()}
+            # a Fraction is kept as given; anything else is converted
+            table = {
+                z: v if type(v) is Fraction else Fraction(v) for z, v in payoffs[p].items()
+            }
             if set(table) != terminal_set:
                 raise DominanceError(
                     f"payoffs for {p} must cover exactly the terminal set"

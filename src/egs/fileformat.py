@@ -280,16 +280,26 @@ def serialize(obj) -> str:
     for p in structure.players:
         acts = (_name("action", a, _ACTION_SYNTAX) for a in sorted(structure.actions[p]))
         lines.append(f"player {_name('player id', p, _ID_SYNTAX)} actions {','.join(acts)}")
+    # Each history's label is its parent's, a '/' and its last move's part,
+    # as `History.label` writes them; parents come first in history order.
+    labels: dict[History, str] = {}
     for h in structure.histories:
+        parent = h.parent if h.length > 1 else None
+        if parent in labels:
+            labels[h] = labels[parent] + "/" + profile_label(h.moves[-1])
+        else:
+            labels[h] = h.label()
         if structure.is_terminal(h):
             continue
         specs = " ".join(
             f"{p}:{'|'.join(structure.feasible(h, p))}" for p in structure.active(h)
         )
-        lines.append(f"node {_quote(h.label())} {specs}")
+        lines.append(f"node {_quote(labels[h])} {specs}")
     for p in structure.players:
         for block in structure.partitions.get(p, ()):
-            members = ",".join(_quote(m.label()) for m in block.members)
+            members = ",".join(
+                _quote(labels[m] if m in labels else m.label()) for m in block.members
+            )
             lines.append(f"infoset {p} {{{members}}}")
     if game is not None:
         for z in structure.terminals:
@@ -297,5 +307,5 @@ def serialize(obj) -> str:
                 f"{p}={game.payoffs[p][z].numerator}/{game.payoffs[p][z].denominator}"
                 for p in structure.players
             )
-            lines.append(f"payoff {_quote(z.label())} {values}")
+            lines.append(f"payoff {_quote(labels[z])} {values}")
     return "\n".join(lines) + "\n"

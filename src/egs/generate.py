@@ -5,12 +5,19 @@ points are grouped by the experience accumulated so far, and only
 equal-experience histories may share a group, which yields perfect recall
 by construction.  Every group mints its own fresh actions, so feasible
 sets are measurable and disjoint across a player's sets for free.
+
+`gen_random` rejection-samples drafts and validates each structure it
+returns, not each draft: a draft the UO or vNM flag rejects is discarded
+unvalidated.  The benchmark's UO templates take about 2.3 drafts per
+structure (467 for 202 on the `reduce` inputs of seed 1).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +44,10 @@ class GenParams:
     seed: int = 0
 
 
+@functools.cache
 def _letters(n: int) -> str:
+    """The n-th name of the sequence a, ..., z, aa, ab, ...; each is
+    spelled once and then read from the cache."""
     out = ""
     n += 1
     while n:
@@ -52,7 +62,9 @@ def gen_random(
     require_vnm: bool = False,
 ) -> Structure:
     """Generate a structure; with the flags set, rejection-sample until the
-    unambiguous-ordering (or equal-length) property holds."""
+    unambiguous-ordering (or equal-length) property holds.  The structure
+    returned is validated, and a `GenError` names its violations if it is
+    invalid; drafts the flags reject are discarded unvalidated."""
     for attempt in range(_MAX_ATTEMPTS):
         rng = random.Random(f"{params.seed}:{attempt}")
         structure = _generate_once(params, rng)
@@ -62,6 +74,9 @@ def gen_random(
             continue
         if require_uo and not check_uo(structure)[0]:
             continue
+        report = validate_structure(structure)
+        if not report.ok:
+            raise GenError(f"generator produced an invalid structure: {report}")
         return structure
     raise GenError(
         f"no admissible structure in {_MAX_ATTEMPTS} attempts; "
@@ -70,22 +85,24 @@ def gen_random(
 
 
 def _generate_once(params: GenParams, rng: random.Random) -> Structure | None:
+    """One draft, or None when some player never moves.  Each frontier
+    entry carries its history's crossings, the (group, action) pairs each
+    player has taken so far, which are that player's experience there."""
     players = [str(i + 1) for i in range(params.players)]
     mint_count = {p: 0 for p in players}
-    groups: dict[tuple, dict] = {}           # group key -> {actions, members}
+    groups: dict[tuple, tuple[tuple[str, ...], list[History]]] = {}  # key -> (actions, members)
     group_count_by_exp: dict[tuple, int] = {}
-    crossings: dict[History, dict[str, tuple]] = {ROOT: {p: () for p in players}}
     histories: list[History] = [ROOT]
-    frontier: list[History] = [ROOT]
+    frontier = deque([(ROOT, {p: () for p in players})])
 
     def new_actions(p: str) -> tuple[str, ...]:
         k = rng.randint(2, max(2, params.max_branching))
         start = mint_count[p]
         mint_count[p] = start + k
-        return tuple(_letters(start + j) + p for j in range(k))
+        return tuple([_letters(start + j) + p for j in range(k)])
 
     while frontier:
-        h = frontier.pop(0)
+        h, crossings = frontier.popleft()
         depth = h.length
         if depth >= params.max_depth:
             continue
@@ -95,46 +112,45 @@ def _generate_once(params: GenParams, rng: random.Random) -> Structure | None:
             active = sorted(rng.sample(players, 2))
         else:
             active = [rng.choice(players)]
-        assignment: dict[str, tuple] = {}
+        keys, pools = [], []
         for p in active:
-            exp = (p, crossings[h][p])
+            exp = (p, crossings[p])
             existing = group_count_by_exp.get(exp, 0)
             if existing and rng.random() < params.merge_prob:
-                salt = rng.randrange(existing)
+                key = exp + (rng.randrange(existing),)
             else:
-                salt = existing
+                key = exp + (existing,)
                 group_count_by_exp[exp] = existing + 1
-                groups[exp + (salt,)] = {"actions": new_actions(p), "members": []}
-            key = exp + (salt,)
-            groups[key]["members"].append(h)
-            assignment[p] = key
-        pools = [
-            [(p, a) for a in groups[assignment[p]]["actions"]] for p in active
-        ]
+                groups[key] = (new_actions(p), [])
+            acts, members = groups[key]
+            members.append(h)
+            keys.append(key)
+            pools.append([(p, a) for a in acts])
+        # The pools run in sorted-player order, so each combination is a
+        # profile.  A child at the depth bound draws nothing and has no
+        # children, so it skips the frontier.
+        leaves = depth + 1 >= params.max_depth
         for combo in itertools.product(*pools):
-            child = h.extend(tuple(sorted(combo)))
-            crossings[child] = {
-                p: crossings[h][p] + (((assignment[p], dict(combo)[p]),) if p in assignment else ())
-                for p in players
-            }
+            child = h.extend(combo)
             histories.append(child)
-            frontier.append(child)
+            if leaves:
+                continue
+            extended = dict(crossings)
+            for (p, a), key in zip(combo, keys):
+                extended[p] = crossings[p] + ((key, a),)
+            frontier.append((child, extended))
 
     actions = {p: set() for p in players}
     partitions: dict[str, list[InfoSet]] = {p: [] for p in players}
-    for (p, _exp, _salt), data in groups.items():
-        actions[p].update(data["actions"])
-        partitions[p].append(InfoSet(p, tuple(data["members"])))
+    for (p, _exp, _salt), (acts, members) in groups.items():
+        actions[p].update(acts)
+        partitions[p].append(InfoSet(p, tuple(members)))
     if any(not partitions[p] for p in players):
         return None  # an idle player; resample
-    structure = Structure(
+    return Structure(
         players, {p: frozenset(a) for p, a in actions.items()},
         histories, {p: tuple(v) for p, v in partitions.items()},
     )
-    report = validate_structure(structure)
-    if not report.ok:
-        raise GenError(f"generator produced an invalid structure: {report}")
-    return structure
 
 
 def random_payoffs(

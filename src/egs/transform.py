@@ -685,14 +685,43 @@ def shift_depth(structure: Structure, h: History, movers: frozenset[InfoSet]) ->
     return count
 
 
-def _uniform_shift(structure: Structure, movers: frozenset[InfoSet]) -> bool:
-    for s in structure.info_sets:
-        if s in movers:
-            continue
-        depths = {shift_depth(structure, m, movers) for m in s.members}
-        if len(depths) > 1:
-            return False
-    return True
+def _uniform_shift(structure: Structure):
+    """The test, for one search, that movers shift every member of each
+    other information set equally (`shift_depth`).  Each set's members
+    climb to the root once, when the first subset reads the set, and keep
+    one bitset per strict prefix, of the sets active there; a prefix counts
+    when its bitset is non-empty and inside the movers'.  Each mover gets
+    its bit before any set is read, so a later climb that meets it sees
+    the same bit."""
+    bit: dict[InfoSet, int] = {}
+    prefixes: dict[InfoSet, list[list[int]]] = {}
+
+    def climb(s: InfoSet) -> list[list[int]]:
+        rows = []
+        for h in s.members:
+            row = []
+            while h.length:
+                h = h.parent
+                mask = 0
+                for p in structure.active(h):
+                    mask |= 1 << bit.setdefault(structure.info_set_of(p, h), len(bit))
+                if mask:
+                    row.append(mask)
+            rows.append(row)
+        prefixes[s] = rows
+        return rows
+
+    def uniform(movers: frozenset[InfoSet]) -> bool:
+        outside = ~sum({1 << bit.setdefault(s, len(bit)) for s in movers})
+        for s in structure.info_sets:
+            if s in movers:
+                continue
+            rows = prefixes.get(s) or climb(s)
+            if len({sum(not (mask & outside) for mask in row) for row in rows}) > 1:
+                return False
+        return True
+
+    return uniform
 
 
 def iter_synthesized(structure: Structure):
@@ -710,8 +739,9 @@ def iter_synthesized(structure: Structure):
     def hopeless(chosen, later):
         return len({a.mover for a in chosen}) < len(chosen)
 
+    uniform = _uniform_shift(structure)
     for chosen in _subsets(atoms, hopeless, _MAX_SYNTH_SUBSETS):
-        if _uniform_shift(structure, frozenset(a.mover for a in chosen)):
+        if uniform(frozenset(a.mover for a in chosen)):
             yield SynthOpp(
                 tuple(a for a in chosen if isinstance(a, CoalescingOpp)),
                 tuple(a for a in chosen if isinstance(a, CompleteControl)),
@@ -739,7 +769,7 @@ def _verify_synth(structure: Structure, opp: SynthOpp) -> None:
     movers = [a.mover for a in (*opp.coalescings, *opp.controls)]
     if len(set(movers)) != len(movers):
         raise TransformError("movers of a synthesized opportunity must be distinct")
-    if not _uniform_shift(structure, frozenset(movers)):
+    if not _uniform_shift(structure)(frozenset(movers)):
         raise TransformError(
             "a non-participating information set would lose equal length"
         )

@@ -10,6 +10,8 @@ reproducible.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -78,6 +80,9 @@ def experience(structure: Structure, player: str, h: History) -> Experience:
     return Experience(tuple(reversed(pairs)))
 
 
+_mover = operator.itemgetter(0)  # the player of a profile entry
+
+
 def _label(h: History) -> str:
     return h.label() or "''"
 
@@ -115,15 +120,18 @@ def validate_structure(structure: Structure) -> ValidationReport:
     actions_ok = True
     for h in structure.nonterminals:
         kids = structure.children(h)
-        key_sets = {tuple(sorted(p for p, _ in kid.moves[-1])) for kid in kids}
-        if len(key_sets) != 1:
+        # I(h) and F_i(h) are read off the children's last moves, so the
+        # children are the product exactly when each move names every
+        # active player once, in order, and there are as many as profiles.
+        players = structure.active(h)
+        exact = all(tuple(map(_mover, kid.moves[-1])) == players for kid in kids)
+        if not exact and len({tuple(sorted(map(_mover, kid.moves[-1]))) for kid in kids}) != 1:
             out.append(Violation(
                 "active-players",
                 f"children of {_label(h)} disagree on who moves",
             ))
             actions_ok = False
             continue
-        players = structure.active(h)
         for p in players:
             if p not in structure.actions:
                 out.append(Violation("active-players", f"unknown player {p} at {_label(h)}"))
@@ -142,12 +150,7 @@ def validate_structure(structure: Structure) -> ValidationReport:
                     "min-choice", f"{p} has {len(feas)} feasible action at {_label(h)}"
                 ))
                 actions_ok = False
-        expected = {
-            tuple(sorted(zip(players, combo)))
-            for combo in itertools.product(*(structure.feasible(h, p) for p in players))
-        }
-        got = {kid.moves[-1] for kid in kids}
-        if expected != got:
+        if not exact or len(kids) != math.prod(len(structure.feasible(h, p)) for p in players):
             out.append(Violation(
                 "product-closure",
                 f"children of {_label(h)} are not the full action-profile product",

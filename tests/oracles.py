@@ -1235,6 +1235,166 @@ def empty_profile_reference(structure):
     return ()
 
 
+def validate_structure_reference(structure):
+    """`validate_structure` with product closure checked by enumerating
+    the action-profile product at every non-terminal and comparing it with
+    the children's last moves, each child's players sorted to find who
+    moves: the same report, violations, order and witnesses."""
+    from egs.validate import ValidationReport, Violation, experience
+
+    def _label(h):
+        return h.label() or "''"
+
+    out: list[Violation] = []
+
+    # Tree shape.
+    tree_ok = True
+    if not structure.has_history(ROOT):
+        out.append(Violation("root", "the empty history is missing"))
+        tree_ok = False
+    for h in structure.histories:
+        if h.length and not structure.has_history(h.parent):
+            out.append(Violation(
+                "prefix-closure", f"{_label(h)} present but its predecessor is not"
+            ))
+            tree_ok = False
+            break
+    # A history's earlier moves are its ancestors' last moves, so the first
+    # history with an empty profile has it last, or lacks its parent.
+    for h in structure.histories:
+        if h.length and not all(
+            h.moves[-1:] if structure.has_history(h.parent) else h.moves
+        ):
+            out.append(Violation("profile", f"{_label(h)} contains an empty profile"))
+            tree_ok = False
+            break
+    if not tree_ok:
+        return ValidationReport(tuple(out))
+
+    # Action axioms.
+    actions_ok = True
+    for h in structure.nonterminals:
+        kids = structure.children(h)
+        key_sets = {tuple(sorted(p for p, _ in kid.moves[-1])) for kid in kids}
+        if len(key_sets) != 1:
+            out.append(Violation(
+                "active-players",
+                f"children of {_label(h)} disagree on who moves",
+            ))
+            actions_ok = False
+            continue
+        players = structure.active(h)
+        for p in players:
+            if p not in structure.actions:
+                out.append(Violation("active-players", f"unknown player {p} at {_label(h)}"))
+                actions_ok = False
+                continue
+            feas = structure.feasible(h, p)
+            undeclared = [a for a in feas if a not in structure.actions[p]]
+            if undeclared:
+                out.append(Violation(
+                    "action-declared",
+                    f"{p}'s action {undeclared[0]} at {_label(h)} is not in A_{p}",
+                ))
+                actions_ok = False
+            if len(feas) < 2:
+                out.append(Violation(
+                    "min-choice", f"{p} has {len(feas)} feasible action at {_label(h)}"
+                ))
+                actions_ok = False
+        expected = {
+            tuple(sorted(zip(players, combo)))
+            for combo in itertools.product(*(structure.feasible(h, p) for p in players))
+        }
+        got = {kid.moves[-1] for kid in kids}
+        if expected != got:
+            out.append(Violation(
+                "product-closure",
+                f"children of {_label(h)} are not the full action-profile product",
+            ))
+            actions_ok = False
+
+    # Partitions.
+    partitions_ok = True
+    for p in structure.players:
+        own = set(structure.player_histories(p))
+        seen: set[History] = set()
+        for block in structure.partitions.get(p, ()):
+            if block.owner != p:
+                out.append(Violation("partition", f"block {block!r} filed under player {p}"))
+                partitions_ok = False
+            for m in block.members:
+                if m not in own:
+                    out.append(Violation(
+                        "partition", f"{_label(m)} is not an active history of {p}"
+                    ))
+                    partitions_ok = False
+                if m in seen:
+                    out.append(Violation(
+                        "partition", f"{_label(m)} appears in two blocks of {p}"
+                    ))
+                    partitions_ok = False
+                seen.add(m)
+        missing = sorted(own - seen, key=history_key)
+        if missing:
+            out.append(Violation(
+                "partition", f"{p} has no block containing {_label(missing[0])}"
+            ))
+            partitions_ok = False
+        if not own:
+            out.append(Violation("idle-player", f"{p} is never active"))
+            partitions_ok = False
+    for p in structure.partitions:
+        if p not in structure.players:
+            out.append(Violation("partition", f"partition for undeclared player {p}"))
+            partitions_ok = False
+
+    if not (actions_ok and partitions_ok):
+        return ValidationReport(tuple(out))
+
+    # Measurability and own-action disjointness.
+    for p in structure.players:
+        blocks = structure.partitions[p]
+        for block in blocks:
+            feas = {structure.feasible(m, p) for m in block.members}
+            if len(feas) != 1:
+                out.append(Violation(
+                    "measurable", f"members of {block!r} offer different actions"
+                ))
+        # the blocks offering each action, then each pair's shared actions
+        holders: dict[str, list[int]] = {}
+        for i, block in enumerate(blocks):
+            for a in structure.feasible_at(block):
+                holders.setdefault(a, []).append(i)
+        shared: dict[tuple[int, int], list[str]] = {}
+        for a, held in holders.items():
+            for pair in itertools.combinations(held, 2):
+                shared.setdefault(pair, []).append(a)
+        for i, j in sorted(shared):
+            out.append(Violation(
+                "own-disjoint",
+                f"{blocks[i]!r} and {blocks[j]!r} share actions {sorted(shared[i, j])}",
+            ))
+    if out:
+        return ValidationReport(tuple(out))
+
+    # Perfect recall: experience constant on each information set, which a
+    # set with one member has by definition.
+    for p in structure.players:
+        for block in structure.partitions[p]:
+            if len(block.members) == 1:
+                continue
+            base = experience(structure, p, block.members[0]).pair_set
+            for m in block.members[1:]:
+                if experience(structure, p, m).pair_set != base:
+                    out.append(Violation(
+                        "perfect-recall",
+                        f"{p}'s experiences at {_label(block.members[0])} and {_label(m)} differ",
+                    ))
+                    break
+    return ValidationReport(tuple(out))
+
+
 def terminals_reference(structure):
     """Z(h) of every history, by recursion over the children, and Z(h_i a_i)
     of every feasible action at every set whose members are all histories,

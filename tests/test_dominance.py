@@ -143,6 +143,24 @@ def test_bd_nul_narrative():
             assert len({r for r in prob.others}) == len(prob.others)
 
 
+def test_game_keeps_fraction_payoffs_and_converts_the_rest():
+    g = g_nul()
+    given = nul_payoffs(g)
+    game = Game(g, given)
+    for p in g.players:
+        assert all(game.payoffs[p][z] is v for z, v in given[p].items())
+    # ints and strings convert as Fraction(v) does
+    as_text = {p: {z: str(v) for z, v in table.items()} for p, table in given.items()}
+    as_int = {p: {z: int(v) for z, v in table.items()} for p, table in given.items()}
+    for other in (Game(g, as_text), Game(g, as_int)):
+        assert other.payoffs == given
+        assert all(type(v) is Fraction for t in other.payoffs.values() for v in t.values())
+    assert Game(g, {p: {z: "1/3" for z in g.terminals} for p in g.players}).payoffs["1"][
+        g.terminals[0]
+    ] == Fraction(1, 3)
+    assert _label_set(bd(Game(g, as_text)).survivors["2"]) == {"C", "D"}
+
+
 def test_bd_nul_after_sigma_f_survives():
     game = game_nul()
     g = game.structure

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from unittest import mock
 
@@ -6,6 +7,7 @@ import pytest
 
 from egs import (
     EgsError,
+    InfoSet,
     ROOT,
     SynthOpp,
     TransformError,
@@ -193,3 +195,25 @@ def test_synthesized_opportunities_past_the_subset_bound_are_refused_naming_it()
         with pytest.raises(TransformError, match="more than 8 subsets to test"):
             find_synthesized(g)
         assert list(itertools.islice(iter_synthesized(g), 3)) == found[:3]
+
+
+def test_one_searchs_shift_test_matches_shift_depth_on_every_mover_set():
+    # one test per structure answers many mover sets in turn, as a search
+    # asks it, sets read late included; a set of no structure here, which
+    # no prefix holds, may move too
+    rng = random.Random(9)
+    foreign = InfoSet("9", (ROOT,))
+    agreed = {True: 0, False: 0}
+    for g in vnm_corpus(40) + (g_ga(), g_fan(5)):
+        uniform = transform._uniform_shift(g)
+        for _ in range(30):
+            k = rng.randint(0, min(3, len(g.info_sets)))
+            movers = frozenset(rng.sample(g.info_sets, k))
+            movers |= {foreign} if rng.random() < 0.2 else set()
+            expected = all(
+                len({shift_depth(g, m, movers) for m in s.members}) == 1
+                for s in g.info_sets if s not in movers
+            )
+            assert uniform(movers) == expected
+            agreed[expected] += 1
+    assert min(agreed.values()) > 40

@@ -32,11 +32,25 @@ from fixtures import (
     g_red1,
     g_sim,
     g_uneven,
+    malformed_red1,
     path,
     red1_infosets,
 )
-from oracles import empty_profile_reference, own_disjoint_reference, recall_violations_reference
-from test_core import CANNOT_CARRY
+from oracles import (
+    empty_profile_reference,
+    own_disjoint_reference,
+    recall_violations_reference,
+    validate_structure_reference,
+)
+from test_core import CANNOT_CARRY, SHARED_NAME
+
+
+def _validated(structure):
+    """The validator's report, once the reference's is found identical:
+    the same violations in the same order with the same witnesses."""
+    report = validate_structure(structure)
+    assert report == validate_structure_reference(structure)
+    return report
 
 
 def test_experience_red1():
@@ -63,7 +77,7 @@ def test_experience_unknown_history():
 
 def test_validate_fixtures_ok():
     for build in (g_red1, g_chain, g_sim, g_ent, g_kms, g_uneven):
-        report = validate_structure(build())
+        report = _validated(build())
         assert report.ok, f"{build.__name__}: {report}"
 
 
@@ -72,7 +86,7 @@ def test_validate_broken_product():
     ace = A.extend(make_profile({"1": "E", "2": "c"}))
     histories = [h for h in g.histories if h != ace]
     broken = Structure(g.players, g.actions, histories, g.partitions)
-    report = validate_structure(broken)
+    report = _validated(broken)
     assert "product-closure" in report.axioms()
 
 
@@ -80,7 +94,7 @@ def test_validate_missing_root():
     g = g_sim()
     histories = [h for h in g.histories if h != ROOT]
     broken = Structure(g.players, g.actions, histories, {"1": (), "2": ()})
-    report = validate_structure(broken)
+    report = _validated(broken)
     assert "root" in report.axioms()
 
 
@@ -94,7 +108,7 @@ def test_validate_min_choice():
         histories,
         {"1": (InfoSet("1", (ROOT,)),), "2": (InfoSet("2", (l,)),)},
     )
-    report = validate_structure(broken)
+    report = _validated(broken)
     assert "min-choice" in report.axioms()
 
 
@@ -104,12 +118,12 @@ def test_validate_duplicate_partition_member():
     h11, h12, h21, h22 = red1_infosets(g)
     parts["2"] = (h21, h22, InfoSet("2", (O,)))
     broken = Structure(g.players, g.actions, g.histories, parts)
-    report = validate_structure(broken)
+    report = _validated(broken)
     assert "partition" in report.axioms()
 
 
 def test_validate_absent_minded_recall():
-    report = validate_structure(g_absent_minded())
+    report = _validated(g_absent_minded())
     assert report.axioms() == ("perfect-recall",)
 
 
@@ -174,7 +188,7 @@ def test_perfect_recall_reads_no_experience_of_a_singleton_set(monkeypatch):
 
 
 def _assert_recall_matches_the_reference(structure):
-    report = validate_structure(structure)
+    report = _validated(structure)
     if any(v.axiom != "perfect-recall" for v in report.violations):
         return  # recall is checked only on an otherwise valid structure
     assert report.violations == recall_violations_reference(structure)
@@ -195,12 +209,12 @@ def test_recall_verdicts_match_the_reference_on_fixtures():
          bp: {"O": ["u", "v"]}, bpu: {"O": ["c", "d"]}},
         blocks=[("O", [aq, bpu])],
     )
-    assert validate_structure(forgetful).axioms() == ("perfect-recall",)
+    assert _validated(forgetful).axioms() == ("perfect-recall",)
     _assert_recall_matches_the_reference(forgetful)
 
 
 def _own_disjoint(structure):
-    return tuple(v for v in validate_structure(structure).violations if v.axiom == "own-disjoint")
+    return tuple(v for v in _validated(structure).violations if v.axiom == "own-disjoint")
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,7 +222,7 @@ def _own_disjoint(structure):
 def test_own_disjointness_matches_the_pairwise_reference(structure, seed):
     assert _own_disjoint(structure) == own_disjoint_reference(structure) == ()
     pooled = pooled_actions(structure, random.Random(seed))
-    report = validate_structure(pooled)
+    report = _validated(pooled)
     assert set(report.axioms()) <= {"own-disjoint"}
     assert _own_disjoint(pooled) == own_disjoint_reference(pooled)
 
@@ -243,7 +257,7 @@ def _with_empty_profiles(draw):
 
 
 def _profile_violations(structure):
-    return tuple(v for v in validate_structure(structure).violations if v.axiom == "profile")
+    return tuple(v for v in _validated(structure).violations if v.axiom == "profile")
 
 
 # an empty profile whose history is present, under a parent that is not
@@ -266,3 +280,67 @@ def test_the_empty_profile_scan_matches_the_scan_of_every_move_on_lifts_the_edit
     for _, g in CANNOT_CARRY.values():
         assert _profile_violations(g) == empty_profile_reference(g)
     assert empty_profile_reference(_EMPTY_UNDER_A_MISSING_PARENT)
+
+
+@st.composite
+def _mutated_structures(draw):
+    """A seeded structure, valid or not, with up to four edits: a history
+    or a child's whole subtree dropped, a child added that takes another
+    action or a profile naming the movers out of order, twice, in part or
+    with a stranger, a player's two blocks merged, a member moved to
+    another player's block; and now and then the root dropped."""
+    g = draw(seeded_structures())
+    histories = set(g.histories)
+    partitions = {p: list(blocks) for p, blocks in g.partitions.items()}
+    edits = ("drop", "prune", "action", "profile", "merge", "move")
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=4)):
+        h = draw(st.sampled_from(g.nonterminals))
+        kid = draw(st.sampled_from(g.children(h)))
+        move = kid.moves[-1]
+        if edit == "drop":
+            histories.discard(kid)
+        elif edit == "prune":
+            histories.difference_update(x for x in g.histories if kid.is_prefix_of(x))
+        elif edit == "action":
+            i = draw(st.integers(0, len(move) - 1))
+            p = move[i][0]
+            a = draw(st.sampled_from(sorted(g.actions[p]) + ["zz"]))
+            histories.add(h.extend(move[:i] + ((p, a),) + move[i + 1:]))
+        elif edit == "profile":
+            other = draw(st.sampled_from(g.players + ("9",)))
+            odd = draw(st.sampled_from((
+                move[::-1], move + move[:1], move[1:], move + ((other, "zz"),),
+            )))
+            if odd:
+                histories.add(h.extend(odd))
+        elif edit == "merge":
+            p = draw(st.sampled_from(g.players))
+            if len(partitions[p]) > 1:
+                a, b = partitions[p][:2]
+                partitions[p][:2] = [InfoSet(p, a.members + b.members)]
+        elif edit == "move":
+            s = draw(st.sampled_from(g.info_sets))
+            p = draw(st.sampled_from([q for q in g.players if partitions[q]]))
+            target = partitions[p].pop()
+            partitions[p].append(InfoSet(p, target.members + s.members[:1]))
+    if draw(st.integers(0, 19)) == 11:
+        histories.discard(ROOT)
+    return Structure(g.players, g.actions, histories, partitions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(seeded_structures(), _mutated_structures()))
+def test_the_validator_gives_the_references_report(structure):
+    _validated(structure)
+
+
+def test_the_validator_gives_the_references_report_on_fixtures_and_malformed_inputs():
+    rng = random.Random(27)
+    inputs = [g_deep_chain(30), SHARED_NAME, *malformed_red1()]
+    inputs.extend(g for _, g in CANNOT_CARRY.values())
+    for name, builder in sorted(vars(fixtures).items()):
+        if name.startswith("g_") and not inspect.signature(builder).parameters:
+            inputs.append(builder())
+    inputs.extend(pooled_actions(g, rng) for g in uo_corpus(30))
+    for structure in inputs:
+        _validated(structure)
