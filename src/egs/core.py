@@ -22,17 +22,15 @@ A reduction step edits its predecessor instead (see `_build_indices`): it
 keeps every history, information set and index entry outside the
 rewritten subtrees, gives each terminal's image the terminal's bit, and
 indexes only the images and the histories just above them, so the
-terminal sets of kept histories and the action masks of untouched sets
-carry over unchanged; a malformed predecessor it cannot carry is refused
-with an `EgsError`.  The order-and-control index is derived lazily by
-every structure: one walk from the root gives each history the bitset,
-over positions in `info_sets`, of the sets with a member strictly before
-it, and each set's earlier sets (those with a member strictly before one
-of its members) are the union of its members' bitsets.  Each (set,
-action) terminal mask is filed by (owner, mask).  Order relations, the UO
-check, coalescing, the non-crossing test and IS discovery (which climbs
-from each member while the terminal sets stay inside the set's) test
-these bits instead of scanning pairs.
+terminal sets of kept histories carry over unchanged; a malformed
+predecessor it cannot carry is refused with an `EgsError`.  The order
+index is derived lazily by every structure: one walk from the root gives
+each history the bitset, over positions in `info_sets`, of the sets with
+a member strictly before it, and each set's earlier sets (those with a
+member strictly before one of its members) are the union of its members'
+bitsets.  Order relations, the UO check, coalescing, the non-crossing
+test and IS discovery (which climbs from each member while the terminal
+sets stay inside the set's) test these bits instead of scanning pairs.
 
 Histories and information sets are interned: there is one object per
 value, found in a process-wide table of weak references (which keeps no
@@ -324,7 +322,7 @@ class Structure:
     ) -> None:
         """Index the histories and information sets: history order, child
         lists, active players, feasible actions, Z(h) masks and the set of
-        each (player, member).
+        each (player, member); an action's terminal mask is read, not kept.
 
         With no predecessor every history and set is new, and a terminal's
         bit is its position in `terminals`.  An edit (`_lift` passes its
@@ -441,11 +439,6 @@ class Structure:
             self._z = z  # carried and summed; a fresh build derives its own
         self._infoset_index: dict[tuple[str, History], InfoSet] = index
         self._regular = regular
-        # a set's action masks hold while no member is rewritten or a top
-        touched = region.keys() | tops
-        self._za_cache: dict[InfoSet, dict[str, int]] = {} if pred is None else {
-            s: masks for s, masks in pred._za_cache.items() if touched.isdisjoint(s.members)
-        }
 
     # -- basic queries -------------------------------------------------
 
@@ -513,18 +506,12 @@ class Structure:
         return mask
 
     def _action_mask(self, s: InfoSet, action: str) -> int:
-        """Z(h_i a_i) as a mask; one pass over the children of s's members
-        fills the masks of all its actions."""
-        masks = self._za_cache.get(s)
-        if masks is None:
-            z = self._z
-            masks = self._za_cache[s] = {}
-            for m in s.members:
-                for kid in self._children[m]:
-                    for p, a in kid.moves[-1]:
-                        if p == s.owner:
-                            masks[a] = masks.get(a, 0) | z[kid]
-        return masks.get(action, 0)
+        """Z(h_i a_i) as a mask: that of the children of s's members where
+        the owner takes the action."""
+        choice = (s.owner, action)
+        return self._terminal_mask_set(
+            kid for m in s.members for kid in self._children[m] if choice in kid.moves[-1]
+        )
 
     def _decode(self, mask: int) -> frozenset[History]:
         return frozenset(t for i, t in enumerate(self._bits) if mask >> i & 1)
@@ -541,7 +528,7 @@ class Structure:
         """Z(h_i a_i): terminals reached when the owner picks `action` at s."""
         return self._decode(self._action_mask(s, action))
 
-    # -- order and control index ----------------------------------------
+    # -- order index -----------------------------------------------------
 
     @cached_property
     def _position(self) -> dict[InfoSet, int]:
@@ -582,16 +569,6 @@ class Structure:
                 mask |= before[m]
             earlier[s] = mask
         return earlier, before, at
-
-    @cached_property
-    def _links(self) -> dict[tuple[str, int], tuple[tuple[InfoSet, str], ...]]:
-        """The (set, action) pairs of each owner, in set then action order,
-        filed by the owner and the mask of the terminals the action reaches."""
-        links: dict[tuple[str, int], list[tuple[InfoSet, str]]] = {}
-        for s in self.info_sets:
-            for a in self.feasible_at(s):
-                links.setdefault((s.owner, self._action_mask(s, a)), []).append((s, a))
-        return {k: tuple(v) for k, v in links.items()}
 
     # -- transitive simultaneity -----------------------------------------
 

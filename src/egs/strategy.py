@@ -89,8 +89,9 @@ class Plan:
 
 def own_predecessor(structure: Structure, s: InfoSet) -> tuple[InfoSet, str] | None:
     """The unique immediate own predecessor of s and the action leading to
-    s, or None when s is minimal.  Well-defined under perfect recall.  The
-    scan climbs from the first member toward the root."""
+    s, or None when s is minimal.  Well-defined under perfect recall, and
+    then the only pair that can control s (`transform._coalescings` shows
+    why).  The scan climbs from the first member toward the root."""
     h = s.members[0]
     if not structure.has_history(h):
         raise EgsError(f"{h.label()!r} is not a history of this structure")

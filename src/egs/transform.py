@@ -30,6 +30,7 @@ and plans follow the terminals, so the map holds nothing else.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 
 from .core import (
@@ -42,6 +43,7 @@ from .core import (
     sim_classes,
     strictly_precedes,
 )
+from .strategy import own_predecessor
 from .validate import check_uo, check_vnm
 
 
@@ -164,12 +166,18 @@ def _infoset_key(s: InfoSet):
 
 
 def _coalescings(structure: Structure, movers):
-    """The coalescings moving each of the sets, bases in link order."""
+    """The coalescing moving each set M, if any: at M's own predecessor
+    (B, a), when Z(B, a) = Z(M).  Under perfect recall no other base
+    exists: if Z(B, a) = Z(M), every member of M lies below a member of B
+    choosing a, perfect recall rules out a member of B below M, and no own
+    set C lies between them, since Z(C) ⊆ Z(B, a) = Z(M) ⊊ Z(C) would
+    follow.  M's mask comes first, so a member outside the structure raises."""
     for mover in movers:
         target = structure._terminal_mask_set(mover.members)
-        for base, link in structure._links.get((mover.owner, target), ()):
-            if base != mover:
-                yield CoalescingOpp(mover.owner, base, mover, link)
+        pred = own_predecessor(structure, mover)
+        if pred is not None and structure._action_mask(*pred) == target:
+            base, link = pred
+            yield CoalescingOpp(mover.owner, base, mover, link)
 
 
 def _coalescing_key(o: CoalescingOpp):
@@ -502,26 +510,23 @@ def _incompleteness(atoms, class_sets: frozenset) -> str | None:
 def _subsets(atoms, hopeless, limit):
     """The non-empty subsets of atoms, smallest first and each size in
     combinations order, but none grown from a branch that hopeless(chosen,
-    later) cuts: no subset of chosen and the later atoms can serve.  Each
-    size is walked depth first, and past limit subsets yielded, refused."""
+    later) cuts: no subset of chosen and the later atoms can serve.  The
+    walk is breadth first, so each branch is tested once and grows from a
+    surviving one; past limit subsets yielded, refused, so at most limit
+    branches wait to grow."""
     if not atoms or hopeless((), atoms):
         return
-    tested = 0
-    for r in range(1, len(atoms) + 1):
-        stack = [((), 0)]
-        while stack:
-            chosen, i = stack.pop()
-            if len(chosen) == r:
+    queue, tested = deque([((), 0)]), 0
+    while queue:
+        chosen, i = queue.popleft()
+        for j in range(i, len(atoms)):
+            grown = chosen + (atoms[j],)
+            if not hopeless(grown, atoms[j + 1:]):
                 tested += 1
                 if tested > limit:
                     raise TransformError(f"more than {limit} subsets to test; instance too large")
-                yield chosen
-                continue
-            # each next atom leaving enough after it, the first on top
-            for j in range(len(atoms) - r + len(chosen), i - 1, -1):
-                grown = chosen + (atoms[j],)
-                if not hopeless(grown, atoms[j + 1:]):
-                    stack.append((grown, j + 1))
+                yield grown
+                queue.append((grown, j + 1))
 
 
 def iter_complete_icos(structure: Structure):

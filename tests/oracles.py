@@ -38,6 +38,7 @@ from egs import (
     plans,
     play,
     relation,
+    serialize,
     sim_classes,
 )
 from egs.core import history_key, profile_label, strictly_precedes
@@ -530,7 +531,11 @@ def equivalent_by_both_routes(g1, g2, allow_player_permutation=False):
         )
         for route in ("rnf", "minimal")
     )
-    assert flag == flag_min, f"routes disagree: rnf={flag} minimal={flag_min}"
+    # both structures in the message, so a failing draw can be replayed
+    assert flag == flag_min, (
+        f"routes disagree: rnf={flag} minimal={flag_min}\n"
+        f"{serialize(g1)}\n{serialize(g2)}"
+    )
     counted = [counted_invariants(g, allow_player_permutation) for g in (g1, g2)]
     if counted[0] != counted[1]:
         assert not flag, f"equivalent, but the counted invariants differ: {counted}"

@@ -413,7 +413,7 @@ def test_each_cached_fact_is_one_object_across_its_readers():
     games = []
     _assert_derived_once(
         structure,
-        ("_z", "_position", "_order", "_links", "_sim_index", "_sim_classes", "_plan_space"),
+        ("_z", "_position", "_order", "_sim_index", "_sim_classes", "_plan_space"),
         [
             lambda: check_uo(structure),
             lambda: relation(structure, a, b),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -433,6 +434,27 @@ def test_a_class_past_the_subset_bound_still_gives_its_first_icos():
         compacted = backward_compactify(g)
     assert first == find_complete_icos(g)[:10]
     assert compacted == backward_compactify_reference(g)
+
+
+def test_the_subset_walk_tests_each_branch_once():
+    # the walk grows each size from the surviving branches of the size
+    # before, so no branch meets the cut twice in one class's walk
+    walk, tested = transform._subsets, []
+
+    def counting(atoms, hopeless, limit):
+        seen = collections.Counter()
+        tested.append(seen)
+
+        def counted(chosen, later):
+            seen[chosen] += 1
+            return hopeless(chosen, later)
+
+        return walk(atoms, counted, limit)
+
+    with mock.patch.object(transform, "_subsets", counting):
+        find_complete_icos(g_fan(12))
+    assert sum(map(len, tested)) > 4000
+    assert all(max(seen.values(), default=1) == 1 for seen in tested)
 
 
 def test_class_by_class_atom_search_matches_the_eager_one_on_fixtures_and_corpus():

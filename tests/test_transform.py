@@ -18,6 +18,7 @@ from egs import (
     is_non_crossing,
     make_profile,
     minimize_uo,
+    parse,
     relation,
     rnf_isomorphic,
     reduced_normal_form,
@@ -34,6 +35,7 @@ from fixtures import (
     g_absent_minded,
     g_chain,
     g_deep_chain,
+    g_fan,
     g_kms,
     g_ladder,
     g_mud,
@@ -42,6 +44,7 @@ from fixtures import (
     g_red1,
     g_sim,
     g_uom,
+    malformed_red1,
     path,
     red1_infosets,
 )
@@ -56,6 +59,7 @@ from oracles import (
     minimize_uo_reference,
     transport_plan_reference,
 )
+from test_core import CANNOT_CARRY, SHARED_NAME
 
 
 def test_controls_red1():
@@ -326,6 +330,8 @@ def test_plan_transport_roundtrip_counts():
 @given(seeded_structures())
 @example(g_ladder())
 @example(g_kms())
+@example(g_fan(6))
+@example(g_deep_chain(30))
 def test_coalescing_discovery_matches_all_pairs_controls(structure):
     assert find_coalescing(structure) == find_coalescing_pairwise(structure)
     for p in structure.players:
@@ -335,6 +341,44 @@ def test_coalescing_discovery_matches_all_pairs_controls(structure):
                 assert controls(structure, base, mover) == controls_pairwise(
                     structure, base, mover
                 )
+
+
+def _listing_or_error(find, structure):
+    try:
+        return find(structure)
+    except EgsError as error:
+        return str(error)
+
+
+MALFORMED = {
+    **{f"malformed red1 {k}": g for k, g in enumerate(malformed_red1())},
+    **{case: g for case, (_, g) in CANNOT_CARRY.items()},
+    "a shared action name": SHARED_NAME,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_coalescing_discovery_matches_all_pairs_controls_on_malformed_structures(case):
+    g = MALFORMED[case]
+    assert not validate_structure(g).ok
+    assert _listing_or_error(find_coalescing, g) == _listing_or_error(
+        find_coalescing_pairwise, g
+    )
+
+
+def test_a_base_that_is_not_the_own_predecessor_is_not_sought():
+    # player 1's set {L/u/a, L/u/b, L/v} lies below both ('', L) and
+    # ({L/u}, a), which breaks perfect recall; its own predecessor ({L/u},
+    # a) reaches only part of its terminals, so discovery lists nothing,
+    # while the all-pairs scan finds the root's L
+    g = parse(
+        'egs 1\nplayer 1 actions L,R,a,b,e,f\nplayer 2 actions u,v\n'
+        'node "" 1:L|R\nnode "L" 2:u|v\nnode "L/u" 1:a|b\nnode "L/u/a" 1:e|f\n'
+        'node "L/u/b" 1:e|f\nnode "L/v" 1:e|f\ninfoset 1 {"L/u/a","L/u/b","L/v"}\n'
+    )
+    assert "perfect-recall" in validate_structure(g).axioms()
+    assert find_coalescing(g) == []
+    assert [(o.base.members, o.link) for o in find_coalescing_pairwise(g)] == [((g.root,), "L")]
 
 
 @settings(max_examples=150, deadline=None)
